@@ -224,7 +224,8 @@ def bpe_train(ds, text_col: str, *, num_merges: int = 64,
     Tier picked by the DISTINCT-WORD count (a metadata count on the
     reduced word table, never the corpus); ``force_tier`` in
     {"driver", "distributed"} pins it for parity tests."""
-    wc = word_counts(ds, text_col, num_partitions=num_partitions)
+    # materialized once: the tier gate's count and either tier reuse it
+    wc = word_counts(ds, text_col, num_partitions=num_partitions).materialize()
     tier = force_tier
     if tier is None:
         tier = "driver" if wc.count() <= driver_vocab_max else "distributed"

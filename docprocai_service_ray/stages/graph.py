@@ -38,7 +38,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ..state.groupby import collect_pandas, distinct_rows, partition_reduce
+from ..state.groupby import collect_pandas, distinct_rows, key_hash, partition_reduce
 from ..state.joins import hash_join
 
 
@@ -134,7 +134,7 @@ def _pagerank_driver(edges_df: pd.DataFrame, damping: float, iters: int,
 
 def _copartition_edge_buckets(edges_deg, num_partitions: int, bucket_dir: str):
     """One-time co-partitioning of the static edge side (VERDICT r2 #6):
-    bucket (entity=src, dst, out_deg) by the SAME stable hash the rank
+    bucket (entity=src, dst, out_deg) by the same ``key_hash`` the rank
     tagging uses and land one Parquet directory per bucket. Every PageRank
     iteration then shuffles only the O(V) rank table to its bucket — the
     edge table is read in place (per-bucket, node-local page cache after
@@ -142,10 +142,7 @@ def _copartition_edge_buckets(edges_deg, num_partitions: int, bucket_dir: str):
     ``bucket_dir``), never re-bucketed per iteration."""
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        h = pd.util.hash_pandas_object(df["entity"].astype(str), index=False)
-        df["__bucket"] = (h % num_partitions).astype("int64")
-        return df
+        return df.assign(__bucket=key_hash(df, ["entity"]) % num_partitions)
 
     edges_deg.map_batches(tag, batch_format="pandas").write_parquet(
         bucket_dir, partition_cols=["__bucket"]
@@ -553,12 +550,12 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
                       "hub": pa.array([], pa.float64()),
                       "authority": pa.array([], pa.float64())}))
 
-    h0 = 1.0 / float(np.sqrt(n))
-    hubs = nodes.map_batches(
-        lambda t: t.append_column("hub", pa.array([h0] * len(t), pa.float64())),
-        batch_format="pyarrow",
-    ).materialize()
-    auths = None
+    def init(col: str, v: float):  # the driver tier's h, a before round 1
+        return nodes.map_batches(lambda t: t.append_column(
+            col, pa.array([v] * len(t), pa.float64())), batch_format="pyarrow")
+
+    hubs = init("hub", 1.0 / float(np.sqrt(n))).materialize()
+    auths = init("authority", 0.0)
 
     def _sum_to(joined, out_key: str, score: str):
         # joined rows: (out_key node, score, [w]) — emit grouped weighted sum
@@ -899,6 +896,8 @@ def core_numbers(triples, *, cfg=None, num_partitions: int | None = None,
         ).materialize()
         if changed == 0:
             break
+    else:
+        raise RuntimeError(f"core_numbers did not converge in max_iters={max_iters}")
 
     return scores.map_batches(
         lambda t: pa.table({"entity": t["entity"],

@@ -32,11 +32,14 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray
 
 from ..config import KGConfig
 from ..functions.hashing import stable_u64
+from ..state.groupby import key_hash
 from .common import pool_size
 
 PROV_STRUCT = pa.struct(
@@ -98,7 +101,6 @@ class _PartialAgg:
         return pc.coalesce(pc.take(self._map_vals, idx), col)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
         import pyarrow.compute as pc
 
         cfg = self.cfg
@@ -154,16 +156,23 @@ class _PartialAgg:
             .to_numpy().astype("datetime64[us]").view("i8").tolist()
         )
         weights = (ends - starts).tolist()
-        parts, payloads = [], []
+        payloads = []
         for i, (a, b) in enumerate(zip(offs[:-1].tolist(), offs[1:].tolist())):
             key = (sl[i], pl[i], ol[i])
             prov = list(zip(urls[a:b], sids[a:b], tss[a:b]))
-            parts.append(stable_u64("\x1f".join(key)) % self.num_parts)
             payloads.append(pickle.dumps((key, weights[i], prov), protocol=5))
-        return pa.Table.from_arrays(
-            [pa.array(parts, pa.int64()), pa.array(payloads, pa.binary())],
-            schema=_PARTIAL_SCHEMA,
-        )
+        return _partials(zip(sl, pl, ol), payloads, self.num_parts)
+
+
+def _partials(keys, payloads: list[bytes], num_parts: int) -> pa.Table:
+    """(part, payload) partial rows; ``part`` is the exchange partition of
+    each (subject, pred, object) key under ``state.groupby.key_hash``."""
+    spo = pd.DataFrame(list(keys), columns=["s", "p", "o"])
+    part = key_hash(spo, ["s", "p", "o"]) % np.uint64(num_parts)
+    return pa.Table.from_arrays(
+        [pa.array(part.astype(np.int64)), pa.array(payloads, pa.binary())],
+        schema=_PARTIAL_SCHEMA,
+    )
 
 
 def _merge_payloads(group: pa.Table, cfg: KGConfig, num_parts: int) -> pa.Table:
@@ -177,16 +186,12 @@ def _merge_payloads(group: pa.Table, cfg: KGConfig, num_parts: int) -> pa.Table:
             ent = agg[key] = [0, []]
         ent[0] += w
         ent[1].extend(prov)
-    parts, payloads = [], []
+    payloads = []
     cap = cfg.prov_cap
     for key, (w, prov) in agg.items():
         prov.sort()
-        parts.append(stable_u64("\x1f".join(key)) % num_parts)
         payloads.append(pickle.dumps((key, w, prov[:cap]), protocol=5))
-    return pa.Table.from_arrays(
-        [pa.array(parts, pa.int64()), pa.array(payloads, pa.binary())],
-        schema=_PARTIAL_SCHEMA,
-    )
+    return _partials(agg, payloads, num_parts)
 
 
 def _merge_partition(group: pa.Table, cfg: KGConfig) -> pa.Table:
@@ -294,8 +299,6 @@ def canonicalize_via_join(triples_raw_ds, entity_map_ds, *, buckets: int = 32):
     large to broadcast (SCALE.md §4): two bucketed left hash joins replace
     the in-actor dict lookup. Unmapped surfaces keep their surface form
     (same semantics as the broadcast path's ``emap.get(s, s)``)."""
-    import pandas as pd
-
     from ..state.joins import hash_join
 
     def _mapped(col: str):

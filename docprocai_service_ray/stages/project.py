@@ -85,8 +85,9 @@ def projected_topk(ds, query: np.ndarray, k: int, *, id_col: str = "vec_id",
         denom = np.linalg.norm(xp, axis=1) * np.linalg.norm(qp)
         s = np.divide(xp @ qp, denom, out=np.zeros(len(df)),
                       where=denom > 0).round(9)  # see project_embeddings
-        mm = min(m, len(s))
-        idx = np.argpartition(-s, mm - 1)[:mm]
+        # (s DESC, id ASC): the per-batch cut keeps the ids the global
+        # (s, id) sort below would, so ties never depend on batching
+        idx = np.lexsort((df[id_col].to_numpy(), -s))[:m]
         return pd.DataFrame({id_col: df[id_col].to_numpy()[idx],
                              "s": s[idx]})
 

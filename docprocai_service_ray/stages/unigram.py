@@ -116,7 +116,8 @@ def unigram_train(ds, text_col: str, *, vocab_size: int = 512,
     "distributed"} pins the tier for parity tests."""
     from .bpe import word_counts
 
-    wc_ds = word_counts(ds, text_col, num_partitions=num_partitions)
+    # materialized once: the tier gate's count and either tier reuse it
+    wc_ds = word_counts(ds, text_col, num_partitions=num_partitions).materialize()
     tier = force_tier
     if tier is None:
         tier = ("driver" if wc_ds.count() <= driver_vocab_max
@@ -127,8 +128,6 @@ def unigram_train(ds, text_col: str, *, vocab_size: int = 512,
         words, ns = wc["word"], wc["n"].to_numpy()
         seed = _seed_counts(words, ns)
     else:
-        wc_ds = wc_ds.materialize()
-
         def seed_partial(df: pd.DataFrame) -> pd.DataFrame:
             c = _seed_counts(df["word"], df["n"].to_numpy())
             return pd.DataFrame({"piece": list(c), "n": list(c.values())})

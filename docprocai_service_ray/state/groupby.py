@@ -1,26 +1,56 @@
-"""Partition-reduce: the vectorized grouped-aggregation pattern.
+"""Exchange tagging: one key hash and one tag-and-group path.
 
-``Dataset.groupby(key).map_groups(fn)`` invokes ``fn`` once per GROUP —
-per-key Python overhead that dominates wall time as soon as there are
-thousands of keys. This helper groups by ``hash(key) % P`` instead (P
-partition groups total, each holding *all* rows of its keys) and hands the
-whole partition to a VECTORIZED reduce function (pandas groupby.agg /
-drop_duplicates / a tight plain-Python loop) — same result, P udf calls
-instead of n_keys.
+:func:`key_hash` is the package's only key → partition mapping. A batch
+gets ``__part = key_hash % P`` inside its own ``map_batches``
+(``_tag_part``), and one ``groupby("__part").map_groups`` sort shuffle
+(``_group_parts``) hands each of the P partitions, holding *all* rows of
+its keys, to a VECTORIZED function (pandas groupby.agg / drop_duplicates /
+merge): P udf calls instead of ``groupby(key)``'s one per key.
+:func:`partition_reduce`, the ``state/joins`` shuffle tiers, the Bloom
+prefilter, the triple aggregation's partials and PageRank's edge buckets
+all place keys this way. Outputs depend only on the keys, never on the
+partition a key lands in.
 
 Skew note: a head key's rows land in one partition, so callers must
 pre-aggregate per batch first (phase 0) so no single key's row count is
 proportional to the corpus — the standard partial+final pattern.
-
-The row hash is ``pd.util.hash_pandas_object`` with the default fixed hash
-key: deterministic across processes and runs.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
 import pandas as pd
+
+
+def key_hash(df: pd.DataFrame, cols: list[str]) -> np.ndarray:
+    """uint64 hash of the composite key ``cols``, one value per row.
+
+    The key columns are hashed directly (``pd.util.hash_pandas_object``
+    with its fixed hash key: deterministic across processes and runs),
+    with no string cast. Integer columns are widened to int64 first, so an
+    int32 side and an int64 side of a join hash equal keys equally."""
+    key = [s.astype(np.int64, copy=False)
+           if isinstance(s.dtype, np.dtype) and s.dtype.kind in "iu" else s
+           for s in (df[c] for c in cols)]
+    # a lone column hashes as a Series: no one-column frame to build
+    key = key[0] if len(key) == 1 else pd.concat(key, axis=1)
+    return pd.util.hash_pandas_object(key, index=False).to_numpy(np.uint64)
+
+
+def _tag_part(df: pd.DataFrame, key_cols: list[str],
+              num_partitions: int) -> pd.DataFrame:
+    """``df`` plus ``__part = key_hash % num_partitions`` (a new frame)."""
+    part = key_hash(df, key_cols) % np.uint64(num_partitions)
+    return df.assign(__part=part.astype(np.int64))
+
+
+def _group_parts(tagged, fn: Callable[[pd.DataFrame], pd.DataFrame]):
+    """Co-locate ``_tag_part``-tagged rows by ``__part`` (one sort
+    shuffle) and run ``fn`` once per partition, ``__part`` dropped."""
+    return tagged.groupby("__part").map_groups(
+        lambda group: fn(group.drop(columns="__part")), batch_format="pandas")
 
 
 def resolve_num_partitions(ds, num_partitions: int | None) -> int:
@@ -54,22 +84,10 @@ def partition_reduce(
     num_partitions = resolve_num_partitions(ds, num_partitions)
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        key = df[key_cols[0]].astype(str)
-        for c in key_cols[1:]:  # vectorized concat — never .agg(axis=1)
-            key = key + "\x1f" + df[c].astype(str)
-        h = pd.util.hash_pandas_object(key, index=False)
-        df["__part"] = (h % num_partitions).astype("int64")
-        return df
+        return _tag_part(df, key_cols, num_partitions)
 
-    def run(group: pd.DataFrame) -> pd.DataFrame:
-        return reduce_partition(group.drop(columns="__part"))
-
-    return (
-        ds.map_batches(tag, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(run, batch_format="pandas")
-    )
+    return _group_parts(ds.map_batches(tag, batch_format="pandas"),
+                        reduce_partition)
 
 
 def distinct_rows(ds, key_cols: list[str], num_partitions: int | None = None):

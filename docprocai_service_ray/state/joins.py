@@ -12,12 +12,15 @@ the big side:
 - ``semi_join_filter`` / ``anti_join_filter``: broadcast key set, filter
   inside map_batches (J4/J5 analogs, SegmentDbConnector.py:235-252 and
   DocProcAiService.py:616-637).
-- ``hash_join``: both sides large → explicit partitioned hash join:
-  add ``bucket = hash(key) % B`` to both sides, union with a side tag,
-  ``groupby(bucket)`` co-locates, pandas merge per bucket. B is sized
-  from a METADATA-ONLY input-bytes estimate (never by executing the
-  inputs) targeting ~64 MB per bucket; ``salt=k`` splits each left key
-  into k sub-keys and replicates the right side k ways for skewed keys.
+- ``hash_join`` / ``asof_join`` shuffle tiers: both sides large →
+  partitioned join. ``_co_partition`` aligns both sides to one schema and
+  tags ``__side`` and ``__part = key_hash(key) % B`` inside each side's
+  own map; ``state.groupby._group_parts`` groups the union by ``__part``
+  for one vectorized pandas merge / ``merge_asof`` per partition, so a
+  key lands where ``partition_reduce`` would put it. B is sized from a
+  METADATA-ONLY input-bytes estimate (never by executing the inputs)
+  targeting ~64 MB per bucket; ``salt=k`` splits each left key into k
+  sub-keys and replicates the right side k ways for skewed keys.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ..functions.hashing import stable_u64
+from .groupby import _group_parts, _tag_part, key_hash
 
 
 def broadcast_ref(obj: Any) -> ray.ObjectRef:
@@ -215,36 +218,30 @@ def _broadcast_join(left, right, keys: list[str], *, how: str,
     )
 
 
-def _bloom_key_hash(df: pd.DataFrame, keys: list[str]) -> np.ndarray:
-    """uint64 hash of the composite key — SAME composite the bucket tag
-    uses, via the process-stable pandas hash."""
-    key0 = df[keys[0]].astype(str)
-    for k in keys[1:]:
-        key0 = key0 + "\x1f" + df[k].astype(str)
-    return pd.util.hash_pandas_object(key0, index=False).to_numpy(dtype=np.uint64)
+def _bloom_positions(h1: np.ndarray, bits: int, n_hashes: int):
+    """Bloom probe positions of key hashes ``h1`` by double hashing
+    (h1 + i*h2 mod ``bits``, i < ``n_hashes``), as a (byte index, bit mask)
+    pair of ``(n_hashes, len(h1))`` arrays."""
+    h2 = (h1 * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
+    pos = (h1 + np.arange(n_hashes, dtype=np.uint64)[:, None] * h2) % np.uint64(bits)
+    return (pos >> 3).astype(np.int64), np.left_shift(1, pos & 7).astype(np.uint8)
 
 
 def build_key_bloom(ds, keys: list[str], *, bits: int = 1 << 23,
                     n_hashes: int = 6) -> bytes:
     """Bloom filter over ``ds``'s key column(s): per-block partial bitmaps
     (one ``bits/8``-byte row per block, OR-merged 8-way before the driver
-    sees them). Double hashing h1 + i*h2 from one vectorized pandas-hash
-    pass. Default 1 MiB bitmap ≈ 1% false positives at ~800k distinct keys
-    (fp ≈ (1-e^{-kn/m})^k); size ``bits`` up for bigger key domains —
-    false positives only cost shuffle bytes, never correctness."""
+    sees them), probed at :func:`_bloom_positions` of the exchange
+    :func:`key_hash`. Default 1 MiB bitmap ≈ 1% false positives at ~800k
+    distinct keys (fp ≈ (1-e^{-kn/m})^k); size ``bits`` up for bigger key
+    domains — false positives only cost shuffle bytes, never correctness."""
     nbytes = bits // 8
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         bm = np.zeros(nbytes, dtype=np.uint8)
         if len(df):
-            h1 = _bloom_key_hash(df, keys)
-            h2 = (h1 * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
-            for i in range(n_hashes):
-                pos = (h1 + np.uint64(i) * h2) % np.uint64(bits)
-                np.bitwise_or.at(
-                    bm, (pos >> 3).astype(np.int64),
-                    np.left_shift(1, (pos & np.uint64(7)).astype(np.uint8)).astype(np.uint8),
-                )
+            idx, bit = _bloom_positions(key_hash(df, keys), bits, n_hashes)
+            np.bitwise_or.at(bm, idx.ravel(), bit.ravel())
         return pd.DataFrame({"bloom": [bm.tobytes()]})
 
     def or_merge(df: pd.DataFrame) -> pd.DataFrame:
@@ -273,16 +270,50 @@ def bloom_filter_batches(ds, keys: list[str], bloom_ref: ray.ObjectRef, *,
         if not len(df):
             return df
         bm = np.frombuffer(ray.get(bloom_ref), dtype=np.uint8)
-        h1 = _bloom_key_hash(df, keys)
-        h2 = (h1 * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
-        ok = np.ones(len(df), dtype=bool)
-        for i in range(n_hashes):
-            pos = (h1 + np.uint64(i) * h2) % np.uint64(bits)
-            bit = np.left_shift(1, (pos & np.uint64(7)).astype(np.uint8)).astype(np.uint8)
-            ok &= (bm[(pos >> 3).astype(np.int64)] & bit) != 0
-        return df[ok]
+        idx, bit = _bloom_positions(key_hash(df, keys), bits, n_hashes)
+        return df[((bm[idx] & bit) != 0).all(axis=0)]
 
     return ds.map_batches(keep, batch_format="pandas")
+
+
+def _co_partition(left, l_cols: list[str], right, keys: list[str],
+                  suffix: str, num_partitions: int, salt: int = 1):
+    """Shuffle-tier side alignment shared by :func:`hash_join` and
+    :func:`asof_join`. Inside each side's own ``map_batches``: the right
+    side's non-key columns that collide with ``l_cols`` take ``suffix``,
+    both sides are padded to one superset schema, tagged ``__side``
+    ("l"/"r") and ``__part`` (``_tag_part`` over ``keys``, plus the
+    ``__salt`` sub-key when ``salt > 1``: a deterministic per-row sub-key
+    on the left, ``salt`` replicas of each row on the right). Returns the
+    union, ready for ``_group_parts``, and the right-only column names."""
+    r_cols = right.schema().names
+    rename = {c: c + suffix for c in r_cols if c in l_cols and c not in keys}
+    r_only = [c for c in (rename.get(c, c) for c in r_cols) if c not in l_cols]
+    superset = l_cols + r_only
+    part_keys = keys + (["__salt"] if salt > 1 else [])
+
+    def side(tag: str):
+        def fn(batch: pd.DataFrame) -> pd.DataFrame:
+            if tag == "r" and rename:
+                batch = batch.rename(columns=rename)
+            fill = {c: None for c in superset if c not in batch.columns}
+            batch = batch.assign(**fill, __side=tag)[superset + ["__side"]]
+            if salt > 1 and tag == "l":
+                # full-row hash: stable across runs/processes, never random
+                rh = pd.util.hash_pandas_object(batch, index=False)
+                batch = batch.assign(__salt=(rh % salt).astype("int64"))
+            elif salt > 1:
+                batch = pd.concat(
+                    [batch.assign(__salt=np.int64(s)) for s in range(salt)],
+                    ignore_index=True,
+                )
+            return _tag_part(batch, part_keys, num_partitions)
+
+        return fn
+
+    return left.map_batches(side("l"), batch_format="pandas").union(
+        right.map_batches(side("r"), batch_format="pandas")
+    ), r_only
 
 
 def hash_join(
@@ -292,7 +323,6 @@ def hash_join(
     *,
     buckets: int | None = None,
     how: str = "inner",
-    seed: int = 0,
     suffixes: tuple[str, str] = ("", "_r"),
     salt: int = 1,
     strategy: str = "auto",
@@ -308,10 +338,11 @@ def hash_join(
     a map-side ``pyarrow.Table.join`` — zero shuffle (the dominant case
     for dimension tables, label maps, dup winners). Otherwise (or with
     ``strategy="shuffle"``) the general both-sides-large path runs: both
-    sides get a ``__bucket`` column from a stable hash of the key, are
-    unioned with a ``__side`` tag, and ``groupby(__bucket)`` brings
-    matching keys together; a pandas merge runs per bucket. One all-to-all
-    exchange total; no driver materialization.
+    sides are aligned and tagged with ``__part = key_hash(on) % buckets``
+    inside their own map (:func:`_co_partition`), unioned, and grouped by
+    ``__part`` (``state.groupby._group_parts``), which brings matching
+    keys together; a pandas merge runs per bucket. One all-to-all exchange
+    total; no driver materialization.
 
     ``buckets=None`` auto-sizes from a metadata-only input-bytes estimate
     (~64 MB per bucket). ``salt=k`` defuses skewed keys: each LEFT row gets
@@ -348,54 +379,12 @@ def hash_join(
     # filter keeps the schema but hides it from metadata-only inference;
     # its byte estimate would also undersize the buckets)
     l_cols = left.schema().names
-    r_cols = right.schema().names
     if bloom_prefilter and how == "inner":
         bloom_ref = ray.put(build_key_bloom(right, keys, bits=bloom_bits))
         left = bloom_filter_batches(left, keys, bloom_ref, bits=bloom_bits)
-    # overlapping non-key columns on the right get the suffix up front so the
-    # two sides can share one unioned schema
-    rename = {c: c + suffixes[1] for c in r_cols if c in l_cols and c not in keys}
-    r_cols_final = [rename.get(c, c) for c in r_cols]
-    r_only = [c for c in r_cols_final if c not in l_cols]
-    superset = l_cols + r_only
+    both, r_only = _co_partition(left, l_cols, right, keys, suffixes[1],
+                                 buckets, salt)
     merge_keys = keys + (["__salt"] if salt > 1 else [])
-
-    def _tag(side: str):
-        def _fn(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            if side == "r" and rename:
-                batch = batch.rename(columns=rename)
-            for c in superset:
-                if c not in batch.columns:
-                    batch[c] = None
-            batch = batch[superset]
-            if salt > 1:
-                if side == "l":
-                    # deterministic per-row sub-key (full-row hash, stable
-                    # across runs/processes — never random)
-                    rh = pd.util.hash_pandas_object(batch, index=False)
-                    batch["__salt"] = (rh % salt).astype("int64")
-                else:
-                    # replicate the right side once per sub-key
-                    batch = pd.concat(
-                        [batch.assign(__salt=np.int64(s)) for s in range(salt)],
-                        ignore_index=True,
-                    )
-            key0 = batch[keys[0]].astype(str)
-            for k in keys[1:]:
-                key0 = key0 + "\x1f" + batch[k].astype(str)
-            if salt > 1:
-                key0 = key0 + "\x1f" + batch["__salt"].astype(str)
-            h = pd.util.hash_pandas_object(key0, index=False)  # vectorized, stable
-            batch["__bucket"] = ((h + np.uint64(seed)) % buckets).astype("int64")
-            batch["__side"] = side
-            return batch
-
-        return _fn
-
-    lt = left.map_batches(_tag("l"), batch_format="pandas")
-    rt = right.map_batches(_tag("r"), batch_format="pandas")
-    both = lt.union(rt)
     l_side_cols = l_cols + (["__salt"] if salt > 1 else [])
     r_side_cols = merge_keys + r_only
 
@@ -405,7 +394,7 @@ def hash_join(
         out = l.merge(r, on=merge_keys, how=how)
         return out.drop(columns="__salt") if salt > 1 else out
 
-    return both.groupby("__bucket").map_groups(_merge, batch_format="pandas")
+    return _group_parts(both, _merge)
 
 
 def _broadcast_asof(left, right, *, by: str, on: str, right_on: str,
@@ -465,7 +454,7 @@ def asof_join(
     semantics, so a single key hotter than one partition's memory needs a
     time-bucketed pre-aggregation upstream). ``num_partitions=None``
     auto-sizes from a metadata-only input-bytes estimate. Both sides are
-    tagged, unioned and grouped by ``hash(by) % P`` in ONE shuffle; within
+    tagged, unioned and grouped by ``key_hash(by) % P`` in ONE shuffle; within
     a partition a single vectorized ``pd.merge_asof(by=...)`` handles
     every key at once — never one Python call per key.
 
@@ -495,32 +484,10 @@ def asof_join(
     if num_partitions is None:
         num_partitions = auto_buckets(left, right)
     l_cols = left.schema().names
-    r_cols = right.schema().names
-    rename = {c: c + "_r" for c in r_cols if c in l_cols and c != by}
-    r_cols_final = [rename.get(c, c) for c in r_cols]
-    superset = l_cols + [c for c in r_cols_final if c not in l_cols]
-    right_on_final = rename.get(right_on, right_on)
-
-    def _tag(side: str):
-        def _fn(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            if side == "r" and rename:
-                batch = batch.rename(columns=rename)
-            for c in superset:
-                if c not in batch.columns:
-                    batch[c] = None
-            batch = batch[superset]
-            batch["__side"] = side
-            h = pd.util.hash_pandas_object(batch[by].astype(str), index=False)
-            batch["__part"] = (h % num_partitions).astype("int64")
-            return batch
-
-        return _fn
-
-    both = left.map_batches(_tag("l"), batch_format="pandas").union(
-        right.map_batches(_tag("r"), batch_format="pandas")
-    )
-    r_side_cols = [by] + [c for c in r_cols_final if c not in l_cols]
+    both, r_only = _co_partition(left, l_cols, right, [by], "_r", num_partitions)
+    right_on_final = (right_on + "_r" if right_on in l_cols and right_on != by
+                      else right_on)
+    r_side_cols = [by] + r_only
 
     def _merge(group: pd.DataFrame) -> pd.DataFrame:
         if len(group) > max_partition_rows:
@@ -534,7 +501,6 @@ def asof_join(
                 f"keys: {hot.to_dict()} — pre-aggregate these upstream "
                 f"(e.g. time-bucketed right_reduce) or raise the bound"
             )
-        group = group.drop(columns="__part")
         l = group[group["__side"] == "l"][l_cols]
         r = group[group["__side"] == "r"][r_side_cols]
         if right_reduce is not None and not r.empty:
@@ -557,7 +523,7 @@ def asof_join(
             l, r, left_on=on, right_on=right_on_final, by=by, direction=direction,
         )
 
-    return both.groupby("__part").map_groups(_merge, batch_format="pandas")
+    return _group_parts(both, _merge)
 
 
 def _axis_raw(s: pd.Series) -> np.ndarray:

@@ -117,3 +117,13 @@ class TestProjectedTopK:
             for b in (1, 9)
         ]
         pd.testing.assert_frame_equal(outs[0], outs[1])
+
+    def test_ties_across_batches_keep_smallest_ids(self, ray_session):
+        # every vector is the same, so every score ties; each block holds
+        # its ids in descending order and the smallest ids sit last
+        emb = np.random.RandomState(2).standard_normal(16).tolist()
+        blocks = [pd.DataFrame({"vec_id": np.arange(b * 10 + 9, b * 10 - 1, -1),
+                                "embedding": [emb] * 10}) for b in range(3)]
+        got = projected_topk(rd.from_pandas(blocks), np.asarray(emb), 3,
+                             dim_out=8, seed=1, rerank_factor=1).to_pandas()
+        assert got["vec_id"].tolist() == [0, 1, 2]

@@ -83,28 +83,18 @@ def test_misra_gries_closed_form_bounds(vals, capacity):
     st.sets(st.integers(0, 1_000_000), min_size=1, max_size=500),
 )
 def test_bloom_no_false_negatives(right_keys, probe_keys):
-    from docprocai_service_ray.state.joins import _bloom_key_hash
+    from docprocai_service_ray.state.groupby import key_hash
+    from docprocai_service_ray.state.joins import _bloom_positions
 
     bits = 1 << 14
     n_hashes = 4
     rdf = pd.DataFrame({"k": sorted(right_keys)})
-    h1 = _bloom_key_hash(rdf, ["k"])
-    h2 = (h1 * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
+    idx, bit = _bloom_positions(key_hash(rdf, ["k"]), bits, n_hashes)
     bm = np.zeros(bits // 8, dtype=np.uint8)
-    for i in range(n_hashes):
-        pos = (h1 + np.uint64(i) * h2) % np.uint64(bits)
-        np.bitwise_or.at(
-            bm, (pos >> 3).astype(np.int64),
-            np.left_shift(1, (pos & np.uint64(7)).astype(np.uint8)).astype(np.uint8),
-        )
+    np.bitwise_or.at(bm, idx.ravel(), bit.ravel())
     pdf = pd.DataFrame({"k": sorted(probe_keys)})
-    g1 = _bloom_key_hash(pdf, ["k"])
-    g2 = (g1 * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
-    ok = np.ones(len(pdf), dtype=bool)
-    for i in range(n_hashes):
-        pos = (g1 + np.uint64(i) * g2) % np.uint64(bits)
-        bit = np.left_shift(1, (pos & np.uint64(7)).astype(np.uint8)).astype(np.uint8)
-        ok &= (bm[(pos >> 3).astype(np.int64)] & bit) != 0
+    idx, bit = _bloom_positions(key_hash(pdf, ["k"]), bits, n_hashes)
+    ok = ((bm[idx] & bit) != 0).all(axis=0)
     member = pdf["k"].isin(rdf["k"]).to_numpy()
     # every true member passes; false positives are allowed
     assert bool(np.all(ok[member]))
