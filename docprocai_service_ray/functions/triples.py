@@ -46,11 +46,6 @@ SENTENCE_PATTERN = re.compile(
 )
 
 
-def compile_pattern() -> re.Pattern[str]:
-    """Per-actor compile hook (state built once in actor ``__init__``)."""
-    return SENTENCE_PATTERN
-
-
 def extract_triples(
     sentence: str, pattern: re.Pattern[str] | None = None
 ) -> list[tuple[str, str, str, int, int, int, int, float]]:

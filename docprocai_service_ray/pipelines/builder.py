@@ -81,7 +81,6 @@ def register_stage(name: str):
 def _builtin_stages() -> None:
     from ..stages.canonicalize import build_entity_map
     from ..stages.extract import build_docs, dedup_urls, extract_docs, filter_langs
-    from ..stages.materialize import build_triples, entity_map_to_dict
     from ..stages.mention import build_mentions
     from ..stages.segment import build_sentences
     from ..stages.triple_extract import build_triples_raw

@@ -27,7 +27,7 @@ forced-tier outputs are identical by construction, and tests assert it):
 Determinism: counts are exact int64; the winning pair is (count DESC,
 left ASC, right ASC) — bit-identical at any parallelism, which the
 parallelism-invariance test asserts. Python loops run over DISTINCT
-WORDS only (the `_PartialAgg` "Python touches distinct keys" rule),
+WORDS only (the `_partial_agg` "Python touches distinct keys" rule),
 never over corpus rows.
 
 Reference anchor: the reference tokenizes via opaque model calls

@@ -44,7 +44,7 @@ from ..functions.canon import (
 )
 from ..functions.hashing import minhash_params
 from ..functions.linking import best_candidate, build_alias_index
-from ..state.groupby import collect_pandas
+from ..state.groupby import collect_pandas, key_hash
 from ..state.joins import hash_join
 
 ENTITY_MAP_SCHEMA = pa.schema(
@@ -94,31 +94,21 @@ class _LinkEdges:
         return pa.Table.from_pydict({"src": src, "dst": dst})
 
 
-class _BandRows:
-    """surface → (band_key, surface) rows; MinHash params built once/actor."""
+def lsh_edges(surfaces_ds, cfg: KGConfig):
+    a, b = minhash_params(cfg.minhash_perms, cfg.seed)
 
-    def __init__(self, cfg: KGConfig):
-        self.a, self.b = minhash_params(cfg.minhash_perms, cfg.seed)
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def band_rows(batch: pa.Table) -> pa.Table:
+        """surface → (band_key, surface) rows."""
         keys, surfs = [], []
         for s in batch["surface"].to_pylist():
-            for k in surface_bands(s, self.a, self.b, self.cfg.shingle_k, self.cfg.lsh_bands):
+            for k in surface_bands(s, a, b, cfg.shingle_k, cfg.lsh_bands):
                 keys.append(np.uint64(k))
                 surfs.append(s)
         return pa.Table.from_pydict(
             {"band_key": pa.array(keys, pa.uint64()), "surface": pa.array(surfs)}
         )
 
-
-def lsh_edges(surfaces_ds, cfg: KGConfig):
-    banded = surfaces_ds.map_batches(
-        _BandRows,
-        fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow",
-        concurrency=pool_size(min(4, cfg.actor_pool_size)),
-    )
+    banded = surfaces_ds.map_batches(band_rows, batch_format="pyarrow")
 
     def pairs_partition(part: pd.DataFrame) -> pd.DataFrame:
         # all rows of a band key are co-located here. Almost every band key
@@ -209,16 +199,11 @@ def _components_distributed(edges_ds, surfaces_ds, cfg: KGConfig):
         pandas hash per block, a per-block sum, tiny driver reduce."""
 
         def h(df: pd.DataFrame) -> pd.DataFrame:
-            key = df["node"] + "\x1f" + df["label"]
-            tot = int(
-                pd.util.hash_pandas_object(key, index=False)
-                .to_numpy(dtype="uint64")
-                .sum(dtype="uint64")
-            )
+            tot = int(key_hash(df, ["node", "label"]).sum(dtype="uint64"))
             return pd.DataFrame({"h": [tot % (1 << 63)]})
 
-        parts = lds.map_batches(h, batch_format="pandas").take_all()
-        return sum(p["h"] for p in parts) % (1 << 63)
+        parts = collect_pandas(lds.map_batches(h, batch_format="pandas"), ["h"])
+        return sum(parts["h"].tolist()) % (1 << 63)
 
     def _min_label(part: pd.DataFrame) -> pd.DataFrame:
         return part.groupby("node", as_index=False).agg(label=("label", "min"))

@@ -180,7 +180,7 @@ def dedup_urls(docs_ds, cfg: KGConfig):
         return docs_ds
     # parallel winner arrays broadcast once; the filter is pure
     # pyarrow.compute (index_in + take + equal) — no per-row Python
-    # (the _PartialAgg._canon pattern, stages/materialize.py)
+    # (the _canon pattern, stages/materialize.py)
     ref = ray.put(
         (
             pa.array(win_df["url"], pa.string()),

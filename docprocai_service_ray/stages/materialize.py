@@ -1,14 +1,18 @@
 """triples stage: canonicalize surfaces, dedup, aggregate provenance,
 bucketed Parquet output (W3 + A2 + §4.3 "graph materialize").
 
-- surface → canonical_id mapping applied via the broadcast entity_map
-  (vocab-sized; ST7 broadcast pattern — a hash_join fallback exists in
-  state/joins.py for an entity map too large to broadcast).
+- surface → canonical_id mapping applied via the broadcast entity map:
+  one Arrow table (surface, canonical_id), ``ray.put`` once and read
+  zero-copy by every phase-0 task (vocab-sized; ST7 broadcast pattern —
+  ``canonicalize_via_join`` is the hash-join tier for an entity map too
+  large to broadcast).
 - exact dedup on the normalized key (subject_id, pred, object_id) — the
   W3 analog of the reference's symmetric link-dedup existence check
   (persistence/SegmentDbConnector.py:201-221) — expressed as TWO-PHASE
   aggregation:
-    phase 0: per-batch partial aggregate inside map_batches (a head triple
+    phase 0: per-batch partial aggregate in a plain task-pool
+             ``map_batches`` — the lookup probes the map afresh per
+             batch, so a worker keeps no state (a head triple
              occurring 10^6 times in a batch leaves it as ONE row with a
              capped provenance sample — this is the skew defusal: post-
              phase-0, a key's row count is bounded by #batches, never by
@@ -40,7 +44,6 @@ import ray
 from ..config import KGConfig
 from ..functions.hashing import stable_u64
 from ..state.groupby import key_hash
-from .common import pool_size
 
 PROV_STRUCT = pa.struct(
     [
@@ -66,102 +69,96 @@ _PARTIAL_SCHEMA = pa.schema(
     [pa.field("part", pa.int64()), pa.field("payload", pa.binary())]
 )
 
+EMAP_SCHEMA = pa.schema(
+    [pa.field("surface", pa.string()), pa.field("canonical_id", pa.string())]
+)
 
-class _PartialAgg:
-    """Phase 0: per-batch combine. Canonical-id lookup from the broadcast
-    entity map happens here too (once per actor, zero-copy read).
+
+def _canon(col: pa.ChunkedArray, emap: pa.Table) -> pa.ChunkedArray:
+    """``emap.get(s, s)`` over a column: an Arrow ``index_in`` hash probe
+    + ``take`` + ``coalesce``, never n dict ``.get()`` calls."""
+    import pyarrow.compute as pc
+
+    if emap.num_rows == 0:
+        return col
+    idx = pc.index_in(col, value_set=emap["surface"])
+    return pc.coalesce(pc.take(emap["canonical_id"], idx), col)
+
+
+def _partial_agg(batch: pa.Table, emap_ref: ray.ObjectRef, cfg: KGConfig,
+                 num_parts: int) -> pa.Table:
+    """Phase 0: per-batch combine, with the canonical-id lookup against the
+    broadcast entity map (``ray.get`` of the Arrow table is a zero-copy
+    read from the object store).
 
     Fully vectorized over occurrences (the hottest per-row path in the KG
-    pipeline — every triples_raw row passes through): the emap lookup is an
-    Arrow ``index_in``+``take``+``coalesce``, the per-key grouping is ONE
-    Arrow multi-key sort (key columns first, then the prov tuple order
-    (url, sent_id, warc_ts), so each key's min-k provenance is exactly its
-    group's head rows), and group boundaries come from shifted-array
-    compares. Python touches only DISTINCT keys (the pickle emit), never
-    occurrences — identical output to the old per-row dict loop."""
+    pipeline — every triples_raw row passes through): the per-key grouping
+    is ONE Arrow multi-key sort (key columns first, then the prov tuple
+    order (url, sent_id, warc_ts), so each key's min-k provenance is
+    exactly its group's head rows), and group boundaries come from
+    shifted-array compares. Python touches only DISTINCT keys (the pickle
+    emit), never occurrences."""
+    import pyarrow.compute as pc
 
-    def __init__(self, emap_ref: ray.ObjectRef, cfg: KGConfig, num_parts: int):
-        self.emap: dict[str, str] = ray.get(emap_ref)
-        self.cfg = cfg
-        self.num_parts = num_parts
-        # broadcast map as parallel Arrow arrays: per-batch lookup is a
-        # vectorized hash probe (index_in), not n dict .get() calls
-        if self.emap:
-            self._map_keys = pa.array(list(self.emap.keys()), pa.string())
-            self._map_vals = pa.array(list(self.emap.values()), pa.string())
-        else:
-            self._map_keys = None
-
-    def _canon(self, col: pa.ChunkedArray | pa.Array) -> pa.Array:
-        import pyarrow.compute as pc
-
-        if self._map_keys is None:
-            return col
-        idx = pc.index_in(col, value_set=self._map_keys)
-        return pc.coalesce(pc.take(self._map_vals, idx), col)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cfg = self.cfg
-        n = batch.num_rows
-        if n == 0:
-            return _PARTIAL_SCHEMA.empty_table()
-        keyed = pa.table(
-            {
-                "subj": self._canon(batch["subj"]),
-                "pred": batch["pred"],
-                "obj": self._canon(batch["obj"]),
-                "url": batch["url"],
-                "warc_ts": batch["warc_ts"],
-                "sent_id": batch["sent_id"],
-            }
-        )
-        order = pc.sort_indices(
-            keyed,
-            sort_keys=[(c, "ascending")
-                       for c in ("subj", "pred", "obj", "url", "sent_id", "warc_ts")],
-        )
-        keyed = keyed.take(order).combine_chunks()
-        s, p, o = keyed["subj"], keyed["pred"], keyed["obj"]
-        if n > 1:
-            neq = pc.or_(
-                pc.or_(
-                    pc.not_equal(s.slice(1), s.slice(0, n - 1)),
-                    pc.not_equal(p.slice(1), p.slice(0, n - 1)),
-                ),
-                pc.not_equal(o.slice(1), o.slice(0, n - 1)),
-            ).combine_chunks().to_numpy(zero_copy_only=False)
-            starts = np.concatenate(([0], np.flatnonzero(neq) + 1))
-        else:
-            starts = np.array([0])
-        ends = np.append(starts, n)[1:]
-        cap = cfg.prov_cap
-        # materialize to Python only what the payloads touch: one key row
-        # per group, and at most ``cap`` prov rows per group (timestamps as
-        # int64 epoch-us — _merge sorts them identically and pyarrow casts
-        # them back to timestamp at final emission)
-        start_idx = pa.array(starts)
-        sl = s.take(start_idx).to_pylist()
-        pl = p.take(start_idx).to_pylist()
-        ol = o.take(start_idx).to_pylist()
-        counts = np.minimum(ends - starts, cap)
-        offs = np.concatenate(([0], np.cumsum(counts)))
-        prov_idx = np.repeat(starts - offs[:-1], counts) + np.arange(offs[-1])
-        prov_take = pa.array(prov_idx)
-        urls = keyed["url"].take(prov_take).to_pylist()
-        sids = keyed["sent_id"].take(prov_take).combine_chunks().to_numpy().tolist()
-        tss = (
-            keyed["warc_ts"].take(prov_take).combine_chunks()
-            .to_numpy().astype("datetime64[us]").view("i8").tolist()
-        )
-        weights = (ends - starts).tolist()
-        payloads = []
-        for i, (a, b) in enumerate(zip(offs[:-1].tolist(), offs[1:].tolist())):
-            key = (sl[i], pl[i], ol[i])
-            prov = list(zip(urls[a:b], sids[a:b], tss[a:b]))
-            payloads.append(pickle.dumps((key, weights[i], prov), protocol=5))
-        return _partials(zip(sl, pl, ol), payloads, self.num_parts)
+    n = batch.num_rows
+    if n == 0:
+        return _PARTIAL_SCHEMA.empty_table()
+    emap = ray.get(emap_ref)
+    keyed = pa.table(
+        {
+            "subj": _canon(batch["subj"], emap),
+            "pred": batch["pred"],
+            "obj": _canon(batch["obj"], emap),
+            "url": batch["url"],
+            "warc_ts": batch["warc_ts"],
+            "sent_id": batch["sent_id"],
+        }
+    )
+    order = pc.sort_indices(
+        keyed,
+        sort_keys=[(c, "ascending")
+                   for c in ("subj", "pred", "obj", "url", "sent_id", "warc_ts")],
+    )
+    keyed = keyed.take(order).combine_chunks()
+    s, p, o = keyed["subj"], keyed["pred"], keyed["obj"]
+    if n > 1:
+        neq = pc.or_(
+            pc.or_(
+                pc.not_equal(s.slice(1), s.slice(0, n - 1)),
+                pc.not_equal(p.slice(1), p.slice(0, n - 1)),
+            ),
+            pc.not_equal(o.slice(1), o.slice(0, n - 1)),
+        ).combine_chunks().to_numpy(zero_copy_only=False)
+        starts = np.concatenate(([0], np.flatnonzero(neq) + 1))
+    else:
+        starts = np.array([0])
+    ends = np.append(starts, n)[1:]
+    cap = cfg.prov_cap
+    # materialize to Python only what the payloads touch: one key row
+    # per group, and at most ``cap`` prov rows per group (timestamps as
+    # int64 epoch-us — _merge sorts them identically and pyarrow casts
+    # them back to timestamp at final emission)
+    start_idx = pa.array(starts)
+    sl = s.take(start_idx).to_pylist()
+    pl = p.take(start_idx).to_pylist()
+    ol = o.take(start_idx).to_pylist()
+    counts = np.minimum(ends - starts, cap)
+    offs = np.concatenate(([0], np.cumsum(counts)))
+    prov_idx = np.repeat(starts - offs[:-1], counts) + np.arange(offs[-1])
+    prov_take = pa.array(prov_idx)
+    urls = keyed["url"].take(prov_take).to_pylist()
+    sids = keyed["sent_id"].take(prov_take).combine_chunks().to_numpy().tolist()
+    tss = (
+        keyed["warc_ts"].take(prov_take).combine_chunks()
+        .to_numpy().astype("datetime64[us]").view("i8").tolist()
+    )
+    weights = (ends - starts).tolist()
+    payloads = []
+    for i, (a, b) in enumerate(zip(offs[:-1].tolist(), offs[1:].tolist())):
+        key = (sl[i], pl[i], ol[i])
+        prov = list(zip(urls[a:b], sids[a:b], tss[a:b]))
+        payloads.append(pickle.dumps((key, weights[i], prov), protocol=5))
+    return _partials(zip(sl, pl, ol), payloads, num_parts)
 
 
 def _partials(keys, payloads: list[bytes], num_parts: int) -> pa.Table:
@@ -227,6 +224,8 @@ def _merge_partition(group: pa.Table, cfg: KGConfig) -> pa.Table:
 
 def build_triples(triples_raw_ds, emap_ref: ray.ObjectRef, cfg: KGConfig):
     """triples_raw + broadcast entity map → final canonical triples.
+    ``emap_ref`` holds an ``EMAP_SCHEMA`` Arrow table (surface,
+    canonical_id); an empty one is the identity map.
 
     Aggregation: after phase 0, one TREE level —
     ``repartition(~2×CPUs, no shuffle)`` + whole-block merge — compresses a
@@ -240,12 +239,10 @@ def build_triples(triples_raw_ds, emap_ref: ray.ObjectRef, cfg: KGConfig):
     partial = triples_raw_ds.select_columns(
         ["subj", "pred", "obj", "url", "warc_ts", "sent_id"]
     ).map_batches(
-        _PartialAgg,
-        fn_constructor_kwargs={"emap_ref": emap_ref, "cfg": cfg, "num_parts": num_parts},
+        _partial_agg,
+        fn_kwargs={"emap_ref": emap_ref, "cfg": cfg, "num_parts": num_parts},
         batch_format="pyarrow",
         batch_size=cfg.agg_batch_size,
-        concurrency=pool_size(cfg.actor_pool_size),
-        num_cpus=1,
     )
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
@@ -273,13 +270,14 @@ def build_triples_auto(triples_raw_ds, entity_map_ds, cfg: KGConfig):
 
     A metadata-only byte estimate of ``entity_map_ds`` (never executes an
     already-checkpointed map) decides the tier:
-    - ≤ ``cfg.emap_broadcast_max_bytes``: collect → ``ray.put`` dict →
-      in-actor lookup inside phase-0 (the vocab-sized common case);
+    - ≤ ``cfg.emap_broadcast_max_bytes``: collect as one Arrow table →
+      ``ray.put`` once → zero-copy lookup inside each phase-0 task (the
+      vocab-sized common case);
     - above: ``canonicalize_via_join`` — two bucketed left hash joins map
       surfaces to canonical ids distributed, then the same two-phase
-      aggregation runs with an identity map. Identical output (parity:
-      tests/test_join_canonicalize.py)."""
-    from ..state.joins import _meta_size_bytes
+      aggregation runs with an empty (identity) map. Identical output
+      (parity: tests/test_join_canonicalize.py)."""
+    from ..state.joins import _collect_arrow, _meta_size_bytes
 
     sz = _meta_size_bytes(entity_map_ds)
     if sz is None:
@@ -288,16 +286,17 @@ def build_triples_auto(triples_raw_ds, entity_map_ds, cfg: KGConfig):
         entity_map_ds = entity_map_ds.materialize()
         sz = _meta_size_bytes(entity_map_ds)
     if sz is not None and sz <= cfg.emap_broadcast_max_bytes:
-        emap_ref = ray.put(entity_map_to_dict(entity_map_ds))
-        return build_triples(triples_raw_ds, emap_ref, cfg)
+        emap = _collect_arrow(
+            entity_map_ds.select_columns(EMAP_SCHEMA.names)).cast(EMAP_SCHEMA)
+        return build_triples(triples_raw_ds, ray.put(emap), cfg)
     mapped = canonicalize_via_join(triples_raw_ds, entity_map_ds)
-    return build_triples(mapped, ray.put({}), cfg)
+    return build_triples(mapped, ray.put(EMAP_SCHEMA.empty_table()), cfg)
 
 
 def canonicalize_via_join(triples_raw_ds, entity_map_ds, *, buckets: int = 32):
     """Scale path for surface→canonical mapping when the entity map is too
     large to broadcast (SCALE.md §4): two bucketed left hash joins replace
-    the in-actor dict lookup. Unmapped surfaces keep their surface form
+    the broadcast lookup. Unmapped surfaces keep their surface form
     (same semantics as the broadcast path's ``emap.get(s, s)``)."""
     from ..state.joins import hash_join
 
@@ -318,13 +317,3 @@ def canonicalize_via_join(triples_raw_ds, entity_map_ds, *, buckets: int = 32):
         )
     return out
 
-
-def entity_map_to_dict(entity_map_ds) -> dict[str, str]:
-    """Collect the (vocab-sized) entity map for broadcast — via
-    ``to_pandas()`` (Arrow block concat), never per-row ``take_all()``."""
-    from ..state.groupby import collect_pandas
-
-    df = collect_pandas(
-        entity_map_ds.select_columns(["surface", "canonical_id"]),
-        ["surface", "canonical_id"])
-    return dict(zip(df["surface"], df["canonical_id"]))

@@ -1,18 +1,23 @@
 """triples_raw stage: sentences → (subj, pred, obj) rows (ST4 analog).
 
-Actor-pool ``map_batches``: the compiled predicate pattern is per-actor
-state built once in ``__init__`` (the reference reloads its model per task
-— TranscriptGenerator.py:29-30 via VideoProcessor.py:40 — exactly the
-anti-pattern actor pools fix; SURVEY.md §2.3 ST1/ST4).
+Plain task-pool ``map_batches``: the predicate pattern is the module
+constant ``SENTENCE_PATTERN`` and sentence splitting is a pure function, so
+a worker has no state to build — the batch functions run as tasks on Ray's
+warm workers, with no per-pass process start-up. Actor pools stay only
+where per-worker state costs something to build or accumulates across
+batches (the reference reloads its model per task —
+TranscriptGenerator.py:29-30 via VideoProcessor.py:40 — the anti-pattern
+actor pools fix; SURVEY.md §2.3 ST1/ST4).
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import KGConfig
-from .common import pool_size
-from ..functions.triples import compile_pattern, extract_triples
+from ..functions.sentences import split_sentences
+from ..functions.triples import _PHRASES, PREDICATES, extract_triples
 
 TRIPLES_RAW_SCHEMA = pa.schema(
     [
@@ -31,120 +36,62 @@ TRIPLES_RAW_SCHEMA = pa.schema(
 )
 
 
-class TripleExtractor:
-    """Callable class → Ray Data actor pool; pattern compiled once/actor.
+def _triples_table(rows: list[tuple]) -> pa.Table:
+    """(url, warc_ts, sent_id, *extract_triples row) tuples → triples_raw."""
+    cols = list(zip(*rows)) or [()] * len(TRIPLES_RAW_SCHEMA)
+    return pa.Table.from_arrays(
+        [pa.array(c, f.type) for c, f in zip(cols, TRIPLES_RAW_SCHEMA)],
+        schema=TRIPLES_RAW_SCHEMA,
+    )
 
-    A vectorized Arrow prefilter (``match_substring_regex`` on the phrase
-    alternation — a strict superset of full-pattern matches) drops the
-    sentences that cannot possibly contain a triple before any Python-level
-    regex runs; on prose-heavy corpora that is most of them."""
 
-    def __init__(self, cfg: KGConfig):
-        import re
-
-        from ..functions.triples import PREDICATES
-
-        self.pattern = compile_pattern()
-        self.prefilter = "|".join(
-            re.escape(p) for p in sorted(PREDICATES.values(), key=len, reverse=True)
-        )
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        mask = pc.match_substring_regex(batch["text"], self.prefilter)
-        batch = batch.filter(mask)
-        urls = batch["url"].to_pylist()
-        tss = batch["warc_ts"].to_pylist()
-        sids = batch["sent_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        cols: dict[str, list] = {n: [] for n in TRIPLES_RAW_SCHEMA.names}
-        for url, ts, sid, text in zip(urls, tss, sids, texts):
-            for subj, pred, obj, ss, sl, os_, ol, conf in extract_triples(
-                text, self.pattern
-            ):
-                cols["url"].append(url)
-                cols["warc_ts"].append(ts)
-                cols["sent_id"].append(sid)
-                cols["subj"].append(subj)
-                cols["pred"].append(pred)
-                cols["obj"].append(obj)
-                cols["subj_start"].append(ss)
-                cols["subj_len"].append(sl)
-                cols["obj_start"].append(os_)
-                cols["obj_len"].append(ol)
-                cols["conf"].append(conf)
-        return pa.Table.from_arrays(
-            [pa.array(cols[f.name], f.type) for f in TRIPLES_RAW_SCHEMA],
-            schema=TRIPLES_RAW_SCHEMA,
-        )
+def triples_from_sentences(batch: pa.Table) -> pa.Table:
+    """sentences → triples_raw. A vectorized Arrow prefilter
+    (``match_substring_regex`` on the phrase alternation — a strict
+    superset of full-pattern matches) drops the sentences that cannot
+    possibly contain a triple before any Python-level regex runs; on
+    prose-heavy corpora that is most of them."""
+    batch = batch.filter(pc.match_substring_regex(batch["text"], _PHRASES))
+    return _triples_table([
+        (url, ts, sid, *t)
+        for url, ts, sid, text in zip(
+            batch["url"].to_pylist(), batch["warc_ts"].to_pylist(),
+            batch["sent_id"].to_pylist(), batch["text"].to_pylist())
+        for t in extract_triples(text)
+    ])
 
 
 def build_triples_raw(sentences_ds, cfg: KGConfig):
     return sentences_ds.map_batches(
-        TripleExtractor,
-        fn_constructor_kwargs={"cfg": cfg},
+        triples_from_sentences,
         batch_format="pyarrow",
         batch_size=cfg.triple_batch_size,
-        concurrency=pool_size(cfg.actor_pool_size),
-        num_cpus=1,
     )
 
 
-class FusedSegmentTripleExtractor:
+_PHRASE_LIST = tuple(PREDICATES.values())
+
+
+def triples_from_docs(batch: pa.Table) -> pa.Table:
     """Operator fusion for the streaming path: docs → triples_raw in ONE
-    batch fn. Semantically identical to segment_batch ∘ TripleExtractor
-    (parity-tested), but the ~20-sentences-per-doc intermediate rows never
-    become an Arrow table — only sentences that survive the predicate
-    prefilter pay any per-row cost."""
-
-    def __init__(self, cfg: KGConfig):
-        from ..functions.sentences import split_sentences
-        from ..functions.triples import PREDICATES
-
-        self.pattern = compile_pattern()
-        self.split = split_sentences
-        self.phrases = tuple(PREDICATES.values())
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        tss = batch["warc_ts"].to_pylist()
-        texts = batch["text"].to_pylist()
-        cols: dict[str, list] = {n: [] for n in TRIPLES_RAW_SCHEMA.names}
-        phrases = self.phrases
-        for url, ts, text in zip(urls, tss, texts):
-            for sent_id, stext, _, _ in self.split(text or ""):
-                if not any(p in stext for p in phrases):  # cheap prefilter
-                    continue
-                for subj, pred, obj, ss, sl, os_, ol, conf in extract_triples(
-                    stext, self.pattern
-                ):
-                    cols["url"].append(url)
-                    cols["warc_ts"].append(ts)
-                    cols["sent_id"].append(sent_id)
-                    cols["subj"].append(subj)
-                    cols["pred"].append(pred)
-                    cols["obj"].append(obj)
-                    cols["subj_start"].append(ss)
-                    cols["subj_len"].append(sl)
-                    cols["obj_start"].append(os_)
-                    cols["obj_len"].append(ol)
-                    cols["conf"].append(conf)
-        return pa.Table.from_arrays(
-            [pa.array(cols[f.name], f.type) for f in TRIPLES_RAW_SCHEMA],
-            schema=TRIPLES_RAW_SCHEMA,
-        )
+    batch fn. Semantically identical to segment_batch ∘
+    triples_from_sentences (parity-tested), but the ~20-sentences-per-doc
+    intermediate rows never become an Arrow table — only sentences that
+    survive the predicate prefilter pay any per-row cost."""
+    rows = []
+    for url, ts, text in zip(batch["url"].to_pylist(),
+                             batch["warc_ts"].to_pylist(),
+                             batch["text"].to_pylist()):
+        for sent_id, stext, _, _ in split_sentences(text or ""):
+            if any(p in stext for p in _PHRASE_LIST):  # cheap prefilter
+                rows.extend((url, ts, sent_id, *t) for t in extract_triples(stext))
+    return _triples_table(rows)
 
 
 def build_triples_raw_fused(docs_ds, cfg: KGConfig):
     """docs → triples_raw without an intermediate sentences table."""
     return docs_ds.select_columns(["url", "warc_ts", "text"]).map_batches(
-        FusedSegmentTripleExtractor,
-        fn_constructor_kwargs={"cfg": cfg},
+        triples_from_docs,
         batch_format="pyarrow",
         batch_size=cfg.extract_batch_size,
-        concurrency=pool_size(cfg.actor_pool_size),
-        num_cpus=1,
     )

@@ -156,7 +156,7 @@ _BROADCAST_MAX_BYTES = 64 << 20  # small-side cap for the map-side join tier
 
 def _collect_arrow(ds) -> pa.Table:
     """Materialize a (small, size-gated) Dataset as one Arrow table on the
-    driver — only ever called under ``_BROADCAST_MAX_BYTES``."""
+    driver — only ever called under a broadcast byte gate."""
     tables = ray.get(ds.to_arrow_refs())
     # to_arrow_refs hands back raw block refs; blocks that materialized as
     # pandas (block format after groupby/sort is execution-dependent) arrive
@@ -276,17 +276,51 @@ def bloom_filter_batches(ds, keys: list[str], bloom_ref: ray.ObjectRef, *,
     return ds.map_batches(keep, batch_format="pandas")
 
 
-def _co_partition(left, l_cols: list[str], right, keys: list[str],
+def _hash_class(t):
+    """A key column's type as :func:`key_hash` sees it: every integer width
+    is one class (widened to int64), a dictionary column hashes as its
+    values, ``None`` (null type / unknown) is never checked."""
+    if isinstance(t, pa.DataType):
+        if pa.types.is_dictionary(t):
+            t = t.value_type
+        if pa.types.is_integer(t):
+            return "int"
+        if pa.types.is_string(t) or pa.types.is_large_string(t):
+            return "str"
+        return None if pa.types.is_null(t) else str(t)
+    return "object" if t is object else None
+
+
+def _check_key_types(l_schema, r_schema, keys: list[str]) -> None:
+    """Raise ``TypeError`` when a join key's two column types would hash
+    equal keys apart (string vs int64, float vs int, datetime64 units).
+    A pandas ``object`` column may hold strings, so it pairs with str."""
+    lt = dict(zip(l_schema.names, l_schema.types))
+    rt = dict(zip(r_schema.names, r_schema.types))
+    for k in keys:
+        a, b = _hash_class(lt.get(k)), _hash_class(rt.get(k))
+        if None in (a, b) or a == b or {a, b} == {"str", "object"}:
+            continue
+        raise TypeError(
+            f"join key {k!r} has type {lt[k]} on the left and {rt[k]} on "
+            "the right; equal keys would not co-locate — cast one side first")
+
+
+def _co_partition(left, l_schema, right, keys: list[str],
                   suffix: str, num_partitions: int, salt: int = 1):
     """Shuffle-tier side alignment shared by :func:`hash_join` and
-    :func:`asof_join`. Inside each side's own ``map_batches``: the right
-    side's non-key columns that collide with ``l_cols`` take ``suffix``,
-    both sides are padded to one superset schema, tagged ``__side``
-    ("l"/"r") and ``__part`` (``_tag_part`` over ``keys``, plus the
-    ``__salt`` sub-key when ``salt > 1``: a deterministic per-row sub-key
-    on the left, ``salt`` replicas of each row on the right). Returns the
-    union, ready for ``_group_parts``, and the right-only column names."""
-    r_cols = right.schema().names
+    :func:`asof_join`. ``l_schema`` is ``left.schema()``, read once by the
+    caller; key types that cannot co-locate raise (:func:`_check_key_types`).
+    Inside each side's own ``map_batches``: the right side's non-key
+    columns that collide with the left's take ``suffix``, both sides are
+    padded to one superset schema, tagged ``__side`` ("l"/"r") and
+    ``__part`` (``_tag_part`` over ``keys``, plus the ``__salt`` sub-key
+    when ``salt > 1``: a deterministic per-row sub-key on the left,
+    ``salt`` replicas of each row on the right). Returns the union, ready
+    for ``_group_parts``, and the right-only column names."""
+    r_schema = right.schema()
+    _check_key_types(l_schema, r_schema, keys)
+    l_cols, r_cols = l_schema.names, r_schema.names
     rename = {c: c + suffix for c in r_cols if c in l_cols and c not in keys}
     r_only = [c for c in (rename.get(c, c) for c in r_cols) if c not in l_cols]
     superset = l_cols + r_only
@@ -378,11 +412,12 @@ def hash_join(
     # column + bucket metadata comes from the UNFILTERED left (the bloom
     # filter keeps the schema but hides it from metadata-only inference;
     # its byte estimate would also undersize the buckets)
-    l_cols = left.schema().names
+    l_schema = left.schema()
+    l_cols = l_schema.names
     if bloom_prefilter and how == "inner":
         bloom_ref = ray.put(build_key_bloom(right, keys, bits=bloom_bits))
         left = bloom_filter_batches(left, keys, bloom_ref, bits=bloom_bits)
-    both, r_only = _co_partition(left, l_cols, right, keys, suffixes[1],
+    both, r_only = _co_partition(left, l_schema, right, keys, suffixes[1],
                                  buckets, salt)
     merge_keys = keys + (["__salt"] if salt > 1 else [])
     l_side_cols = l_cols + (["__salt"] if salt > 1 else [])
@@ -483,8 +518,9 @@ def asof_join(
         )
     if num_partitions is None:
         num_partitions = auto_buckets(left, right)
-    l_cols = left.schema().names
-    both, r_only = _co_partition(left, l_cols, right, [by], "_r", num_partitions)
+    l_schema = left.schema()
+    l_cols = l_schema.names
+    both, r_only = _co_partition(left, l_schema, right, [by], "_r", num_partitions)
     right_on_final = (right_on + "_r" if right_on in l_cols and right_on != by
                       else right_on)
     r_side_cols = [by] + r_only

@@ -14,7 +14,7 @@ import ray
 import ray.data as rd
 
 from docprocai_service_ray.config import KGConfig
-from docprocai_service_ray.stages.materialize import build_triples
+from docprocai_service_ray.stages.materialize import EMAP_SCHEMA, build_triples
 
 N_HOT = 200_000
 N_COLD = 500
@@ -52,7 +52,7 @@ def _traw_table() -> pa.Table:
 def test_hot_key_aggregates_exactly():
     cfg = KGConfig()
     traw = rd.from_arrow(_traw_table()).repartition(16)
-    emap_ref = ray.put({})
+    emap_ref = ray.put(EMAP_SCHEMA.empty_table())
     rows = {(t["subject_id"], t["pred"], t["object_id"]): t
             for t in build_triples(traw, emap_ref, cfg).take_all()}
     assert len(rows) == 1 + N_COLD

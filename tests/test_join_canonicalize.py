@@ -6,9 +6,9 @@ from __future__ import annotations
 import ray
 
 from docprocai_service_ray.stages.materialize import (
+    EMAP_SCHEMA,
     build_triples,
     canonicalize_via_join,
-    entity_map_to_dict,
 )
 
 
@@ -25,7 +25,7 @@ def test_join_path_equals_broadcast_path(kg_result):
 
     # join path: map surfaces first, then aggregate with an identity map
     mapped = canonicalize_via_join(traw, emap_ds)
-    empty_ref = ray.put({})
+    empty_ref = ray.put(EMAP_SCHEMA.empty_table())
     jn = {
         (t["subject_id"], t["pred"], t["object_id"]): (t["weight"], t["prov_overflow"])
         for t in build_triples(mapped, empty_ref, cfg).take_all()

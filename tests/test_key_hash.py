@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data as rd
 
@@ -42,6 +43,35 @@ class TestShuffleJoinMixedWidths:
             got[cols].sort_values(cols).reset_index(drop=True),
             want[cols].sort_values(cols).reset_index(drop=True),
             check_dtype=False)
+
+
+class TestShuffleJoinKeyTypeGuard:
+    @pytest.mark.parametrize("r_keys", [
+        pd.Series(["1", "2"]),                                   # string
+        pd.Series([1.0, 2.0]),                                   # float64
+    ], ids=["string", "float64"])
+    def test_int64_vs_non_integer_raises(self, ray_session, r_keys):
+        left = rd.from_pandas(pd.DataFrame({"k": np.arange(4, dtype="int64"),
+                                            "v": np.arange(4)}))
+        right = rd.from_pandas(pd.DataFrame({"k": r_keys, "w": [1, 2]}))
+        with pytest.raises(TypeError, match="join key 'k'"):
+            hash_join(left, right, on="k", strategy="shuffle", buckets=4)
+
+    def test_datetime_units_raise(self, ray_session):
+        ts = pd.to_datetime(["2025-01-01", "2025-01-02"])
+        left = rd.from_arrow(pa.table({"t": pa.array(ts, pa.timestamp("us"))}))
+        right = rd.from_arrow(pa.table({"t": pa.array(ts, pa.timestamp("ns")),
+                                        "w": [1, 2]}))
+        with pytest.raises(TypeError, match="join key 't'"):
+            hash_join(left, right, on="t", strategy="shuffle", buckets=4)
+
+    def test_object_strings_join_arrow_strings(self, ray_session):
+        left = rd.from_arrow(pa.table({"k": ["a", "b", "c"], "v": [1, 2, 3]}))
+        right = rd.from_pandas(pd.DataFrame({"k": ["b", "c", "d"],
+                                             "w": [20, 30, 40]}))
+        got = hash_join(left, right, on="k", strategy="shuffle",
+                        buckets=4).to_pandas().sort_values("k")
+        assert got[["k", "v", "w"]].values.tolist() == [["b", 2, 20], ["c", 3, 30]]
 
 
 class TestMultiColumnPartitionReduce:

@@ -18,7 +18,7 @@ from docprocai_service_ray.pipelines.kg import run_kg
 from docprocai_service_ray.sources.webgen import alias_dict_table, pages_table
 from docprocai_service_ray.stages.canonicalize import build_entity_map
 from docprocai_service_ray.stages.extract import build_docs
-from docprocai_service_ray.stages.materialize import build_triples, entity_map_to_dict
+from docprocai_service_ray.stages.materialize import build_triples
 from docprocai_service_ray.stages.segment import build_sentences
 from docprocai_service_ray.stages.triple_extract import build_triples_raw
 
