@@ -106,7 +106,7 @@ def _host_pagerank_weighted(sf_dir: str):
     from docprocai_service_ray.stages.linkgraph import host_pagerank
 
     return host_pagerank(_corpus_pages(sf_dir, ["url", "html"]),
-                         iters=20, cfg=_CFG, weighted=True)
+                         iters=20, weighted=True)
 
 
 def _anchor_terms(sf_dir: str):
@@ -124,7 +124,7 @@ def _host_pagerank(sf_dir: str):
     at 8dp like pagerank_entities (iterative float fixpoint, no exact SQL)."""
     from docprocai_service_ray.stages.linkgraph import host_pagerank
 
-    return host_pagerank(_corpus_pages(sf_dir, ["url", "html"]), iters=20, cfg=_CFG)
+    return host_pagerank(_corpus_pages(sf_dir, ["url", "html"]), iters=20)
 
 
 def _host_hits(sf_dir: str):
@@ -135,7 +135,7 @@ def _host_hits(sf_dir: str):
     host_pagerank."""
     from docprocai_service_ray.stages.linkgraph import host_hits
 
-    return host_hits(_corpus_pages(sf_dir, ["url", "html"]), iters=20, cfg=_CFG)
+    return host_hits(_corpus_pages(sf_dir, ["url", "html"]), iters=20)
 
 
 def _host_crawl_stats(sf_dir: str):
@@ -2398,7 +2398,7 @@ def _entity_communities(sf_dir: str):
     Iterative integer/mode fixpoint ⇒ golden-frozen."""
     from docprocai_service_ray.stages.graph import label_propagation
 
-    return label_propagation(_kg_run(sf_dir)["triples"], iters=10, cfg=_CFG)
+    return label_propagation(_kg_run(sf_dir)["triples"], iters=10)
 
 
 def _entity_coreness(sf_dir: str):
@@ -2409,7 +2409,7 @@ def _entity_coreness(sf_dir: str):
     ⇒ golden-frozen; the link-farm/density signal."""
     from docprocai_service_ray.stages.graph import core_numbers
 
-    return core_numbers(_kg_run(sf_dir)["triples"], cfg=_CFG)
+    return core_numbers(_kg_run(sf_dir)["triples"])
 
 
 def _khop_neighborhood(sf_dir: str):

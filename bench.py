@@ -247,12 +247,12 @@ def run_headline(num_cpus: int, skip_queries: bool = False) -> dict:
         edges = host_edges_from_url_links(res["url_links"]).materialize()
         queries["host_link_edges"] = round(time.monotonic() - t0, 3)
         t0 = time.monotonic()
-        host_pagerank(edges=edges, iters=20, cfg=cfg).to_pandas()
+        host_pagerank(edges=edges, iters=20).to_pandas()
         queries["host_pagerank"] = round(time.monotonic() - t0, 3)
         from docprocai_service_ray.stages.linkgraph import host_hits
 
         t0 = time.monotonic()
-        host_hits(edges=edges, iters=20, cfg=cfg).to_pandas()
+        host_hits(edges=edges, iters=20).to_pandas()
         queries["host_hits"] = round(time.monotonic() - t0, 3)
         # drop the headline's materialized corpus-sized tables (fused-mode
         # docs_all + triples_raw) BEFORE the query sweep: holding them in

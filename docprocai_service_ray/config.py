@@ -35,30 +35,26 @@ class KGConfig:
                                      # pointer jumping each round squares the
                                      # reachable diameter (2^12 hops) — the
                                      # stage RAISES if still unconverged
-    driver_unionfind_max: int = 2_000_000  # edge count below which union-find runs
-                                     # on the driver (candidate set provably small);
-                                     # above it, distributed min-label propagation
-    driver_canon_max: int = 200_000  # distinct-surface count below which the whole
-                                     # LSH+union-find runs on the driver with the
-                                     # same kernels (vocab-sized small side; the
+    # ---- tier gates (state/tier.py; the other limits are module
+    # constants next to their gates, and tests force a tier with
+    # state.tier.forced) ----
+    driver_canon_max: int = 200_000  # distinct-surface count at or below which the
+                                     # whole LSH+union-find runs on the driver with
+                                     # the same kernels (vocab-sized small side; the
                                      # banding shuffle only pays off beyond this)
-    driver_dedup_max: int = 5_000_000  # docs row count below which the url-dedup
+    driver_dedup_max: int = 5_000_000  # docs row count at or below which the url-dedup
                                      # winners pass collects the (url, ts, hash)
                                      # projection instead of shuffling it
-    winners_broadcast_max: int = 2_000_000  # url-dedup WINNER-row count above which
-                                     # the broadcast winners map is replaced by a
-                                     # distributed left hash-join filter (the driver
-                                     # never holds the winners; stages/extract.py)
+    emap_broadcast_max_bytes: int = 64 << 20  # entity-map byte estimate above which
+                                     # triple canonicalization switches from the
+                                     # broadcast Arrow map to canonicalize_via_join
+                                     # (stages/materialize.build_triples_auto)
     streaming_fused_max_bytes: int = 32 << 30  # input-bytes estimate above which
                                      # STREAMING-mode fused link extraction refuses
                                      # to materialize the docs-sized fused table in
                                      # the object store (it would spill at scale)
                                      # and raises pointing at out_dir — the
                                      # checkpointed mode writes Parquet instead
-    emap_broadcast_max_bytes: int = 64 << 20  # entity-map byte estimate above which
-                                     # triple canonicalization switches from the
-                                     # driver-dict broadcast to canonicalize_via_join
-                                     # (stages/materialize.build_triples_auto)
     # ---- entity linking ----
     link_threshold: float = 0.40     # cutoff on 0.5*cos+0.5*prior — structural analog of
                                      # the reference's 0.7 similarity cutoff

@@ -13,8 +13,9 @@ implementation follows the public spec only:
   by the deterministic media corpus generator and the codec round-trip
   tests.
 
-Per-8×8-block math is vectorized (DCT/IDCT as two 8×8 matmuls over all
-blocks at once); only the entropy coding walks bits in Python — fine for
+Per-8×8-block math is vectorized (DCT/IDCT as two 8×8 matrix products
+over all blocks at once, summed in a fixed order so the bytes do not depend
+on the CPU); only the entropy coding walks bits in Python — fine for
 the thumbnail/feature sizes this pipeline decodes per batch, and the
 actor-pool stage amortizes table setup per actor, not per image.
 """
@@ -119,13 +120,25 @@ def _dct_matrix() -> np.ndarray:
 _DCT = _dct_matrix()
 
 
+def _mm8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for (..., 8, 8) operands as eight separate multiply-adds in
+    k order. BLAS picks its kernel by CPU (FMA or not, unroll width), which
+    moves the last bit of some coefficients; at a quantizer's .5 boundary
+    that flips a rounded value, so encoded bytes and decoded pixels would
+    differ between machines. Plain ufuncs round every step the same way."""
+    out = a[..., :, 0:1] * b[..., 0:1, :]
+    for k in range(1, 8):
+        out = out + a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
+
+
 def _blocks_dct(blocks: np.ndarray) -> np.ndarray:
     """(n, 8, 8) spatial → coefficient, all blocks at once."""
-    return _DCT @ blocks @ _DCT.T
+    return _mm8(_mm8(_DCT, blocks), _DCT.T)
 
 
 def _blocks_idct(coefs: np.ndarray) -> np.ndarray:
-    return _DCT.T @ coefs @ _DCT
+    return _mm8(_mm8(_DCT.T, coefs), _DCT)
 
 
 def _scale_quant(table: np.ndarray, quality: int) -> np.ndarray:

@@ -216,7 +216,7 @@ def reprocess_urls(
         write_stage(host_edges, out_dir, "host_edges",
                     extra={"reprocessed_urls": len(urls)})
         out["host_edges"] = rd.read_parquet(stage_output_dir(out_dir, "host_edges"))
-        host_ranks = host_pagerank(edges=out["host_edges"], cfg=cfg)
+        host_ranks = host_pagerank(edges=out["host_edges"])
         write_stage(host_ranks, out_dir, "host_ranks",
                     extra={"reprocessed_urls": len(urls)})
         out["host_ranks"] = rd.read_parquet(stage_output_dir(out_dir, "host_ranks"))
@@ -351,7 +351,7 @@ def run_kg(
             out["url_links"] = url_links
             edges = host_edges_from_url_links(url_links).materialize()
             out["host_edges"] = edges
-            out["host_ranks"] = host_pagerank(edges=edges, cfg=cfg)
+            out["host_ranks"] = host_pagerank(edges=edges)
         if with_sentence_embeddings:
             from .queries import build_sentence_embeddings
 
@@ -373,10 +373,10 @@ def run_kg(
             pages_lg = _rd.read_parquet(pages_path, columns=["url", "html"])
             edges = host_link_edges(pages_lg).materialize()
             out["host_edges"] = edges
-            out["host_ranks"] = host_pagerank(edges=edges, cfg=cfg)
+            out["host_ranks"] = host_pagerank(edges=edges)
         entity_map = build_entity_map(triples_raw, alias_ref, cfg)
         out["entity_map"] = entity_map
-        # auto-tiered: broadcast dict under cfg.emap_broadcast_max_bytes,
+        # auto-tiered: broadcast Arrow map under cfg.emap_broadcast_max_bytes,
         # distributed canonicalize_via_join above it — no unconditional
         # driver-side materialization of the map
         out["triples"] = build_triples_auto(triples_raw, entity_map, cfg)
@@ -578,7 +578,7 @@ def run_kg(
         )
         out["host_edges"] = host_edges
         out["host_ranks"] = checkpointed(
-            lambda: host_pagerank(edges=host_edges, cfg=cfg),
+            lambda: host_pagerank(edges=host_edges),
             out_dir,
             "host_ranks",
             resume,

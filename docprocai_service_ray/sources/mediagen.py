@@ -160,8 +160,10 @@ def ensure_media_corpus(n: int, seed: int, root: str = "/tmp/raykg_mediagen") ->
     once; cached by (n, seed). Returns the directory to hand to
     read_media_files. The .done marker lives OUTSIDE the dir so
     read_binary_files never scans it."""
-    # v4: + MJPEG-in-MP4 kind (bump invalidates older caches)
-    out = os.path.join(root, f"v4_n{n}_s{seed}")
+    # v4: + MJPEG-in-MP4 kind; v6: JPEG DCT no longer rides on BLAS, so
+    # caches written by a CPU-dependent kernel are dropped (bump
+    # invalidates older caches)
+    out = os.path.join(root, f"v6_n{n}_s{seed}")
     done = out + ".done"
     if os.path.exists(done):
         return out

@@ -12,7 +12,7 @@ one shared kernel set (the stages/similarity.kmeans discipline — both
 tiers call the same ``_pair_counts`` / ``_merge_word`` kernels, so
 forced-tier outputs are identical by construction, and tests assert it):
 
-- driver tier (vocab ≤ ``driver_bpe_max``, metadata-gated): word counts
+- driver tier (vocab ≤ ``DRIVER_VOCAB_MAX``, metadata-gated): word counts
   collect once; the merge loop keeps an inverted pair→words index so each
   merge touches only the words containing the merged pair (the standard
   in-memory algorithm — this is how HF/sentencepiece train after the
@@ -43,6 +43,12 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pandas as pd
+
+from ..state.tier import choose_tier
+
+# distinct words at or below which tokenizer training (BPE and unigram)
+# runs on the driver
+DRIVER_VOCAB_MAX = 200_000
 
 _EOW = "</w>"  # end-of-word symbol (Sennrich §3.2)
 _TOKEN_RE = r"[a-z]+"  # repo-wide tokenizer (token_doc_frequency contract)
@@ -216,19 +222,14 @@ def _train_distributed(wc_ds, num_merges: int, min_pair_count: int,
 # ---------------------------------------------------------------- public
 
 def bpe_train(ds, text_col: str, *, num_merges: int = 64,
-              min_pair_count: int = 2, driver_vocab_max: int = 200_000,
-              force_tier: str | None = None,
+              min_pair_count: int = 2,
               num_partitions: int = 16) -> pd.DataFrame:
     """Learn a BPE merge table from a corpus. Returns (rank, left, right,
     count) — ``count`` is the pair's corpus frequency when it won.
     Tier picked by the DISTINCT-WORD count (a metadata count on the
-    reduced word table, never the corpus); ``force_tier`` in
-    {"driver", "distributed"} pins it for parity tests."""
-    # materialized once: the tier gate's count and either tier reuse it
-    wc = word_counts(ds, text_col, num_partitions=num_partitions).materialize()
-    tier = force_tier
-    if tier is None:
-        tier = "driver" if wc.count() <= driver_vocab_max else "distributed"
+    reduced word table, never the corpus) against ``DRIVER_VOCAB_MAX``."""
+    tier, wc = choose_tier(word_counts(ds, text_col, num_partitions=num_partitions),
+                           DRIVER_VOCAB_MAX, what="bpe_train")
     if tier == "driver":
         return _train_driver(
             wc.to_pandas().sort_values("word").reset_index(drop=True),

@@ -13,7 +13,7 @@ Shape (SURVEY.md §4.3 "canonicalization shuffle"):
    candidate pairs (all-pairs per bucket, capped to a connectivity chain for
    oversized buckets) → jaccard verify → similar-surface edges.
 4. connected components: driver union-find when the edge set is provably
-   small (≤ cfg.driver_unionfind_max — edges are O(distinct surfaces), many
+   small (≤ ``DRIVER_EDGES_MAX`` — edges are O(distinct surfaces), many
    orders below corpus size), else distributed min-label propagation
    (bounded rounds, deterministic min-label tie rule). Both paths produce
    identical components; tests assert it.
@@ -46,6 +46,11 @@ from ..functions.hashing import minhash_params
 from ..functions.linking import best_candidate, build_alias_index
 from ..state.groupby import collect_pandas, key_hash
 from ..state.joins import hash_join
+from ..state.tier import choose_tier
+
+# distinct edges at or below which union-find (and the graph kernels of
+# stages/graph.py) run on the driver; above it, distributed rounds
+DRIVER_EDGES_MAX = 2_000_000
 
 ENTITY_MAP_SCHEMA = pa.schema(
     [
@@ -256,6 +261,21 @@ def _components_distributed(edges_ds, surfaces_ds, cfg: KGConfig):
     return labels
 
 
+def _entity_rows(components) -> pa.Table:
+    """Entity-map rows of components given as member lists: qid nodes name
+    a component (canonical_id_for_component) but are not surfaces."""
+    rows_s, rows_c, rows_n = [], [], []
+    for members in components:
+        cid = canonical_id_for_component(members)
+        surfs = [m for m in members if not is_qid_node(m)]
+        rows_s.extend(surfs)
+        rows_c.extend([cid] * len(surfs))
+        rows_n.extend([len(surfs)] * len(surfs))
+    return pa.Table.from_pydict(
+        {"surface": rows_s, "canonical_id": rows_c, "cluster_size": rows_n},
+        schema=ENTITY_MAP_SCHEMA)
+
+
 def build_entity_map(triples_raw_ds, alias_ref: ray.ObjectRef, cfg: KGConfig):
     """triples_raw → entity_map Dataset (surface, canonical_id, cluster_size)."""
     import ray.data as rd
@@ -263,16 +283,14 @@ def build_entity_map(triples_raw_ds, alias_ref: ray.ObjectRef, cfg: KGConfig):
     # every dataset past the distinct step is vocab-sized — small pools and
     # few partitions; big pools only burn startup time here
     pool = min(4, cfg.actor_pool_size)
-    surfaces = distinct_surfaces(triples_raw_ds, cfg).materialize()
-
-    n_surfaces = surfaces.count()  # metadata-only on a materialized dataset
-    if n_surfaces <= cfg.driver_canon_max:
+    tier, surfaces = choose_tier(distinct_surfaces(triples_raw_ds, cfg),
+                                 cfg.driver_canon_max, what="build_entity_map")
+    if tier == "driver":
         # vocab-sized fast path: the surface set fits trivially on the
         # driver, so banding/linking/union-find run sequentially with the
         # SAME kernels (functions/canon.py) the distributed path uses —
         # identical output, none of the small-shuffle fixed costs. The
-        # distributed path below is the >200k-surface scale path and is
-        # exercised by tests via cfg.driver_canon_max=0.
+        # distributed path below is the >200k-surface scale path.
         from ..functions.canon import lsh_candidate_edges
 
         surface_list = sorted(collect_pandas(surfaces, ["surface"])["surface"])
@@ -289,19 +307,8 @@ def build_entity_map(triples_raw_ds, alias_ref: ray.ObjectRef, cfg: KGConfig):
             bands=cfg.lsh_bands, k=cfg.shingle_k, threshold=cfg.jaccard_threshold,
         ):
             uf.union(s1, s2)
-        rows_s, rows_c, rows_n = [], [], []
-        for _, members in sorted(uf.components().items()):
-            cid = canonical_id_for_component(members)
-            surfs = [m for m in members if not is_qid_node(m)]
-            rows_s.extend(surfs)
-            rows_c.extend([cid] * len(surfs))
-            rows_n.extend([len(surfs)] * len(surfs))
-        return rd.from_arrow(
-            pa.Table.from_pydict(
-                {"surface": rows_s, "canonical_id": rows_c, "cluster_size": rows_n},
-                schema=ENTITY_MAP_SCHEMA,
-            )
-        )
+        return rd.from_arrow(_entity_rows(
+            members for _, members in sorted(uf.components().items())))
 
     link_e = surfaces.map_batches(
         _LinkEdges,
@@ -309,10 +316,9 @@ def build_entity_map(triples_raw_ds, alias_ref: ray.ObjectRef, cfg: KGConfig):
         batch_format="pyarrow",
         concurrency=pool_size(pool),
     )
-    edges = link_e.union(_to_arrow(lsh_edges(surfaces, cfg))).materialize()
-
-    n_edges = edges.count()  # metadata-only on a materialized dataset
-    if n_edges <= cfg.driver_unionfind_max:
+    tier, edges = choose_tier(link_e.union(_to_arrow(lsh_edges(surfaces, cfg))),
+                              DRIVER_EDGES_MAX, what="entity_map_components")
+    if tier == "driver":
         # candidate set provably small → driver union-find (SURVEY.md §2.6 W2)
         all_surfaces = collect_pandas(surfaces, ["surface"])["surface"].tolist()
         labels_map = _components_driver(
@@ -327,17 +333,8 @@ def build_entity_map(triples_raw_ds, alias_ref: ray.ObjectRef, cfg: KGConfig):
     def assign(part: pd.DataFrame) -> pd.DataFrame:
         # all nodes of a component share a label → one partition holds whole
         # components; loop components in plain Python (vocab-sized)
-        out_s, out_c, out_n = [], [], []
-        for _, group in part.groupby("label", sort=False):
-            members = group["node"].tolist()
-            cid = canonical_id_for_component(members)
-            surfs = [m for m in members if not is_qid_node(m)]
-            out_s.extend(surfs)
-            out_c.extend([cid] * len(surfs))
-            out_n.extend([len(surfs)] * len(surfs))
-        return pd.DataFrame(
-            {"surface": out_s, "canonical_id": out_c, "cluster_size": out_n}
-        )
+        return _entity_rows(group["node"].tolist() for _, group
+                            in part.groupby("label", sort=False)).to_pandas()
 
     from ..state.groupby import partition_reduce
 

@@ -9,14 +9,15 @@ DISTINCT per document; a doc is contaminated iff any of its grams occurs
 in the benchmark side's distinct-gram set. Docs with fewer than ``n``
 words have no grams and are excluded from the output (both sides).
 
-Scale shape — two tiers behind one metadata gate, same discipline as
-``winners_broadcast_max`` / ``emap_broadcast_max_bytes``:
+Scale shape — two tiers behind one metadata gate (``state.tier``;
+``BENCH_BROADCAST_MAX`` benchmark gram-hash rows):
 
-- **broadcast** (benchmark fits a worker): the benchmark's distinct
-  gram HASHES (u64 siphash — 8 bytes/gram, ~80 MB per 10^7 grams; text
-  never ships) are collected once, ``ray.put`` once, and every doc batch
-  counts membership with a vectorized ``np.isin`` against the sorted
-  array. One streaming pass over the corpus, zero shuffle.
+- **broadcast** (the driver tier; benchmark fits a worker): the
+  benchmark's distinct gram HASHES (u64 siphash — 8 bytes/gram, ~80 MB
+  per 10^7 grams; text never ships) are collected once, ``ray.put``
+  once, and every doc batch counts membership with a vectorized
+  ``np.isin`` against the sorted array. One streaming pass over the
+  corpus, zero shuffle.
 - **distributed** (benchmark above the gate): both sides explode to
   gram-hash rows, a gram-hash-keyed exchange marks doc grams seen on the
   bench side, and a doc-keyed exchange sums the per-doc contaminated
@@ -34,13 +35,13 @@ reference shape is the content-hash dedup family (SURVEY §2 W3).
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pandas as pd
 import ray
 
-logger = logging.getLogger(__name__)
+# benchmark gram-hash rows (one per distinct gram per batch) at or below
+# which the benchmark side is broadcast; above it both sides shuffle
+BENCH_BROADCAST_MAX = 20_000_000
 
 
 def _gram_hashes(texts: pd.Series, n: int) -> list[np.ndarray]:
@@ -76,28 +77,21 @@ def _bench_gram_partials(bench_ds, text_col: str, n: int):
 
 def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
                         group_col: str, *, n: int = 5,
-                        bench_broadcast_max: int = 20_000_000,
-                        num_partitions: int | None = None, round_to: int = 6,
-                        force_tier: str | None = None):
+                        num_partitions: int | None = None, round_to: int = 6):
     """Per-``group_col`` contamination stats of ``docs_ds`` against
     ``bench_ds``: ``n_docs``, ``contaminated_docs`` (≥1 gram shared with
     the benchmark), ``avg_contam_frac`` (mean over docs of
     contaminated-distinct-grams / distinct-grams, rounded).
 
-    ``force_tier`` ∈ {None, 'broadcast', 'distributed'} pins the tier for
-    parity tests; the default gates on the benchmark's distinct-gram
-    count (metadata-sized driver value, not data).
+    The tier gates on the benchmark's per-batch-distinct gram count, an
+    upper bound of its distinct grams.
     """
     from ..state.groupby import collect_pandas, partition_reduce
+    from ..state.tier import choose_tier
 
-    bench_partials = _bench_gram_partials(bench_ds, text_col, n)
-
-    tier = force_tier
-    if tier is None:
-        n_bench = bench_partials.count()  # partial-distinct upper bound
-        tier = "broadcast" if n_bench <= bench_broadcast_max else "distributed"
-        logger.info("ngram_decontaminate tier=%s (bench gram partials=%d, "
-                    "gate=%d)", tier, n_bench, bench_broadcast_max)
+    tier, bench_partials = choose_tier(
+        _bench_gram_partials(bench_ds, text_col, n), BENCH_BROADCAST_MAX,
+        what="ngram_decontaminate")
 
     def finalize(part: pd.DataFrame) -> pd.DataFrame:
         out = part.groupby(group_col, as_index=False).agg(
@@ -109,7 +103,7 @@ def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
             "avg_contam_frac": (out["fr"] / out["n_docs"]).round(round_to),
         })
 
-    if tier == "broadcast":
+    if tier == "driver":
         bench_df = collect_pandas(bench_partials, ["gh"])
         bench_sorted = np.sort(
             pd.unique(bench_df["gh"].to_numpy(dtype="uint64")))
@@ -136,10 +130,6 @@ def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
         partials = docs_ds.map_batches(score, batch_format="pandas")
         return partition_reduce(partials, [group_col], finalize,
                                 num_partitions=num_partitions)
-
-    if tier != "distributed":
-        raise ValueError(f"force_tier must be 'broadcast' or 'distributed',"
-                         f" got {force_tier!r}")
 
     # ---- distributed tier: gram-hash exchange, then doc-keyed rollup ----
     def explode_docs(df: pd.DataFrame) -> pd.DataFrame:

@@ -25,10 +25,14 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import jaccard, minhash_params, minhash_signature, simhash64
+from ..state.tier import choose_tier
 from .common import pool_size
 
 _WORDS = re.compile(r"\S+")
 DEDUP_PAIR_CAP = 200  # per-bucket candidate cap (star keeps connectivity)
+# candidate pairs (two ids each) at or below which verification broadcasts
+# an id→text map; above it the texts are joined back distributed
+VERIFY_BROADCAST_MAX_PAIRS = 100_000
 
 _log = __import__("logging").getLogger(__name__)
 
@@ -142,15 +146,14 @@ def minhash_lsh_pairs(
     bands: int = 16,
     threshold: float = 0.8,
     seed: int = 42,
-    driver_verify_max: int = 200_000,
 ):
     """Near-duplicate candidate pairs with exact-jaccard verification.
     Returns Dataset(id_a, id_b, jaccard).
 
     The verify step needs each pair's two texts. Two paths, chosen by the
     measured candidate count (never by hope):
-    - candidates ≤ ``driver_verify_max``: broadcast an id→text map built
-      from the candidate ids only (one filtered scan, zero shuffles);
+    - candidates ≤ ``VERIFY_BROADCAST_MAX_PAIRS``: broadcast an id→text map
+      built from the candidate ids only (one filtered scan, zero shuffles);
     - above it (dup-heavy crawl shard): join the texts back onto the pair
       rows with two partitioned hash joins — all distributed, the driver
       never holds texts. Output of both paths is identical (tested).
@@ -206,13 +209,11 @@ def minhash_lsh_pairs(
                 out_j.append(round(j, 6))
         return pd.DataFrame({"id_a": out_a, "id_b": out_b, "jaccard": out_j})
 
-    if 2 * n_pairs > driver_verify_max:
+    tier, pairs = choose_tier(pairs, VERIFY_BROADCAST_MAX_PAIRS,
+                              what="minhash_verify")
+    if tier == "distributed":
         # distributed text-back path: two partitioned hash joins pull each
         # pair's texts onto its row; no driver-side text materialization
-        _log.warning(
-            "minhash verify: %d candidate pairs exceed driver_verify_max=%d — "
-            "joining texts back distributed", n_pairs, driver_verify_max,
-        )
         from ..state.joins import hash_join
 
         texts_a = ds.map_batches(

@@ -32,6 +32,13 @@ import ray
 
 from ..config import KGConfig
 from ..functions.html_extract import content_hash, extract_text
+from ..state.joins import anti_join_filter, semi_join_filter
+from ..state.tier import choose_tier
+
+# url-dedup winner rows above which losers are filtered by a distributed
+# left hash join instead of a broadcast winners map (the driver never
+# holds the winners)
+WINNERS_BROADCAST_MAX = 2_000_000
 
 DOCS_SCHEMA = pa.schema(
     [
@@ -136,7 +143,9 @@ def dedup_urls(docs_ds, cfg: KGConfig):
 
     # one execution of the upstream pipeline feeds this 3-column projection;
     # everything below it is metadata / vocab-sized
-    proj = docs_ds.select_columns(["url", "warc_ts", "content_hash"]).materialize()
+    tier, proj = choose_tier(
+        docs_ds.select_columns(["url", "warc_ts", "content_hash"]),
+        cfg.driver_dedup_max, what="dedup_urls")
 
     def winners(part: pd.DataFrame) -> pd.DataFrame:
         # all rows of a url are in this partition → global per-url decision,
@@ -156,17 +165,15 @@ def dedup_urls(docs_ds, cfg: KGConfig):
         )
         return best.merge(counts, on="url")
 
-    n_docs = proj.count()  # metadata-only: proj is materialized
-    if n_docs <= cfg.driver_dedup_max:
+    if tier == "driver":
         # small-side fast path: the 40-byte/row projection fits on the
         # driver — one collect, no shuffle
         win_df = winners(proj.to_pandas())
     else:
-        dup_winners = partition_reduce(
-            proj, ["url"], winners, num_partitions=None  # auto-size
-        ).materialize()
-        n_win = dup_winners.count()  # metadata-only after materialize
-        if n_win > cfg.winners_broadcast_max:
+        tier, dup_winners = choose_tier(
+            partition_reduce(proj, ["url"], winners, num_partitions=None),
+            WINNERS_BROADCAST_MAX, what="dedup_urls_winners")
+        if tier == "distributed":
             # scale tier: the winners table is too large for a driver
             # collect + broadcast map — filter via a distributed left hash
             # join instead (the driver never holds a winner row)
@@ -213,21 +220,10 @@ def dedup_urls(docs_ds, cfg: KGConfig):
     # exact-tie multiplicity: byte-identical winner copies collapse to one
     # row via a distinct pass over ONLY the tied urls (vanishingly rare, so
     # the extra upstream execution + row shuffle touch almost nothing)
-    import pyarrow.compute as pc
-
-    tie_ref = ray.put(set(tie_urls))
-
-    def _not_tied(t: pa.Table) -> pa.Table:
-        ties = pa.array(sorted(ray.get(tie_ref)))
-        return t.filter(pc.invert(pc.is_in(t["url"], ties)))
-
-    def _tied(t: pa.Table) -> pa.Table:
-        ties = pa.array(sorted(ray.get(tie_ref)))
-        return t.filter(pc.is_in(t["url"], ties))
-
-    base = filtered.map_batches(_not_tied, batch_format="pyarrow")
+    tie_ref = ray.put(tie_urls)
+    base = anti_join_filter(filtered, "url", tie_ref)
     tied_once = distinct_rows(
-        filtered.map_batches(_tied, batch_format="pyarrow"), ["url"],
+        semi_join_filter(filtered, "url", tie_ref), ["url"],
         num_partitions=None,  # auto-size
     ).map_batches(
         # pandas round-trip loses binary(16)/timestamp[us] — restore DOCS_SCHEMA
@@ -302,7 +298,8 @@ def dedup_urls_meta(pages_ds, cfg: KGConfig):
     from ..state.groupby import collect_pandas, partition_reduce
 
     pages_ds = filter_langs(pages_ds, cfg)  # dedup must see post-filter rows
-    proj = pages_ds.select_columns(["url", "warc_ts"]).materialize()
+    tier, proj = choose_tier(pages_ds.select_columns(["url", "warc_ts"]),
+                             cfg.driver_dedup_max, what="dedup_urls_meta")
 
     def winners(part: pd.DataFrame) -> pd.DataFrame:
         """Per duplicated url: max warc_ts + how many captures tie at it."""
@@ -322,14 +319,13 @@ def dedup_urls_meta(pages_ds, cfg: KGConfig):
         )
         return mx.merge(at_max, on="url")
 
-    n_rows = proj.count()  # metadata-only: proj is materialized
-    if n_rows <= cfg.driver_dedup_max:
+    if tier == "driver":
         win_df = winners(proj.to_pandas())
     else:
-        dup_winners = partition_reduce(
-            proj, ["url"], winners, num_partitions=None  # auto-size
-        ).materialize()
-        if dup_winners.count() > cfg.winners_broadcast_max:
+        tier, dup_winners = choose_tier(
+            partition_reduce(proj, ["url"], winners, num_partitions=None),
+            WINNERS_BROADCAST_MAX, what="dedup_urls_meta_winners")
+        if tier == "distributed":
             return _dedup_meta_join_tier(pages_ds, dup_winners, cfg)
         # Arrow-concat collect, never per-row take_all
         win_df = collect_pandas(dup_winners, ["url", "warc_ts", "n_at_max"])
@@ -359,30 +355,11 @@ def dedup_urls_meta(pages_ds, cfg: KGConfig):
     if not tie_urls:
         return docs
 
-    # hash tiebreak over ONLY the tied urls: max content_hash wins; sorting
-    # + keep-first also collapses byte-identical full ties to one copy
-    import pyarrow.compute as pc
-
-    from ..state.groupby import partition_reduce as _pr
-
-    tie_ref = ray.put(set(tie_urls))
-
-    def _not_tied(t: pa.Table) -> pa.Table:
-        ties = pa.array(sorted(ray.get(tie_ref)))
-        return t.filter(pc.invert(pc.is_in(t["url"], ties)))
-
-    def _tied(t: pa.Table) -> pa.Table:
-        ties = pa.array(sorted(ray.get(tie_ref)))
-        return t.filter(pc.is_in(t["url"], ties))
-
-    def _best_hash(part: pd.DataFrame) -> pd.DataFrame:
-        return part.sort_values(
-            ["url", "content_hash"], ascending=[True, False]
-        ).drop_duplicates("url", keep="first")
-
-    base = docs.map_batches(_not_tied, batch_format="pyarrow")
-    tied_best = _pr(
-        docs.map_batches(_tied, batch_format="pyarrow"), ["url"], _best_hash,
+    # hash tiebreak over ONLY the tied urls (``_best_hash``)
+    tie_ref = ray.put(tie_urls)
+    base = anti_join_filter(docs, "url", tie_ref)
+    tied_best = partition_reduce(
+        semi_join_filter(docs, "url", tie_ref), ["url"], _best_hash,
         num_partitions=None,  # auto-size
     ).map_batches(
         # pandas round-trip loses binary(16)/timestamp[us] — restore DOCS_SCHEMA
@@ -390,6 +367,14 @@ def dedup_urls_meta(pages_ds, cfg: KGConfig):
         batch_format="pandas",
     )
     return base.union(tied_best)
+
+
+def _best_hash(part):
+    """Per url the max content_hash wins among tied captures; keep-first
+    also collapses byte-identical full ties to one copy."""
+    return part.sort_values(
+        ["url", "content_hash"], ascending=[True, False]
+    ).drop_duplicates("url", keep="first")
 
 
 def _dedup_meta_join_tier(pages_ds, dup_winners, cfg: KGConfig):
@@ -403,7 +388,7 @@ def _dedup_meta_join_tier(pages_ds, dup_winners, cfg: KGConfig):
     broadcast tier below the gate shuffles nothing."""
     import pandas as pd
 
-    from ..state.groupby import partition_reduce as _pr
+    from ..state.groupby import partition_reduce
     from ..state.joins import hash_join
 
     win = dup_winners.map_batches(
@@ -428,15 +413,8 @@ def _dedup_meta_join_tier(pages_ds, dup_winners, cfg: KGConfig):
         batch_format="pandas",
     )
 
-    def _best_hash(part: pd.DataFrame) -> pd.DataFrame:
-        # max content_hash wins; keep-first also collapses byte-identical
-        # full ties to one copy
-        return part.sort_values(
-            ["url", "content_hash"], ascending=[True, False]
-        ).drop_duplicates("url", keep="first")
-
     base = extract_docs(base_pages, cfg)
-    tied_best = _pr(
+    tied_best = partition_reduce(
         extract_docs(tied_pages, cfg), ["url"], _best_hash, num_partitions=None
     ).map_batches(
         lambda df: pa.Table.from_pandas(

@@ -40,6 +40,8 @@ import ray
 
 from ..state.groupby import collect_pandas, distinct_rows, key_hash, partition_reduce
 from ..state.joins import hash_join
+from ..state.tier import choose_tier
+from .canonicalize import DRIVER_EDGES_MAX
 
 
 def triple_edges(triples, *, src: str = "subject_id", dst: str = "object_id",
@@ -52,6 +54,34 @@ def triple_edges(triples, *, src: str = "subject_id", dst: str = "object_id",
         batch_format="pyarrow",
     )
     return distinct_rows(edges, ["src", "dst"], num_partitions=num_partitions)
+
+
+def _node_set(ds, a: str, b: str, col: str, num_partitions: int | None):
+    """Distinct values of columns ``a`` and ``b``, as strings, in one
+    column ``col``."""
+    return distinct_rows(ds.map_batches(
+        lambda t: pa.table({col: pa.concat_arrays(
+            [t[a].cast(pa.string()).combine_chunks(),
+             t[b].cast(pa.string()).combine_chunks()])}),
+        batch_format="pyarrow"), [col], num_partitions=num_partitions)
+
+
+def _gated_edges(triples, weight_col: str | None, num_partitions: int | None,
+                 what: str):
+    """``choose_tier`` over the edge view the rank kernels iterate: the
+    distinct (src, dst) edges, or with ``weight_col`` every row as
+    (src, dst, w) — multiplicity matters there, so no distinct pass, and
+    out-degree becomes the per-source WEIGHT SUM (w=1 reduces to the
+    unweighted math)."""
+    if weight_col is None:
+        edges = triple_edges(triples, num_partitions=num_partitions)
+    else:
+        edges = triples.map_batches(
+            lambda t: t.select(["subject_id", "object_id", weight_col])
+            .rename_columns(["src", "dst", "w"]),
+            batch_format="pyarrow",
+        )
+    return choose_tier(edges, DRIVER_EDGES_MAX, what=what)
 
 
 def entity_degree(triples, *, src: str = "subject_id", dst: str = "object_id",
@@ -97,27 +127,40 @@ def _ranks_init(nodes, n: int):
     return nodes.map_batches(init, batch_format="pyarrow")
 
 
-def _pagerank_driver(edges_df: pd.DataFrame, damping: float, iters: int,
-                     round_to: int | None):
-    """Sparse power iteration on the driver for vocab-sized graphs —
-    O(E) numpy scatter-adds per round, edges sorted first so float
+def _score_table(nodes, **scores):
+    """(entity, *scores) as a Dataset, typed float64 scores even when empty."""
+    return ray.data.from_arrow(pa.table(
+        {"entity": pa.array(nodes, pa.string()),
+         **{k: pa.array(v, pa.float64()) for k, v in scores.items()}}))
+
+
+def _edge_index(edges_df: pd.DataFrame):
+    """(nodes, src, dst, w) for the driver kernels: sorted node list and
+    per-edge index/weight arrays. Edges are sorted first so float
     accumulation order (hence the rounded output) is EXACTLY reproducible
-    regardless of block arrival order. Takes a pandas (src, dst) frame:
-    driver collection goes through ``to_pandas()`` (Arrow block concat),
-    never ``take_all()`` (per-row dict conversion, ~3 orders slower)."""
+    regardless of block arrival order. Takes a pandas (src, dst[, w])
+    frame: driver collection goes through ``to_pandas()`` (Arrow block
+    concat), never ``take_all()`` (per-row dict conversion, ~3 orders
+    slower)."""
     ws = (edges_df["w"].astype(float).tolist() if "w" in edges_df.columns
           else [1.0] * len(edges_df))
     pairs = sorted(zip(edges_df["src"].tolist(), edges_df["dst"].tolist(), ws))
     nodes = sorted({s for s, _, _ in pairs} | {d for _, d, _ in pairs})
     idx = {e: i for i, e in enumerate(nodes)}
-    n = len(nodes)
-    if n == 0:
-        return ray.data.from_arrow(
-            pa.table({"entity": pa.array([], pa.string()),
-                      "rank": pa.array([], pa.float64())}))
     src = np.fromiter((idx[s] for s, _, _ in pairs), dtype=np.int64)
     dst = np.fromiter((idx[d] for _, d, _ in pairs), dtype=np.int64)
     w = np.fromiter((x for _, _, x in pairs), dtype=np.float64)
+    return nodes, src, dst, w
+
+
+def _pagerank_driver(edges_df: pd.DataFrame, damping: float, iters: int,
+                     round_to: int | None):
+    """Sparse power iteration on the driver for vocab-sized graphs —
+    O(E) numpy scatter-adds per round over :func:`_edge_index` arrays."""
+    nodes, src, dst, w = _edge_index(edges_df)
+    n = len(nodes)
+    if n == 0:
+        return _score_table([], rank=[])
     out = np.bincount(src, weights=w, minlength=n).astype(np.float64)
     r = np.full(n, 1.0 / n)
     for _ in range(iters):
@@ -127,9 +170,7 @@ def _pagerank_driver(edges_df: pd.DataFrame, damping: float, iters: int,
         r = (1.0 - damping) / n + damping * (contrib + dangling / n)
     if round_to is not None:
         r = r.round(round_to)
-    return ray.data.from_arrow(
-        pa.table({"entity": pa.array(nodes, pa.string()),
-                  "rank": pa.array(r, pa.float64())}))
+    return _score_table(nodes, rank=r)
 
 
 def _copartition_edge_buckets(edges_deg, num_partitions: int, bucket_dir: str):
@@ -178,7 +219,7 @@ def _copart_contribs(ranks, tag, bucket_dir: str):
 
 
 def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
-             num_partitions: int | None = None, round_to: int | None = 8, cfg=None,
+             num_partitions: int | None = None, round_to: int | None = 8,
              copartition: bool | None = None, bucket_dir: str | None = None,
              weight_col: str | None = None):
     """Damped PageRank over the distinct-edge view of a triple Dataset.
@@ -191,7 +232,7 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
     raw floats.
 
     Size-gated like :func:`connected_components`: a distinct-edge set
-    within cfg.driver_unionfind_max runs a sparse numpy power iteration
+    within ``DRIVER_EDGES_MAX`` runs a sparse numpy power iteration
     on the driver (20 distributed rounds over a vocab-sized graph is all
     fixed overhead); the streaming join path engages above the gate and
     is parity-tested against a dense reference at 1e-9.
@@ -203,21 +244,8 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
     iteration shuffles only the rank table to its bucket — never the edge
     table, 20×. Pass ``bucket_dir`` on a real cluster (shared storage).
     """
-    from ..config import KGConfig
-
-    cfg = cfg or KGConfig()
-    if weight_col is None:
-        edges = triple_edges(triples, num_partitions=num_partitions).materialize()
-    else:
-        # weighted view: multiplicity matters, so no distinct pass; the
-        # weight rides every tier as column ``w`` and out-degree becomes
-        # the per-source WEIGHT SUM (w=1 reduces to the unweighted math)
-        edges = triples.map_batches(
-            lambda t: t.select(["subject_id", "object_id", weight_col])
-            .rename_columns(["src", "dst", "w"]),
-            batch_format="pyarrow",
-        ).materialize()
-    if edges.count() <= cfg.driver_unionfind_max:
+    tier, edges = _gated_edges(triples, weight_col, num_partitions, "pagerank")
+    if tier == "driver":
         cols = ["src", "dst"] + (["w"] if weight_col is not None else [])
         return _pagerank_driver(collect_pandas(edges, cols),
                                 damping, iters, round_to)
@@ -244,22 +272,11 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
         out_deg, on="entity",
     ).materialize()
 
-    nodes = distinct_rows(
-        triples.map_batches(
-            lambda t: pa.table({"entity": pa.concat_arrays(
-                [c.combine_chunks() for c in
-                 (t["subject_id"].cast(pa.string()), t["object_id"].cast(pa.string()))]
-            )}),
-            batch_format="pyarrow",
-        ),
-        ["entity"],
-        num_partitions=num_partitions,
-    ).materialize()
+    nodes = _node_set(triples, "subject_id", "object_id", "entity",
+                      num_partitions).materialize()
     n = nodes.count()
     if n == 0:
-        return ray.data.from_arrow(
-            pa.table({"entity": pa.array([], pa.string()),
-                      "rank": pa.array([], pa.float64())}))
+        return _score_table([], rank=[])
 
     ranks = _ranks_init(nodes, n).materialize()
 
@@ -322,12 +339,25 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
     return ranks
 
 
+def _components_table(comp: dict[str, str]):
+    """(entity, component_id, component_size) from a node → label map."""
+    from collections import Counter
+
+    nodes = sorted(comp)
+    size = Counter(comp.values())
+    return ray.data.from_arrow(pa.table({
+        "entity": pa.array(nodes, pa.string()),
+        "component_id": pa.array([comp[n] for n in nodes], pa.string()),
+        "component_size": pa.array([size[comp[n]] for n in nodes], pa.int64()),
+    }))
+
+
 def connected_components(triples, cfg=None, *, num_partitions: int | None = None):
     """Weakly-connected components of the entity graph: (entity,
     component_id, component_size), component_id = lexicographic-min member.
 
     Size-gated like canonicalization: a distinct-edge set within
-    cfg.driver_unionfind_max runs the driver union-find (same kernel the
+    ``DRIVER_EDGES_MAX`` runs the driver union-find (same kernel the
     entity-map path uses — shuffling a vocab-sized problem is strictly
     worse than one core); beyond the gate it reuses the canonicalization
     engine's pointer-jumping min-label propagation
@@ -338,35 +368,21 @@ def connected_components(triples, cfg=None, *, num_partitions: int | None = None
     from .canonicalize import _components_distributed, _components_driver
 
     cfg = cfg or KGConfig()
-    edges = triple_edges(triples, num_partitions=num_partitions).materialize()
-    surf = distinct_rows(
-        triples.map_batches(
-            lambda t: pa.table({"surface": pa.concat_arrays(
-                [c.combine_chunks() for c in
-                 (t["subject_id"].cast(pa.string()),
-                  t["object_id"].cast(pa.string()))]
-            )}),
-            batch_format="pyarrow",
-        ),
-        ["surface"],
-        num_partitions=num_partitions,
-    )
-    if edges.count() <= cfg.driver_unionfind_max:
-        comp = _components_driver(
+    tier, edges = choose_tier(triple_edges(triples, num_partitions=num_partitions),
+                              DRIVER_EDGES_MAX, what="connected_components")
+    surf = _node_set(triples, "subject_id", "object_id", "surface", num_partitions)
+    if tier == "driver":
+        return _components_table(_components_driver(
             collect_pandas(edges, ["src", "dst"]),
             collect_pandas(surf, ["surface"])["surface"].tolist(),
-        )
-        labels = ray.data.from_arrow(pa.table({
-            "entity": pa.array(sorted(comp), pa.string()),
-            "component_id": pa.array(
-                [comp[n] for n in sorted(comp)], pa.string()),
-        }))
-    else:
-        labels = _components_distributed(edges, surf, cfg).map_batches(
-            lambda t: pa.table(
-                {"entity": t["node"], "component_id": t["label"]}),
-            batch_format="pyarrow",
-        )
+        ))
+    labels = _components_distributed(edges, surf, cfg)
+    if not labels.count():  # no nodes: the driver tier's typed empty table
+        return _components_table({})
+    labels = labels.map_batches(
+        lambda t: pa.table({"entity": t["node"], "component_id": t["label"]}),
+        batch_format="pyarrow",
+    )
     sizes = partition_reduce(
         labels.map_batches(
             lambda df: df["component_id"].value_counts().rename_axis(
@@ -436,24 +452,11 @@ def khop_neighborhood(triples, seed: str, k: int = 2,
 
 def _hits_driver(edges_df: pd.DataFrame, iters: int, round_to: int | None):
     """Sparse HITS power iteration on the driver for vocab-sized graphs —
-    O(E) numpy scatter-adds per round, edges sorted first so float
-    accumulation order (hence the rounded output) is exactly reproducible
-    regardless of block arrival order (same discipline as
-    :func:`_pagerank_driver`)."""
-    ws = (edges_df["w"].astype(float).tolist() if "w" in edges_df.columns
-          else [1.0] * len(edges_df))
-    pairs = sorted(zip(edges_df["src"].tolist(), edges_df["dst"].tolist(), ws))
-    nodes = sorted({s for s, _, _ in pairs} | {d for _, d, _ in pairs})
-    idx = {e: i for i, e in enumerate(nodes)}
+    O(E) numpy scatter-adds per round over :func:`_edge_index` arrays."""
+    nodes, src, dst, w = _edge_index(edges_df)
     n = len(nodes)
     if n == 0:
-        return ray.data.from_arrow(
-            pa.table({"entity": pa.array([], pa.string()),
-                      "hub": pa.array([], pa.float64()),
-                      "authority": pa.array([], pa.float64())}))
-    src = np.fromiter((idx[s] for s, _, _ in pairs), dtype=np.int64)
-    dst = np.fromiter((idx[d] for _, d, _ in pairs), dtype=np.int64)
-    w = np.fromiter((x for _, _, x in pairs), dtype=np.float64)
+        return _score_table([], hub=[], authority=[])
     h = np.full(n, 1.0 / np.sqrt(n))
     a = np.zeros(n)
     for _ in range(iters):
@@ -469,10 +472,7 @@ def _hits_driver(edges_df: pd.DataFrame, iters: int, round_to: int | None):
             h = h / nh
     if round_to is not None:
         h, a = h.round(round_to), a.round(round_to)
-    return ray.data.from_arrow(
-        pa.table({"entity": pa.array(nodes, pa.string()),
-                  "hub": pa.array(h, pa.float64()),
-                  "authority": pa.array(a, pa.float64())}))
+    return _score_table(nodes, hub=h, authority=a)
 
 
 def _l2_normalize(scores, col: str):
@@ -492,7 +492,7 @@ def _l2_normalize(scores, col: str):
 
 
 def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
-         round_to: int | None = 8, cfg=None, weight_col: str | None = None):
+         round_to: int | None = 8, weight_col: str | None = None):
     """HITS hubs & authorities (Kleinberg 1999, public formulation) over
     the distinct-edge view of a triple Dataset: per iteration
     ``authority = A^T · hub`` then ``hub = A · authority``, each L2-
@@ -502,7 +502,7 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
     directories (the reference's Postgres KG answers "most-linked entity"
     questions with SQL over `relation`; SegmentDbConnector.py).
 
-    Size-gated like :func:`pagerank`: within cfg.driver_unionfind_max
+    Size-gated like :func:`pagerank`: within ``DRIVER_EDGES_MAX``
     edges the sparse numpy driver kernel runs (a vocab-sized problem —
     the host graph at web scale is O(hosts), far below corpus scale);
     above the gate each half-iteration is ONE hash_join of the static
@@ -517,38 +517,15 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
     (``round_to``), and both tiers are parity-tested against a dense
     numpy reference at 1e-9 (tests/test_graph.py::TestHITS).
     """
-    from ..config import KGConfig
-
-    cfg = cfg or KGConfig()
-    if weight_col is None:
-        edges = triple_edges(triples, num_partitions=num_partitions).materialize()
-    else:
-        edges = triples.map_batches(
-            lambda t: t.select(["subject_id", "object_id", weight_col])
-            .rename_columns(["src", "dst", "w"]),
-            batch_format="pyarrow",
-        ).materialize()
-    if edges.count() <= cfg.driver_unionfind_max:
+    tier, edges = _gated_edges(triples, weight_col, num_partitions, "hits")
+    if tier == "driver":
         cols = ["src", "dst"] + (["w"] if weight_col is not None else [])
         return _hits_driver(collect_pandas(edges, cols), iters, round_to)
 
-    nodes = distinct_rows(
-        edges.map_batches(
-            lambda t: pa.table({"entity": pa.concat_arrays(
-                [c.combine_chunks() for c in
-                 (t["src"].cast(pa.string()), t["dst"].cast(pa.string()))]
-            )}),
-            batch_format="pyarrow",
-        ),
-        ["entity"],
-        num_partitions=num_partitions,
-    ).materialize()
+    nodes = _node_set(edges, "src", "dst", "entity", num_partitions).materialize()
     n = nodes.count()
     if n == 0:
-        return ray.data.from_arrow(
-            pa.table({"entity": pa.array([], pa.string()),
-                      "hub": pa.array([], pa.float64()),
-                      "authority": pa.array([], pa.float64())}))
+        return _score_table([], hub=[], authority=[])
 
     def init(col: str, v: float):  # the driver tier's h, a before round 1
         return nodes.map_batches(lambda t: t.append_column(
@@ -614,6 +591,36 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
     return out.map_batches(finish, batch_format="pandas")
 
 
+def _undirected_edges(triples, num_partitions: int | None):
+    """Distinct undirected (a, b) edges with a < b as strings; self-loops
+    dropped."""
+    import pyarrow.compute as pc
+
+    def undirect(t: pa.Table) -> pa.Table:
+        s = t["subject_id"].cast(pa.string())
+        o = t["object_id"].cast(pa.string())
+        keep = pc.not_equal(s, o)
+        s, o = s.filter(keep), o.filter(keep)
+        return pa.table({"a": pc.min_element_wise(s, o),
+                         "b": pc.max_element_wise(s, o)})
+
+    return distinct_rows(triples.map_batches(undirect, batch_format="pyarrow"),
+                         ["a", "b"], num_partitions=num_partitions)
+
+
+def _symmetric(e0):
+    """(node, nbr): one row per direction of each undirected edge."""
+    return e0.map_batches(
+        lambda t: pa.table({
+            "node": pa.concat_arrays([t["a"].combine_chunks(),
+                                      t["b"].combine_chunks()]),
+            "nbr": pa.concat_arrays([t["b"].combine_chunks(),
+                                     t["a"].combine_chunks()]),
+        }),
+        batch_format="pyarrow",
+    ).materialize()
+
+
 def triangle_counts(triples, *, num_partitions: int | None = None):
     """Per-entity triangle counts and local clustering coefficients over
     the UNDIRECTED distinct-edge view (self-loops dropped) — the classic
@@ -632,21 +639,7 @@ def triangle_counts(triples, *, num_partitions: int | None = None):
     ids and small ints move, never payloads. Exact integer counts ⇒
     REAL-SQL twin (id-ordered three-way self-join — orientation changes
     the work, not the result)."""
-    import pyarrow.compute as pc
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t["subject_id"].cast(pa.string())
-        o = t["object_id"].cast(pa.string())
-        keep = pc.not_equal(s, o)
-        s, o = s.filter(keep), o.filter(keep)
-        lo = pc.min_element_wise(s, o)
-        hi = pc.max_element_wise(s, o)
-        return pa.table({"a": lo, "b": hi})
-
-    e0 = distinct_rows(
-        triples.map_batches(undirect, batch_format="pyarrow"),
-        ["a", "b"], num_partitions=num_partitions,
-    ).materialize()
+    e0 = _undirected_edges(triples, num_partitions).materialize()
 
     def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
         n = pd.concat([df["a"], df["b"]], ignore_index=True)
@@ -799,14 +792,14 @@ def _h_index(vals: np.ndarray) -> int:
     return int(ok.sum())
 
 
-def core_numbers(triples, *, cfg=None, num_partitions: int | None = None,
+def core_numbers(triples, *, num_partitions: int | None = None,
                  max_iters: int = 200):
     """Coreness (k-core number) per entity over the undirected distinct-
     edge view — the density/spam-farm signal (a link-farm host cluster is
     a high-core subgraph even when no individual degree stands out; the
     reference's Postgres KG would need iterative SQL it doesn't have).
 
-    Size-gated: under cfg.driver_unionfind_max edges the exact
+    Size-gated: under ``DRIVER_EDGES_MAX`` edges the exact
     Batagelj–Zaveršnik peel runs on the driver. Above it, the h-index
     fixpoint (Lü et al. 2016: init c=degree; iterate c(v) ← H-index of
     neighbors' c; provably converges to coreness, monotonically from
@@ -815,24 +808,7 @@ def core_numbers(triples, *, cfg=None, num_partitions: int | None = None,
     changed-count aggregate deciding convergence; O(V) score tables
     materialize per round, the edge table streams. Integer-exact ⇒ both
     tiers bit-equal (tests), golden-freezable."""
-    import pyarrow.compute as pc
-
-    from ..config import KGConfig
-
-    cfg = cfg or KGConfig()
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t["subject_id"].cast(pa.string())
-        o = t["object_id"].cast(pa.string())
-        keep = pc.not_equal(s, o)
-        s, o = s.filter(keep), o.filter(keep)
-        return pa.table({"a": pc.min_element_wise(s, o),
-                         "b": pc.max_element_wise(s, o)})
-
-    e0 = distinct_rows(
-        triples.map_batches(undirect, batch_format="pyarrow"),
-        ["a", "b"], num_partitions=num_partitions,
-    ).materialize()
+    e0 = _undirected_edges(triples, num_partitions)
 
     def out_table(core: dict) -> "ray.data.Dataset":
         nodes = sorted(core)
@@ -841,19 +817,12 @@ def core_numbers(triples, *, cfg=None, num_partitions: int | None = None,
             "coreness": pa.array([core[n] for n in nodes], pa.int64()),
         }))
 
-    if e0.count() <= cfg.driver_unionfind_max:
+    tier, e0 = choose_tier(e0, DRIVER_EDGES_MAX, what="core_numbers")
+    if tier == "driver":
         return out_table(_coreness_driver(collect_pandas(e0, ["a", "b"])))
 
     # symmetric view: one row per (node, neighbor) direction
-    sym = e0.map_batches(
-        lambda t: pa.table({
-            "node": pa.concat_arrays([t["a"].combine_chunks(),
-                                      t["b"].combine_chunks()]),
-            "nbr": pa.concat_arrays([t["b"].combine_chunks(),
-                                     t["a"].combine_chunks()]),
-        }),
-        batch_format="pyarrow",
-    ).materialize()
+    sym = _symmetric(e0)
 
     def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
         return df["node"].value_counts().rename_axis("entity").reset_index(
@@ -865,6 +834,8 @@ def core_numbers(triples, *, cfg=None, num_partitions: int | None = None,
         lambda p: p.groupby("entity", as_index=False)["c"].sum(),
         num_partitions=num_partitions,
     ).materialize()
+    if not scores.count():  # no nodes: the driver tier's typed empty table
+        return out_table({})
 
     for _ in range(max_iters):
         nbr_scores = hash_join(
@@ -918,7 +889,7 @@ def _lpa_mode(part: pd.DataFrame) -> pd.DataFrame:
 
 
 def label_propagation(triples, *, iters: int = 10,
-                      num_partitions: int | None = None, cfg=None):
+                      num_partitions: int | None = None):
     """Community detection by synchronous label propagation (Raghavan
     2007, made deterministic): labels start as the node id; each round
     every node adopts the most frequent label among its neighbors
@@ -935,24 +906,7 @@ def label_propagation(triples, *, iters: int = 10,
     one auto-sized grouped mode reduce; O(V) label state per round.
     Driver tier under the union-find gate runs the same kernel on pandas
     (both tiers bit-equal in tests)."""
-    import pyarrow.compute as pc
-
-    from ..config import KGConfig
-
-    cfg = cfg or KGConfig()
-
-    def undirect(t: pa.Table) -> pa.Table:
-        s = t["subject_id"].cast(pa.string())
-        o = t["object_id"].cast(pa.string())
-        keep = pc.not_equal(s, o)
-        s, o = s.filter(keep), o.filter(keep)
-        return pa.table({"a": pc.min_element_wise(s, o),
-                         "b": pc.max_element_wise(s, o)})
-
-    e0 = distinct_rows(
-        triples.map_batches(undirect, batch_format="pyarrow"),
-        ["a", "b"], num_partitions=num_partitions,
-    ).materialize()
+    e0 = _undirected_edges(triples, num_partitions)
 
     def finish_table(lab: pd.DataFrame) -> "ray.data.Dataset":
         sizes = lab["community"].value_counts()
@@ -964,13 +918,15 @@ def label_propagation(triples, *, iters: int = 10,
                 lab["community"].map(sizes).astype("int64"), pa.int64()),
         }))
 
-    if e0.count() <= cfg.driver_unionfind_max:
+    tier, e0 = choose_tier(e0, DRIVER_EDGES_MAX, what="label_propagation")
+    if tier == "driver":
         ed = collect_pandas(e0, ["a", "b"])
         sym = pd.DataFrame({
             "node": pd.concat([ed["a"], ed["b"]], ignore_index=True),
             "nbr": pd.concat([ed["b"], ed["a"]], ignore_index=True),
         })
-        labels = pd.DataFrame({"entity": sorted(set(sym["node"]))})
+        labels = pd.DataFrame(
+            {"entity": pd.Series(sorted(set(sym["node"])), dtype=object)})
         labels["label"] = labels["entity"]
         for _ in range(iters):
             j = sym.merge(labels.rename(columns={"entity": "nbr"}), on="nbr")
@@ -979,15 +935,7 @@ def label_propagation(triples, *, iters: int = 10,
             labels = upd.rename(columns={"label_new": "label"})
         return finish_table(labels.rename(columns={"label": "community"}))
 
-    sym = e0.map_batches(
-        lambda t: pa.table({
-            "node": pa.concat_arrays([t["a"].combine_chunks(),
-                                      t["b"].combine_chunks()]),
-            "nbr": pa.concat_arrays([t["b"].combine_chunks(),
-                                     t["a"].combine_chunks()]),
-        }),
-        batch_format="pyarrow",
-    ).materialize()
+    sym = _symmetric(e0)
 
     labels = distinct_rows(
         sym.map_batches(lambda t: pa.table({"entity": t["node"]}),

@@ -11,7 +11,7 @@ shapes:
    verified, auto-tiered);
 2. clusters — the canonicalization engine's components kernels
    (stages/canonicalize): driver union-find under
-   ``cfg.driver_unionfind_max`` distinct edges, pointer-jumping
+   ``DRIVER_EDGES_MAX`` distinct edges, pointer-jumping
    min-label propagation beyond it — duplicate-pair edge sets are a
    vanishing fraction of corpus size, so the gate almost always holds;
 3. survivor — docs join their cluster label (state/joins auto tier,
@@ -35,6 +35,7 @@ import ray
 from ..config import KGConfig
 from ..state.groupby import collect_pandas, distinct_rows, partition_reduce
 from ..state.joins import hash_join
+from ..state.tier import choose_tier
 
 
 def _cluster_labels(ds, id_col: str, text_col: str, *, threshold: float,
@@ -44,25 +45,29 @@ def _cluster_labels(ds, id_col: str, text_col: str, *, threshold: float,
     Dataset(__sid, <label_col>) with one row per CLUSTERED doc (the
     cluster label is the lexicographic-min member id as a string).
     Tier choice (driver union-find vs distributed min-label propagation)
-    follows cfg.driver_unionfind_max exactly like canonicalization."""
-    from .canonicalize import _components_distributed, _components_driver
+    follows ``DRIVER_EDGES_MAX`` exactly like canonicalization."""
+    from .canonicalize import (
+        DRIVER_EDGES_MAX,
+        _components_distributed,
+        _components_driver,
+    )
     from .dedup import minhash_lsh_pairs
 
     pairs = minhash_lsh_pairs(
         ds, id_col, text_col, threshold=threshold,
-        shingle_words=shingle_words, seed=seed).materialize()
-    edges = pairs.map_batches(
+        shingle_words=shingle_words, seed=seed)
+    tier, edges = choose_tier(pairs.map_batches(
         lambda t: pa.table({
             "src": t["id_a"].cast(pa.string()),
             "dst": t["id_b"].cast(pa.string()),
-        }), batch_format="pyarrow")
+        }), batch_format="pyarrow"), DRIVER_EDGES_MAX, what="near_dup_clusters")
     surfaces = distinct_rows(
         edges.map_batches(
             lambda t: pa.table({"surface": pa.concat_arrays(
                 [t["src"].combine_chunks(), t["dst"].combine_chunks()])}),
             batch_format="pyarrow"),
         ["surface"], num_partitions=num_partitions).materialize()
-    if edges.count() <= cfg.driver_unionfind_max:
+    if tier == "driver":
         comp = _components_driver(
             collect_pandas(edges, ["src", "dst"]),
             collect_pandas(surfaces, ["surface"])["surface"].tolist())

@@ -294,7 +294,7 @@ def top_linked_hosts(pages, k: int = 10, **kwargs):
     )
 
 
-def host_pagerank(pages=None, *, edges=None, iters: int = 20, cfg=None,
+def host_pagerank(pages=None, *, edges=None, iters: int = 20,
                   weighted: bool = False, **kwargs):
     """PageRank over the host link graph (reuses stages/graph.pagerank:
     same size-gated tiers, same dense-numpy-verified kernel). Pass
@@ -315,7 +315,7 @@ def host_pagerank(pages=None, *, edges=None, iters: int = 20, cfg=None,
             .rename_columns(["subject_id", "object_id", "n_links"]),
             batch_format="pyarrow",
         )
-        ranked = pagerank(as_triples, iters=iters, cfg=cfg, weight_col="n_links")
+        ranked = pagerank(as_triples, iters=iters, weight_col="n_links")
     else:
         as_triples = edges.map_batches(
             lambda t: t.select(["src_host", "dst_host"]).rename_columns(
@@ -323,13 +323,13 @@ def host_pagerank(pages=None, *, edges=None, iters: int = 20, cfg=None,
             ),
             batch_format="pyarrow",
         )
-        ranked = pagerank(as_triples, iters=iters, cfg=cfg)
+        ranked = pagerank(as_triples, iters=iters)
     return ranked.map_batches(
         lambda t: t.rename_columns(["host", "rank"]), batch_format="pyarrow"
     )
 
 
-def host_hits(pages=None, *, edges=None, iters: int = 20, cfg=None,
+def host_hits(pages=None, *, edges=None, iters: int = 20,
               weighted: bool = True, **kwargs):
     """HITS hubs & authorities over the host link graph (reuses
     stages/graph.hits: same size-gated tiers, same dense-numpy-verified
@@ -346,7 +346,7 @@ def host_hits(pages=None, *, edges=None, iters: int = 20, cfg=None,
             ["subject_id", "object_id", "n_links"]),
         batch_format="pyarrow",
     )
-    scored = hits(as_triples, iters=iters, cfg=cfg,
+    scored = hits(as_triples, iters=iters,
                   weight_col="n_links" if weighted else None)
     return scored.map_batches(
         lambda t: t.rename_columns(["host", "hub", "authority"]),

@@ -278,6 +278,7 @@ def build_triples_auto(triples_raw_ds, entity_map_ds, cfg: KGConfig):
       aggregation runs with an empty (identity) map. Identical output
       (parity: tests/test_join_canonicalize.py)."""
     from ..state.joins import _collect_arrow, _meta_size_bytes
+    from ..state.tier import tier_for
 
     sz = _meta_size_bytes(entity_map_ds)
     if sz is None:
@@ -285,7 +286,8 @@ def build_triples_auto(triples_raw_ds, entity_map_ds, cfg: KGConfig):
         # way — materialize once so the estimate is real, not a guess
         entity_map_ds = entity_map_ds.materialize()
         sz = _meta_size_bytes(entity_map_ds)
-    if sz is not None and sz <= cfg.emap_broadcast_max_bytes:
+    if tier_for(sz, cfg.emap_broadcast_max_bytes,
+                what="build_triples_auto") == "driver":
         emap = _collect_arrow(
             entity_map_ds.select_columns(EMAP_SCHEMA.names)).cast(EMAP_SCHEMA)
         return build_triples(triples_raw_ds, ray.put(emap), cfg)

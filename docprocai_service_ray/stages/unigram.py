@@ -18,7 +18,7 @@ the ONE word-count exchange (reused from stages/bpe.word_counts);
 everything after runs on the vocab-sized DISTINCT-WORD table. Two tiers
 off the same kernels (`_viterbi`, `_seed_counts`):
 
-- driver tier (distinct words ≤ driver_vocab_max): local loop;
+- driver tier (distinct words ≤ bpe.DRIVER_VOCAB_MAX): local loop;
 - distributed tier: per EM round, the word table (a materialized
   Dataset) maps Viterbi per batch with the current vocab log-probs
   broadcast via ray.put, emits (piece, n) int partials → one piece-keyed
@@ -107,21 +107,16 @@ def _prune(counts: dict, keep: int, chars: set) -> dict:
 def unigram_train(ds, text_col: str, *, vocab_size: int = 512,
                   seed_size: int = 4096, em_iters: int = 4,
                   shrink_factor: float = 0.75,
-                  driver_vocab_max: int = 200_000,
-                  force_tier: str | None = None,
                   num_partitions: int = 16) -> pd.DataFrame:
     """Learn a unigram-LM piece vocabulary. Returns (piece, count, logp)
     with logp rounded to 8dp, ranked (count DESC, piece ASC) — ``count``
-    is the final hard-EM Viterbi count. ``force_tier`` in {"driver",
-    "distributed"} pins the tier for parity tests."""
-    from .bpe import word_counts
+    is the final hard-EM Viterbi count. Tier picked like ``bpe_train``'s."""
+    from ..state.tier import choose_tier
+    from .bpe import DRIVER_VOCAB_MAX, word_counts
 
-    # materialized once: the tier gate's count and either tier reuse it
-    wc_ds = word_counts(ds, text_col, num_partitions=num_partitions).materialize()
-    tier = force_tier
-    if tier is None:
-        tier = ("driver" if wc_ds.count() <= driver_vocab_max
-                else "distributed")
+    tier, wc_ds = choose_tier(
+        word_counts(ds, text_col, num_partitions=num_partitions),
+        DRIVER_VOCAB_MAX, what="unigram_train")
     wc = None
     if tier == "driver":
         wc = wc_ds.to_pandas().sort_values("word").reset_index(drop=True)

@@ -3,7 +3,7 @@
 Three tiers, chosen by the *size of the small side*, never by row count of
 the big side:
 
-- ``broadcast_ref`` + ``lookup inside map_batches``: the small side
+- ``ray.put`` + ``lookup inside map_batches``: the small side
   (alias dictionary, entity map, dup-url winners) is ``ray.put`` ONCE and
   read in each actor's ``__init__`` / each task's first batch — never
   re-shipped per batch. This is the ST7 pattern (SURVEY.md §2.3) and
@@ -25,19 +25,12 @@ the big side:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
 
 from .groupby import _group_parts, _tag_part, key_hash
-
-
-def broadcast_ref(obj: Any) -> ray.ObjectRef:
-    """Put a small side into the object store once (zero-copy reads)."""
-    return ray.put(obj)
 
 
 _TARGET_BUCKET_BYTES = 64 << 20  # ~64 MB of input per merge task
@@ -93,7 +86,7 @@ def collect_broadcast_df(ds, columns: list[str], *,
     size estimate exceeds ``max_bytes`` instead of OOMing the driver — a
     caller above the gate should ride :func:`hash_join`'s partitioned tier
     instead. Same gate discipline as ``emap_broadcast_max_bytes`` /
-    ``winners_broadcast_max`` / ``asof_join.max_partition_rows``."""
+    ``asof_join.max_partition_rows``."""
     from .groupby import collect_pandas
 
     pruned = ds.select_columns(columns)
@@ -166,7 +159,9 @@ def _collect_arrow(ds) -> pa.Table:
         for t in tables
     ]
     if not tables:
-        return pa.Table.from_pylist([], schema=ds.schema().base_schema)
+        schema = ds.schema()  # None for an empty Dataset without a schema
+        return pa.Table.from_pylist(
+            [], schema=None if schema is None else schema.base_schema)
     return pa.concat_tables(tables, promote_options="default").combine_chunks()
 
 
@@ -175,9 +170,18 @@ def _broadcast_join(left, right, keys: list[str], *, how: str,
     """Map-side join: the right side is collected once (≤ the broadcast
     cap), ``ray.put`` once, and every left batch runs a vectorized
     ``pyarrow.Table.join`` against it — ZERO shuffle, no repartitioning
-    of the big side. The analog of Spark's auto-broadcast tier."""
-    l_cols = left.schema().names
+    of the big side. The analog of Spark's auto-broadcast tier.
+
+    An empty side without a schema (what an exchange over no rows gives)
+    has no columns to join on: an empty left joins to itself, an empty
+    right keeps the left rows of a left join and none of an inner one."""
+    l_schema = left.schema()
+    if l_schema is None:
+        return left
     r_tbl = _collect_arrow(right)
+    if not r_tbl.num_columns:
+        return left if how == "left" else left.limit(0)
+    l_cols = l_schema.names
     rename = {
         c: c + suffixes[1]
         for c in r_tbl.schema.names
@@ -189,7 +193,7 @@ def _broadcast_join(left, right, keys: list[str], *, how: str,
         )
     # harmonize key dtypes with the left side (pa.Table.join is strict);
     # left may be pandas-blocked, in which case the first batch casts
-    l_schema = left.schema().base_schema
+    l_schema = l_schema.base_schema
     if isinstance(l_schema, pa.Schema):
         for k in keys:
             lt = l_schema.field(k).type

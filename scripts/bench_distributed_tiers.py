@@ -41,19 +41,11 @@ def main() -> None:
     from docprocai_service_ray.config import KGConfig
     from docprocai_service_ray.pipelines.kg import run_kg
     from docprocai_service_ray.sources.webgen import alias_dict_table, ensure_corpus
+    from docprocai_service_ray.state.tier import forced
 
     n_pages = int(os.environ.get("TIER_BENCH_PAGES", "500000"))
     base = KGConfig()
-    # every gate to its distributed tier
-    cfg = dataclasses.replace(
-        base,
-        actor_pool_size=16,
-        driver_canon_max=0,       # LSH banding shuffle + distributed union-find
-        driver_unionfind_max=0,   # pointer-jumping label propagation
-        driver_dedup_max=0,       # winners via partition_reduce...
-        winners_broadcast_max=0,  # ...and the join-tier filter
-        emap_broadcast_max_bytes=0,  # canonicalize_via_join for triples
-    )
+    cfg = dataclasses.replace(base, actor_pool_size=16)
     corpus = ensure_corpus(n_pages, cfg.seed, cfg.embedding_dim)
     pages = os.path.join(corpus, "web_pages")
 
@@ -72,17 +64,21 @@ def main() -> None:
     canon_logger.setLevel(logging.INFO)
     canon_logger.addHandler(_RoundHandler())
 
-    t0 = time.monotonic()
-    res = run_kg(pages, alias_dict_table(cfg.seed, cfg.embedding_dim), cfg)
-    n_triples = res["triples"].count()
-    forced_wall = time.monotonic() - t0
-
-    t0 = time.monotonic()
     from docprocai_service_ray.stages.graph import pagerank
 
-    pr = pagerank(res["triples"], iters=10, cfg=cfg, copartition=True)
-    n_ranked = pr.count()
-    pagerank_wall = time.monotonic() - t0
+    # every gate to its distributed tier: LSH banding shuffle, pointer-jumping
+    # label propagation, url-dedup winners via partition_reduce and the
+    # join-tier filter, canonicalize_via_join for triples
+    with forced("distributed"):
+        t0 = time.monotonic()
+        res = run_kg(pages, alias_dict_table(cfg.seed, cfg.embedding_dim), cfg)
+        n_triples = res["triples"].count()
+        forced_wall = time.monotonic() - t0
+
+        t0 = time.monotonic()
+        pr = pagerank(res["triples"], iters=10, copartition=True)
+        n_ranked = pr.count()
+        pagerank_wall = time.monotonic() - t0
 
     # baseline comparison: the auto-gated (driver-tier) run on the same corpus
     t0 = time.monotonic()

@@ -1,5 +1,5 @@
 """300k-distinct-surface stress run of the fully distributed
-canonicalization path (driver_canon_max=0, driver_unionfind_max=0):
+canonicalization path (``state.tier.forced("distributed")``):
 banding shuffle, partitioned candidate pairs, partitioned min-label
 propagation with pointer jumping. Records wall time + row count; the
 result is summarized in SCALE.md.
@@ -32,6 +32,7 @@ def main(n_families: int = 80_000) -> None:
     from docprocai_service_ray.config import KGConfig
     from docprocai_service_ray.sources.webgen import alias_dict_table
     from docprocai_service_ray.stages.canonicalize import build_entity_map
+    from docprocai_service_ray.state.tier import forced
 
     variants = ["{} inc", "{} incorporated", "the {} group"]
     subs, objs = [], []
@@ -51,12 +52,11 @@ def main(n_families: int = 80_000) -> None:
         .materialize()
     )
 
-    cfg = dataclasses.replace(
-        KGConfig(), driver_canon_max=0, driver_unionfind_max=0, actor_pool_size=8
-    )
+    cfg = dataclasses.replace(KGConfig(), actor_pool_size=8)
     alias_ref = ray.put(alias_dict_table(42, cfg.embedding_dim))
     t0 = time.monotonic()
-    emap = build_entity_map(ds, alias_ref, cfg).materialize()
+    with forced("distributed"):
+        emap = build_entity_map(ds, alias_ref, cfg).materialize()
     wall = time.monotonic() - t0
     rows = emap.count()
     import json

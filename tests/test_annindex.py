@@ -97,9 +97,16 @@ class TestRunKgAnnIndex:
                      with_sentence_embeddings=True, with_ann_index=True)
         idx = res["ann_index_dir"]
         assert os.path.exists(os.path.join(idx, "_SUCCESS"))
-        # probe with a stored vector as the query: its own url must rank 1
-        emb = res["sentence_embeddings"].limit(1).to_pandas()
-        q = np.asarray(emb["embedding"].iloc[0], dtype=np.float64)
+        # probe with a stored vector as the query: its own url must rank 1.
+        # Boilerplate sentences share one vector across many pages, so the
+        # probe takes the first (by url) vector that only one url holds.
+        emb = res["sentence_embeddings"].select_columns(
+            ["url", "embedding"]).to_pandas().sort_values("url", kind="stable")
+        key = emb["embedding"].map(
+            lambda v: np.asarray(v, dtype=np.float32).tobytes())
+        n_urls = emb.groupby(key)["url"].transform("nunique")
+        row = emb[n_urls.to_numpy() == 1].iloc[0]
+        q = np.asarray(row["embedding"], dtype=np.float64)
         top = ann_indexed_topk(idx, q, 5, mode="lsh").to_pandas()
         assert len(top) >= 1
-        assert top["url"].iloc[0] == emb["url"].iloc[0]
+        assert top["url"].iloc[0] == row["url"]

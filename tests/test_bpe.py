@@ -18,6 +18,7 @@ from docprocai_service_ray.stages.bpe import (_best_pair, _merge_word,
                                               _word_syms, bpe_apply,
                                               bpe_encode_word, bpe_train,
                                               word_counts)
+from docprocai_service_ray.state.tier import forced
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -62,19 +63,21 @@ def _ds(parts: int = 4):
 
 def test_both_tiers_match_naive_reference():
     ref = naive_bpe(DOCS["text"], 24)
-    drv = bpe_train(_ds(), "text", num_merges=24, force_tier="driver")
-    dst = bpe_train(_ds(), "text", num_merges=24, force_tier="distributed")
+    with forced("driver"):
+        drv = bpe_train(_ds(), "text", num_merges=24)
+    with forced("distributed"):
+        dst = bpe_train(_ds(), "text", num_merges=24)
     pd.testing.assert_frame_equal(drv, ref)
     pd.testing.assert_frame_equal(dst, ref)
 
 
 def test_parallelism_invariance():
-    ref = bpe_train(_ds(1), "text", num_merges=16, force_tier="distributed",
-                    num_partitions=2)
-    for parts, np_ in ((3, 5), (9, 16)):
-        out = bpe_train(_ds(parts), "text", num_merges=16,
-                        force_tier="distributed", num_partitions=np_)
-        pd.testing.assert_frame_equal(out, ref)
+    with forced("distributed"):
+        ref = bpe_train(_ds(1), "text", num_merges=16, num_partitions=2)
+        for parts, np_ in ((3, 5), (9, 16)):
+            out = bpe_train(_ds(parts), "text", num_merges=16,
+                            num_partitions=np_)
+            pd.testing.assert_frame_equal(out, ref)
 
 
 def test_min_pair_count_stop():

@@ -1,5 +1,5 @@
 """Distributed canonicalization scale-path test (VERDICT r01 next-round #1):
-force driver_canon_max=0 / driver_unionfind_max=0 on a surface set far
+force the distributed tier (``state.tier.forced``) on a surface set far
 above anything the 300-page corpus produces and check the fully
 distributed path (banding shuffle + partitioned min-label propagation +
 pointer jumping) still matches the driver union-find exactly.
@@ -10,8 +10,6 @@ path at a size a 4-CPU pytest session absorbs."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pyarrow as pa
 import pytest
 import ray
@@ -20,6 +18,7 @@ import ray.data as rd
 from docprocai_service_ray.config import KGConfig
 from docprocai_service_ray.sources.webgen import alias_dict_table
 from docprocai_service_ray.stages.canonicalize import build_entity_map
+from docprocai_service_ray.state.tier import forced
 
 N_FAMILIES = 1200
 VARIANTS = ["{} inc", "{} incorporated", "the {} group"]
@@ -46,17 +45,15 @@ def surface_ds():
 
 def test_distributed_path_matches_driver_at_scale(surface_ds):
     alias_ref = ray.put(alias_dict_table(42, 64))
-    driver_cfg = KGConfig()  # driver path: canon_max well above 4.8k
-    dist_cfg = dataclasses.replace(
-        KGConfig(), driver_canon_max=0, driver_unionfind_max=0
-    )
+    cfg = KGConfig()  # driver path: canon_max well above 4.8k
     want = {
         (r["surface"], r["canonical_id"], r["cluster_size"])
-        for r in build_entity_map(surface_ds, alias_ref, driver_cfg).take_all()
+        for r in build_entity_map(surface_ds, alias_ref, cfg).take_all()
     }
-    got = {
-        (r["surface"], r["canonical_id"], r["cluster_size"])
-        for r in build_entity_map(surface_ds, alias_ref, dist_cfg).take_all()
-    }
+    with forced("distributed"):
+        got = {
+            (r["surface"], r["canonical_id"], r["cluster_size"])
+            for r in build_entity_map(surface_ds, alias_ref, cfg).take_all()
+        }
     assert len(want) == N_FAMILIES * (1 + len(VARIANTS))
     assert got == want

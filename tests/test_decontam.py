@@ -12,6 +12,7 @@ import ray.data as rd
 
 from docprocai_service_ray.stages.decontam import ngram_decontaminate
 from docprocai_service_ray.state.groupby import collect_pandas
+from docprocai_service_ray.state.tier import forced
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -60,12 +61,13 @@ def _brute(docs: pd.DataFrame, bench: pd.DataFrame, n: int) -> pd.DataFrame:
 
 
 def _run(docs, bench, n, tier):
-    res = ngram_decontaminate(
-        rd.from_pandas(docs).repartition(5),
-        rd.from_pandas(bench).repartition(3),
-        "doc_id", "text", "source", n=n, force_tier=tier,
-        num_partitions=4,
-    )
+    """``tier`` "broadcast" is the driver tier: the benchmark is broadcast."""
+    with forced("driver" if tier == "broadcast" else tier):
+        res = ngram_decontaminate(
+            rd.from_pandas(docs).repartition(5),
+            rd.from_pandas(bench).repartition(3),
+            "doc_id", "text", "source", n=n, num_partitions=4,
+        )
     return (collect_pandas(res, COLS)
             .sort_values("source").reset_index(drop=True))
 
@@ -121,10 +123,10 @@ def test_empty_benchmark_means_clean(tier):
 
 
 def test_bad_tier_rejected():
-    docs = rd.from_pandas(_docs(n=10))
-    with pytest.raises(ValueError, match="force_tier"):
-        ngram_decontaminate(docs, docs, "doc_id", "text", "source",
-                            force_tier="nope")
+    # "broadcast" names decontam's driver tier but is not a tier name
+    with pytest.raises(ValueError, match="tier"):
+        with forced("broadcast"):
+            pass
 
 
 # ---- lang_mix_weights (stages/textstats) — same training-mix family ----

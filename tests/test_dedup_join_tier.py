@@ -1,11 +1,10 @@
 """Winners-too-large-to-broadcast url-dedup tier (VERDICT r2 #2): when the
-winner set exceeds cfg.winners_broadcast_max, both dedup paths must switch
-to the distributed hash-join filter and produce IDENTICAL output to the
-broadcast path — forced here via zeroed gates."""
+winner set exceeds extract.WINNERS_BROADCAST_MAX, both dedup paths must
+switch to the distributed hash-join filter and produce IDENTICAL output to
+the broadcast path — forced here via ``state.tier.forced``."""
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 
 import pyarrow as pa
@@ -18,6 +17,7 @@ from docprocai_service_ray.stages.extract import (
     drop_empty,
     extract_docs,
 )
+from docprocai_service_ray.state.tier import forced
 
 
 def _ts(minute: int) -> dt.datetime:
@@ -69,19 +69,16 @@ def _docs_key(ds):
     )
 
 
-FORCED = dataclasses.replace(
-    KGConfig(), driver_dedup_max=0, winners_broadcast_max=0
-)
-
-
 def test_meta_join_tier_matches_broadcast(ray_session):
     base = _docs_key(build_docs(_pages_ds(), KGConfig()))
-    forced = _docs_key(build_docs(_pages_ds().repartition(7), FORCED))
-    assert forced == base and len(base) == 30 + 5 + 3 + 20
+    with forced("distributed"):
+        got = _docs_key(build_docs(_pages_ds().repartition(7), KGConfig()))
+    assert got == base and len(base) == 30 + 5 + 3 + 20
 
 
 def test_docs_join_tier_matches_broadcast(ray_session):
     docs_raw = extract_docs(_pages_ds(), KGConfig()).materialize()
     base = _docs_key(drop_empty(dedup_urls(docs_raw, KGConfig())))
-    forced = _docs_key(drop_empty(dedup_urls(docs_raw.repartition(7), FORCED)))
-    assert forced == base and len(base) == 30 + 5 + 3 + 20
+    with forced("distributed"):
+        got = _docs_key(drop_empty(dedup_urls(docs_raw.repartition(7), KGConfig())))
+    assert got == base and len(base) == 30 + 5 + 3 + 20

@@ -16,6 +16,7 @@ from docprocai_service_ray.stages.graph import (
     pagerank,
     triple_edges,
 )
+from docprocai_service_ray.state.tier import forced
 
 
 def _triples_df(seed: int = 3, n: int = 900, n_ent: int = 120) -> pd.DataFrame:
@@ -80,14 +81,7 @@ class TestDegree:
 class TestPageRank:
     @pytest.mark.parametrize("tier", ["driver", "distributed", "copartitioned"])
     def test_matches_dense_reference(self, triples, tier):
-        import dataclasses
-
-        from docprocai_service_ray.config import KGConfig
-
-        cfg = KGConfig()
         kw = {}
-        if tier in ("distributed", "copartitioned"):
-            cfg = dataclasses.replace(cfg, driver_unionfind_max=0)
         if tier == "copartitioned":
             # force the bucketed-edge tier (ranks small enough to broadcast
             # here, so auto would not engage it)
@@ -95,12 +89,13 @@ class TestPageRank:
         edges = _triples_df()[["subject_id", "object_id"]].drop_duplicates()
         edges.columns = ["src", "dst"]
         want = _dense_pagerank(edges, 0.85, 12)
-        got = {
-            r["entity"]: r["rank"]
-            for r in pagerank(
-                triples, iters=12, round_to=None, cfg=cfg, **kw
-            ).take_all()
-        }
+        with forced("driver" if tier == "driver" else "distributed"):
+            got = {
+                r["entity"]: r["rank"]
+                for r in pagerank(
+                    triples, iters=12, round_to=None, **kw
+                ).take_all()
+            }
         assert set(got) == set(want)
         for e, v in want.items():
             assert got[e] == pytest.approx(v, abs=1e-9)
@@ -142,18 +137,13 @@ class TestComponents:
         assert got == want
 
     def test_distributed_tier_matches_driver(self, triples):
-        import dataclasses
-
-        from docprocai_service_ray.config import KGConfig
-
-        dist_cfg = dataclasses.replace(KGConfig(), driver_unionfind_max=0)
         key = lambda ds: {
             (r["entity"], r["component_id"], r["component_size"])
             for r in ds.take_all()
         }
-        assert key(connected_components(triples, dist_cfg)) == key(
-            connected_components(triples)
-        )
+        with forced("distributed"):
+            dist = key(connected_components(triples))
+        assert dist == key(connected_components(triples))
 
 
 class TestKhop:
@@ -228,17 +218,14 @@ class TestWeightedPagerank:
         })).repartition(4)
 
     def test_both_tiers_match_dense(self, weighted_edges):
-        import dataclasses
-
-        from docprocai_service_ray.config import KGConfig
         from docprocai_service_ray.stages.graph import pagerank
 
         edges, nodes = weighted_edges
         want = self._dense_ref(edges, {n: 1 for n in nodes})
-        for cfg in (KGConfig(),
-                    dataclasses.replace(KGConfig(), driver_unionfind_max=0)):
-            got = pagerank(self._triples_ds(edges), iters=20, cfg=cfg,
-                           weight_col="w", round_to=None).to_pandas()
+        for tier in ("driver", "distributed"):
+            with forced(tier):
+                got = pagerank(self._triples_ds(edges), iters=20,
+                               weight_col="w", round_to=None).to_pandas()
             for e, r in zip(got["entity"], got["rank"]):
                 assert abs(r - want[e]) < 1e-9, (e, r, want[e])
 
@@ -280,18 +267,13 @@ def _dense_hits(edges: pd.DataFrame, iters: int):
 class TestHITS:
     @pytest.mark.parametrize("tier", ["driver", "distributed"])
     def test_matches_dense_reference(self, triples, tier):
-        import dataclasses
-
-        from docprocai_service_ray.config import KGConfig
         from docprocai_service_ray.stages.graph import hits
 
-        cfg = KGConfig()
-        if tier == "distributed":
-            cfg = dataclasses.replace(cfg, driver_unionfind_max=0)
         edges = _triples_df()[["subject_id", "object_id"]].drop_duplicates()
         edges.columns = ["src", "dst"]
         want_h, want_a = _dense_hits(edges, 12)
-        rows = hits(triples, iters=12, round_to=None, cfg=cfg).take_all()
+        with forced(tier):
+            rows = hits(triples, iters=12, round_to=None).take_all()
         got_h = {r["entity"]: r["hub"] for r in rows}
         got_a = {r["entity"]: r["authority"] for r in rows}
         assert set(got_h) == set(want_h)
@@ -301,14 +283,8 @@ class TestHITS:
 
     @pytest.mark.parametrize("tier", ["driver", "distributed"])
     def test_weighted_matches_dense(self, ray_session, tier):
-        import dataclasses
-
-        from docprocai_service_ray.config import KGConfig
         from docprocai_service_ray.stages.graph import hits
 
-        cfg = KGConfig()
-        if tier == "distributed":
-            cfg = dataclasses.replace(cfg, driver_unionfind_max=0)
         rng = np.random.RandomState(11)
         df = pd.DataFrame({
             "subject_id": [f"h{rng.randint(0, 30):02d}" for _ in range(300)],
@@ -321,8 +297,9 @@ class TestHITS:
         edges = df.rename(columns={"subject_id": "src", "object_id": "dst",
                                    "n_links": "w"})
         want_h, want_a = _dense_hits(edges, 10)
-        rows = hits(ds, iters=10, round_to=None, cfg=cfg,
-                    weight_col="n_links").take_all()
+        with forced(tier):
+            rows = hits(ds, iters=10, round_to=None,
+                        weight_col="n_links").take_all()
         assert len(rows) == len(want_h)
         for r in rows:
             assert r["hub"] == pytest.approx(want_h[r["entity"]], abs=1e-9)
@@ -407,43 +384,35 @@ class TestTriangles:
 class TestCoreness:
     @pytest.mark.parametrize("tier", ["driver", "distributed"])
     def test_matches_peel_reference(self, triples, tier):
-        import dataclasses
-
-        from docprocai_service_ray.config import KGConfig
         from docprocai_service_ray.stages.graph import (
             _coreness_driver,
             core_numbers,
         )
 
-        cfg = KGConfig()
-        if tier == "distributed":
-            cfg = dataclasses.replace(cfg, driver_unionfind_max=0)
         df = _triples_df()
         und = pd.DataFrame({
             "a": df[["subject_id", "object_id"]].min(axis=1),
             "b": df[["subject_id", "object_id"]].max(axis=1),
         }).drop_duplicates()
         want = _coreness_driver(und)
-        got = {r["entity"]: r["coreness"]
-               for r in core_numbers(triples, cfg=cfg).take_all()}
+        with forced(tier):
+            got = {r["entity"]: r["coreness"]
+                   for r in core_numbers(triples).take_all()}
         assert got == want
 
     def test_clique_and_star(self, ray_session):
-        import dataclasses
-
-        from docprocai_service_ray.config import KGConfig
         from docprocai_service_ray.stages.graph import core_numbers
 
-        cfg = dataclasses.replace(KGConfig(), driver_unionfind_max=0)
         cl = pd.DataFrame(
             [(f"c{i}", f"c{j}") for i in range(6) for j in range(6) if i < j],
             columns=["subject_id", "object_id"])
         star = pd.DataFrame({"subject_id": ["hub"] * 12,
                              "object_id": [f"l{i}" for i in range(12)]})
-        got = {r["entity"]: r["coreness"]
-               for r in core_numbers(
-                   rd.from_pandas(pd.concat([cl, star])).repartition(4),
-                   cfg=cfg).take_all()}
+        with forced("distributed"):
+            got = {r["entity"]: r["coreness"]
+                   for r in core_numbers(
+                       rd.from_pandas(pd.concat([cl, star])).repartition(4),
+                   ).take_all()}
         assert all(got[f"c{i}"] == 5 for i in range(6))   # K6 ⇒ core 5
         assert got["hub"] == 1 and got["l0"] == 1          # star ⇒ core 1
 
@@ -473,17 +442,12 @@ class TestLabelPropagation:
 
     @pytest.mark.parametrize("tier", ["driver", "distributed"])
     def test_two_cliques_two_communities(self, ray_session, tier):
-        import dataclasses
-
-        from docprocai_service_ray.config import KGConfig
         from docprocai_service_ray.stages.graph import label_propagation
 
-        cfg = KGConfig()
-        if tier == "distributed":
-            cfg = dataclasses.replace(cfg, driver_unionfind_max=0)
-        got = label_propagation(
-            rd.from_pandas(self._two_cliques()).repartition(4),
-            iters=6, cfg=cfg).to_pandas()
+        with forced(tier):
+            got = label_propagation(
+                rd.from_pandas(self._two_cliques()).repartition(4),
+                iters=6).to_pandas()
         by = got.set_index("entity")["community"]
         x = {by[f"x{i}"] for i in range(1, 5)}
         y = {by[f"y{i}"] for i in range(1, 5)}
@@ -492,14 +456,11 @@ class TestLabelPropagation:
         assert (sizes >= 4).all()
 
     def test_tiers_bit_equal(self, triples):
-        import dataclasses
-
-        from docprocai_service_ray.config import KGConfig
         from docprocai_service_ray.stages.graph import label_propagation
 
         a = label_propagation(triples, iters=4).to_pandas()
-        cfg0 = dataclasses.replace(KGConfig(), driver_unionfind_max=0)
-        b = label_propagation(triples, iters=4, cfg=cfg0).to_pandas()
+        with forced("distributed"):
+            b = label_propagation(triples, iters=4).to_pandas()
         pd.testing.assert_frame_equal(a.reset_index(drop=True),
                                       b.reset_index(drop=True))
 

@@ -4,17 +4,15 @@ have not converged."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from docprocai_service_ray.config import KGConfig
+from docprocai_service_ray.stages import graph
 from docprocai_service_ray.stages.graph import core_numbers, hits
-
-DIST = dataclasses.replace(KGConfig(), driver_unionfind_max=0)
+from docprocai_service_ray.state.tier import forced
 
 
 def _rows(ds) -> pd.DataFrame:
@@ -26,8 +24,9 @@ def test_hits_zero_iters_tiers_agree(ray_session):
     df = pd.DataFrame({"subject_id": [f"e{i}" for i in rng.randint(0, 25, 120)],
                        "object_id": [f"e{i}" for i in rng.randint(0, 25, 120)]})
     ds = rd.from_pandas(df[df.subject_id != df.object_id]).repartition(4)
-    drv = _rows(hits(ds, iters=0, cfg=KGConfig()))
-    dist = _rows(hits(ds, iters=0, cfg=DIST))
+    drv = _rows(hits(ds, iters=0))
+    with forced("distributed"):
+        dist = _rows(hits(ds, iters=0))
     pd.testing.assert_frame_equal(dist[drv.columns], drv)
     assert (drv["authority"] == 0.0).all()
 
@@ -37,7 +36,23 @@ def test_core_numbers_unconverged_raises(ray_session):
     # coreness 1, plus a second round to observe no change
     star = rd.from_pandas(pd.DataFrame({
         "subject_id": ["hub"] * 5, "object_id": [f"l{i}" for i in range(5)]}))
-    with pytest.raises(RuntimeError, match="max_iters=1"):
-        core_numbers(star, cfg=DIST, max_iters=1)
-    got = _rows(core_numbers(star, cfg=DIST, max_iters=2))
+    with forced("distributed"):
+        with pytest.raises(RuntimeError, match="max_iters=1"):
+            core_numbers(star, max_iters=1)
+        got = _rows(core_numbers(star, max_iters=2))
     assert got["coreness"].tolist() == [1] * 6
+
+
+@pytest.mark.parametrize("stage", ["pagerank", "connected_components",
+                                   "core_numbers", "label_propagation", "hits"])
+def test_empty_input_typed_and_equal_on_both_tiers(ray_session, stage):
+    empty = pa.table({c: pa.array([], pa.string())
+                      for c in ("subject_id", "pred", "object_id")})
+    schemas = []
+    for tier in ("driver", "distributed"):
+        with forced(tier):
+            out = getattr(graph, stage)(rd.from_arrow(empty)).materialize()
+        assert out.count() == 0
+        assert out.schema() is not None and out.schema().names, tier
+        schemas.append(out.schema())
+    assert schemas[0] == schemas[1]

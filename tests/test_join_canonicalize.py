@@ -34,22 +34,21 @@ def test_join_path_equals_broadcast_path(kg_result):
 
 
 def test_auto_tier_gate_switches_and_matches(kg_result):
-    """build_triples_auto with a zeroed broadcast cap must take the join
+    """build_triples_auto forced to the distributed tier must take the join
     tier AND produce the broadcast tier's exact triples (VERDICT r2 #1)."""
-    import dataclasses
-
     from docprocai_service_ray.stages.materialize import build_triples_auto
+    from docprocai_service_ray.state.tier import forced
 
     res, _, cfg = kg_result
     bc = {
         (t["subject_id"], t["pred"], t["object_id"]): (t["weight"], t["prov_overflow"])
         for t in res["triples"].take_all()
     }
-    forced = dataclasses.replace(cfg, emap_broadcast_max_bytes=0)
-    jn = {
-        (t["subject_id"], t["pred"], t["object_id"]): (t["weight"], t["prov_overflow"])
-        for t in build_triples_auto(
-            res["triples_raw"], res["entity_map"], forced
-        ).take_all()
-    }
+    with forced("distributed"):
+        jn = {
+            (t["subject_id"], t["pred"], t["object_id"]): (t["weight"], t["prov_overflow"])
+            for t in build_triples_auto(
+                res["triples_raw"], res["entity_map"], cfg
+            ).take_all()
+        }
     assert jn == bc

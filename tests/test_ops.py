@@ -243,19 +243,20 @@ class TestKGQuerySurface:
 
 class TestMinhashVerifyJoinPath:
     def test_join_path_matches_broadcast_path(self, doc_ds):
-        """driver_verify_max=0 forces the distributed text-back joins; the
+        """forced("distributed") takes the distributed text-back joins; the
         verified pair set must be identical to the broadcast path's."""
+        from docprocai_service_ray.state.tier import forced
+
         kw = dict(shingle_words=3, num_perms=64, bands=32, threshold=0.5)
         broadcast = {
             (r["id_a"], r["id_b"], r["jaccard"])
             for r in minhash_lsh_pairs(doc_ds, "doc_id", "text", **kw).take_all()
         }
-        joined = {
-            (r["id_a"], r["id_b"], r["jaccard"])
-            for r in minhash_lsh_pairs(
-                doc_ds, "doc_id", "text", driver_verify_max=0, **kw
-            ).take_all()
-        }
+        with forced("distributed"):
+            joined = {
+                (r["id_a"], r["id_b"], r["jaccard"])
+                for r in minhash_lsh_pairs(doc_ds, "doc_id", "text", **kw).take_all()
+            }
         assert joined == broadcast
         assert broadcast  # non-empty: the near-dup family must surface
 

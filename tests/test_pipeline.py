@@ -21,6 +21,7 @@ from docprocai_service_ray.stages.extract import build_docs
 from docprocai_service_ray.stages.materialize import build_triples
 from docprocai_service_ray.stages.segment import build_sentences
 from docprocai_service_ray.stages.triple_extract import build_triples_raw
+from docprocai_service_ray.state.tier import forced
 
 N_PAGES = 300  # corpus_path / kg_result fixtures live in conftest.py
 
@@ -145,11 +146,12 @@ class TestDistributedComponents:
     def test_label_propagation_matches_driver_unionfind(self, corpus_path, oracle_result):
         """Force the distributed min-label-propagation path and check it
         produces the same entity_map as the driver union-find."""
-        cfg = dataclasses.replace(KGConfig(), driver_unionfind_max=0, driver_canon_max=0)
+        cfg = KGConfig()
         pages = rd.read_parquet(corpus_path, columns=["url", "warc_ts", "html", "lang"])
         traw = build_triples_raw(build_sentences(build_docs(pages, cfg), cfg), cfg)
         alias_ref = ray.put(alias_dict_table(42, cfg.embedding_dim))
-        emap = build_entity_map(traw.materialize(), alias_ref, cfg)
+        with forced("distributed"):
+            emap = build_entity_map(traw.materialize(), alias_ref, cfg)
         got = {r["surface"]: r["canonical_id"] for r in emap.take_all()}
         assert got == oracle_result["entity_map"]
 

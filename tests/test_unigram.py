@@ -18,6 +18,7 @@ from docprocai_service_ray.stages.unigram import (
     unigram_encode_word,
     unigram_train,
 )
+from docprocai_service_ray.state.tier import forced
 
 
 class TestViterbi:
@@ -66,10 +67,12 @@ class TestTraining:
 
     def test_tiers_bit_equal(self, corpus):
         ds = rd.from_pandas(corpus).repartition(5)
-        a = unigram_train(ds, "text", vocab_size=64, seed_size=512,
-                          em_iters=3, force_tier="driver")
-        b = unigram_train(ds, "text", vocab_size=64, seed_size=512,
-                          em_iters=3, force_tier="distributed")
+        with forced("driver"):
+            a = unigram_train(ds, "text", vocab_size=64, seed_size=512,
+                              em_iters=3)
+        with forced("distributed"):
+            b = unigram_train(ds, "text", vocab_size=64, seed_size=512,
+                              em_iters=3)
         pd.testing.assert_frame_equal(a, b)
 
     def test_morphology_recovered(self, corpus):
