@@ -6,3160 +6,38 @@ here (or in the library) calls ray.init()/ray.shutdown().
 - ``entry()``: flagship KG-construction pipeline over a deterministic
   synthetic 500-page web_pages corpus (the BASELINE.json input_hint shape);
   returns the canonical triples Dataset.
-- ``queries()``: one entry per implemented operator family (SURVEY.md §2 +
-  training-data ops); each takes sf_dir.
-- ``oracle_sql()``: an entry for EVERY query. SQL-expressible ops get
-  real DuckDB SQL (identical column names); deterministic non-SQL ops
-  (KG / LSH / ANN / media) are served as golden-parquet reads frozen at
-  sf0.01 by scripts/make_goldens.py — the KG tables are certified against
-  the independent scalar oracle before freezing.
+- ``queries()``: every query of the registry (pipelines/registry.py); each
+  takes sf_dir. Queries with no row yet in any ``CORRECTNESS_r*.json``
+  beside this module come first, so a run that samples a prefix records
+  them.
+- ``oracle_sql()``: an entry for EVERY query, as declared with it in the
+  registry. SQL-expressible ops get real DuckDB SQL (identical column
+  names); deterministic non-SQL ops (KG / LSH / ANN / media) are served as
+  golden-parquet reads frozen at sf0.01 by scripts/make_goldens.py — the KG
+  tables are certified against the independent scalar oracle before
+  freezing.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from collections.abc import Callable
 from typing import Any
 
-import numpy as np
-import pandas as pd
-
-from docprocai_service_ray.config import KGConfig
-from docprocai_service_ray.pipelines.benchqueries import QUERIES as _BENCH_QUERIES
-from docprocai_service_ray.pipelines.benchqueries import SQL as _BENCH_SQL
-
-_CFG = KGConfig()
-
-# bump when pipeline SEMANTICS change so stale /tmp checkpoints from an
-# earlier code version can never satisfy a resume
-_PIPELINE_VERSION = "v3"
-
-
-def _kg_run(sf_dir: str) -> dict:
-    """Synthetic KG corpus sized by the sf in ``sf_dir``; stage outputs are
-    checkpointed under /tmp so the driver's repeated query calls resume."""
-    from docprocai_service_ray.pipelines.kg import run_kg
-    from docprocai_service_ray.sources.webgen import alias_dict_table, ensure_corpus
-
-    m = re.search(r"sf([0-9.]+)", sf_dir or "")
-    sf = float(m.group(1)) if m else 0.001
-    n = max(300, int(sf * 200_000))
-    corpus = ensure_corpus(n, _CFG.seed, _CFG.embedding_dim)
-    out = f"/tmp/raykg_out/{_PIPELINE_VERSION}_n{n}_s{_CFG.seed}"
-    return run_kg(
-        os.path.join(corpus, "web_pages"),
-        alias_dict_table(_CFG.seed, _CFG.embedding_dim),
-        _CFG,
-        out_dir=out,
-        resume=True,
-        with_sentence_embeddings=True,
-    )
+from docprocai_service_ray.pipelines import registry
 
 
 def entry() -> Any:
     """Flagship pipeline at sf0.001 scale; driver checks rows >= 0."""
-    res = _kg_run("/root/testdata/sf0.001")
+    from docprocai_service_ray.pipelines.webqueries import _kg_run
+
+    res = _kg_run("sf0.001")
     return res["triples"].select_columns(["subject_id", "pred", "object_id", "weight"])
 
 
-def _corpus_n(sf_dir: str) -> int:
-    m = re.search(r"sf([0-9.]+)", sf_dir or "")
-    sf = float(m.group(1)) if m else 0.001
-    return max(300, int(sf * 200_000))
-
-
-def _corpus_pages(sf_dir: str, columns: list[str]):
-    """The synthetic web_pages table for this sf (same corpus _kg_run uses),
-    column-pruned at the read."""
-    import ray.data as rd
-
-    from docprocai_service_ray.sources.webgen import ensure_corpus
-
-    corpus = ensure_corpus(_corpus_n(sf_dir), _CFG.seed, _CFG.embedding_dim)
-    return rd.read_parquet(os.path.join(corpus, "web_pages"), columns=columns)
-
-
-# ---------------------- web link graph (stages/linkgraph.py) ---------------
-
-def _host_link_edges(sf_dir: str):
-    """Host-level link graph from raw page html: vectorized href
-    extractall → relative-url resolution → cross-host edge counts (partial
-    pre-agg; hub hosts concentrate counts, never rows). REAL-SQL-oracled:
-    the DuckDB twin regexes DuckDB's escaped BLOB cast, so even the
-    non-UTF-8 edge pages are covered."""
-    from docprocai_service_ray.stages.linkgraph import host_link_edges
-
-    return host_link_edges(_corpus_pages(sf_dir, ["url", "html"]))
-
-
-def _top_linked_hosts(sf_dir: str):
-    from docprocai_service_ray.stages.linkgraph import top_linked_hosts
-
-    return top_linked_hosts(_corpus_pages(sf_dir, ["url", "html"]), 10)
-
-
-def _host_pagerank_weighted(sf_dir: str):
-    """Multiplicity-aware host PageRank: rank splits over out-links
-    proportional to LINK COUNTS (graph.pagerank weight_col tier — both
-    tiers dense-verified at 1e-9 in tests/test_graph.py)."""
-    from docprocai_service_ray.stages.linkgraph import host_pagerank
-
-    return host_pagerank(_corpus_pages(sf_dir, ["url", "html"]),
-                         iters=20, weighted=True)
-
-
-def _anchor_terms(sf_dir: str):
-    """Anchor-text index (stages/linkgraph.anchor_text_terms): per-host
-    term counts from cross-host anchor text — the external-description
-    signal for host/entity profiling."""
-    from docprocai_service_ray.stages.linkgraph import anchor_text_terms
-
-    return anchor_text_terms(_corpus_pages(sf_dir, ["url", "html"]))
-
-
-def _host_pagerank(sf_dir: str):
-    """PageRank over the REAL hyperlink structure of the corpus (host
-    graph) — reuses stages/graph.pagerank's size-gated tiers; golden-frozen
-    at 8dp like pagerank_entities (iterative float fixpoint, no exact SQL)."""
-    from docprocai_service_ray.stages.linkgraph import host_pagerank
-
-    return host_pagerank(_corpus_pages(sf_dir, ["url", "html"]), iters=20)
-
-
-def _host_hits(sf_dir: str):
-    """HITS hubs & authorities over the REAL hyperlink structure of the
-    corpus, link-count weighted (stages/graph.hits via linkgraph.host_hits —
-    both tiers dense-verified at 1e-9 in tests/test_graph.py::TestHITS).
-    Iterative L2-normalized float fixpoint ⇒ golden-frozen at 8dp like
-    host_pagerank."""
-    from docprocai_service_ray.stages.linkgraph import host_hits
-
-    return host_hits(_corpus_pages(sf_dir, ["url", "html"]), iters=20)
-
-
-def _host_crawl_stats(sf_dir: str):
-    """Per-host crawl-freshness rollup (stages/urltools.host_crawl_stats):
-    page count, distinct capture days, first/last capture, span — the
-    recrawl-policy table; (host, day)-bounded exchange. REAL-SQL-oracled
-    over the same corpus parquet."""
-    from docprocai_service_ray.stages.urltools import host_crawl_stats
-
-    return host_crawl_stats(_corpus_pages(sf_dir, ["url", "warc_ts"]))
-
-
-def _linkgraph_sql() -> dict[str, str]:
-    """Real DuckDB SQL over the SAME corpus parquet the Ray queries read.
-    The path is deterministic (webgen.corpus_path); if the corpus isn't
-    there yet and Ray is already up (the driver initialises Ray before
-    importing this module), generate it now so the oracle can run first."""
-    import ray
-
-    from docprocai_service_ray.sources.webgen import corpus_path, ensure_corpus
-    from docprocai_service_ray.stages.linkgraph import linkgraph_sql, top_hosts_sql
-
-    n = _corpus_n("/root/testdata/sf0.01")  # driver correctness scale
-    root = corpus_path(n, _CFG.seed, _CFG.embedding_dim)
-    if not os.path.exists(os.path.join(root, "_SUCCESS")) and ray.is_initialized():
-        ensure_corpus(n, _CFG.seed, _CFG.embedding_dim)
-    from docprocai_service_ray.stages.linkgraph import anchor_terms_sql
-
-    from docprocai_service_ray.stages.urltools import host_crawl_sql
-
-    glob = os.path.join(root, "web_pages", "*.parquet")
-    return {
-        "host_link_edges": linkgraph_sql(glob),
-        "top_linked_hosts": top_hosts_sql(glob, 10),
-        "anchor_terms": anchor_terms_sql(glob),
-        "host_crawl_stats": host_crawl_sql(glob),
-    }
-
-
-# -------------- KG queries (golden-parquet oracles; oracle-certified) -------
-
-def _kg_docs(sf_dir: str):
-    return _kg_run(sf_dir)["docs"].select_columns(["url", "lang", "n_chars"])
-
-
-def _kg_sentences(sf_dir: str):
-    return _kg_run(sf_dir)["sentences"].select_columns(
-        ["url", "sent_id", "char_start", "char_end"]
-    )
-
-
-def _kg_triples(sf_dir: str):
-    return _kg_run(sf_dir)["triples"].select_columns(
-        ["subject_id", "pred", "object_id", "weight"]
-    )
-
-
-def _kg_entity_map(sf_dir: str):
-    return _kg_run(sf_dir)["entity_map"]
-
-
-def _doc_summaries(sf_dir: str):
-    """Per-doc deterministic digest (summary sentences + entity tags) —
-    reference MediaRecordInfo summary/tags analog
-    (persistence/MediaRecordInfoDbConnector.py:16-24)."""
-    from docprocai_service_ray.stages.summarize import build_doc_summaries
-
-    res = _kg_run(sf_dir)
-    return build_doc_summaries(res["sentences"], res["triples_raw"], _CFG)
-
-
-def _kg_semantic_search(sf_dir: str):
-    from docprocai_service_ray.pipelines.queries import semantic_search
-
-    res = _kg_run(sf_dir)
-    # scores the STORED sentence_embeddings table (embed-at-ingest) — the
-    # query itself never re-embeds the corpus
-    return semantic_search(
-        res["sentences"], "Alice Turner founded Blue River Labs", k=10, cfg=_CFG,
-        embedded_ds=res["sentence_embeddings"],
-    )
-
-
-def _near_dup_pages_minhash(sf_dir: str):
-    """MinHash-LSH near-dup over extracted page text (the planted dup-html
-    pairs under distinct urls must surface here)."""
-    from docprocai_service_ray.stages.dedup import minhash_lsh_pairs
-
-    docs = _kg_run(sf_dir)["docs"].select_columns(["url", "text"])
-    return minhash_lsh_pairs(docs, "url", "text", threshold=0.9, seed=_CFG.seed)
-
-
-def _near_dup_pages_simhash(sf_dir: str):
-    from docprocai_service_ray.stages.dedup import simhash_pairs
-
-    # hamming 0 = identical bigram-simhash: the synthetic filler pages are
-    # legitimately near-identical, so looser radii explode the pair count
-    docs = _kg_run(sf_dir)["docs"].select_columns(["url", "text"])
-    return simhash_pairs(docs, "url", "text", max_hamming=0)
-
-
-def _dedup_threshold_profile(sf_dir: str):
-    """LSH banding tuning table (stages/dedup.minhash_threshold_profile):
-    candidate-pair counts per band config off ONE signature pass — how a
-    dedup threshold is actually chosen before committing a corpus-wide
-    run. Golden-frozen (seeded LSH; monotonicity + reuse asserted in
-    tests/test_dedup_profile.py)."""
-    from docprocai_service_ray.stages.dedup import minhash_threshold_profile
-
-    docs = _kg_run(sf_dir)["docs"].select_columns(["url", "text"])
-    return minhash_threshold_profile(docs, "url", "text", seed=_CFG.seed)
-
-
-def _near_dup_keep_best(sf_dir: str):
-    """Near-dup cluster canonicalization (stages/keepbest): transitively
-    close the verified MinHash pair graph and keep exactly one
-    highest-quality doc per cluster — the delete-list producer a dedup
-    run actually applies. Golden-frozen (LSH candidates are approximate
-    by design; the closure/selection layer is brute-force-verified in
-    tests/test_keepbest.py)."""
-    from docprocai_service_ray.stages.keepbest import near_dup_keep_best
-
-    docs = _kg_run(sf_dir)["docs"].select_columns(["url", "text"])
-    return near_dup_keep_best(docs, "url", "text", threshold=0.9,
-                              seed=_CFG.seed, cfg=_CFG)
-
-
-def _leakage_safe_split_docs(sf_dir: str):
-    """Contamination-safe holdout (stages/keepbest.leakage_safe_split):
-    near-dup clusters are the split unit, so no near-duplicate pair ever
-    straddles train/holdout (the Lee et al. §6.2 leakage mode).
-    Golden-frozen (LSH pair graph); the no-straddle property itself is
-    asserted in tests/test_keepbest.py."""
-    from docprocai_service_ray.stages.keepbest import leakage_safe_split
-
-    docs = _kg_run(sf_dir)["docs"].select_columns(["url", "text"])
-    return leakage_safe_split(docs, "url", "text", holdout_rate=0.2,
-                              threshold=0.9, seed=_CFG.seed, cfg=_CFG)
-
-
-def _embedding_near_dup(sf_dir: str):
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.similarity import embedding_near_dup_pairs
-
-    # the driver embeddings are near-orthogonal random vectors (max pairwise
-    # cosine ≈ 0.51): 0.4 surfaces the true upper tail while a dup-free
-    # corpus still yields few pairs
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return embedding_near_dup_pairs(ds, dim=64, threshold=0.4, seed=_CFG.seed)
-
-
-def _ann_lsh_topk(sf_dir: str):
-    """Approximate NN (hyperplane-LSH bucketed) — the scale path next to
-    brute-force knn_topk_cosine."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq, _query_vec
-    from docprocai_service_ray.stages.similarity import lsh_topk
-
-    q = _query_vec(sf_dir)
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
-    top = lsh_topk(ds, q, 10, dim=64, seed=_CFG.seed, extra_cols=("label",))
-    return top.map_batches(
-        lambda df: df[["vec_id", "label"]], batch_format="pandas"
-    )
-
-
-def _ann_quantized_topk(sf_dir: str):
-    """SQ8 quantized search (stages/quantize.quantized_topk): int8
-    prefilter scan (4× fewer bytes than f32) + exact re-rank of the
-    candidate set — the memory-bandwidth ANN tier beside LSH/IVF.
-    Golden-frozen; prefilter recall and exact-rerank equality are
-    measured in tests/test_quantize.py."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq, _query_vec
-    from docprocai_service_ray.stages.quantize import quantized_topk
-
-    q = _query_vec(sf_dir)
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return quantized_topk(ds, q, 10, rerank_factor=4)
-
-
-def _ann_projected_topk(sf_dir: str):
-    """Johnson–Lindenstrauss projected search (stages/project): seeded
-    Gaussian 64→16 projection prefilter (4× fewer scan bytes, rebuilt
-    from the seed per task — nothing ships) + exact re-rank — the
-    dimension-reduction ANN tier beside SQ8/LSH/IVF. Golden-frozen;
-    prefilter recall and exact-rerank equality measured in
-    tests/test_project.py."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq, _query_vec
-
-    from docprocai_service_ray.stages.project import projected_topk
-
-    q = _query_vec(sf_dir)
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return projected_topk(ds, q, 10, dim_out=16, seed=_CFG.seed,
-                          rerank_factor=4)
-
-
-def _ann_ivf_topk(sf_dir: str):
-    """Approximate NN via an IVF coarse quantizer (train on a bounded
-    sample, broadcast centroids, one matmul assignment per batch, probe
-    nprobe lists) — the second ANN scale path."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq, _query_vec
-    from docprocai_service_ray.stages.similarity import ivf_topk
-
-    q = _query_vec(sf_dir)
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
-    top = ivf_topk(ds, q, 10, dim=64, n_lists=32, nprobe=8, seed=_CFG.seed,
-                   extra_cols=("label",))
-    return top.map_batches(
-        lambda df: df[["vec_id", "label"]], batch_format="pandas"
-    )
-
-
-def _ann_index_dir(sf_dir: str) -> str:
-    tok = os.path.basename(os.path.normpath(sf_dir)) or "sf"
-    return f"/tmp/raykg_annidx/{tok}_d64_p8_l32_s{_CFG.seed}"
-
-
-def _ensure_ann_index(sf_dir: str) -> str:
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.annindex import build_ann_index
-
-    return build_ann_index(
-        _pq(sf_dir, "embeddings", ["vec_id", "embedding", "label"]),
-        _ann_index_dir(sf_dir),
-        dim=64, n_planes=8, n_lists=32, seed=_CFG.seed, extra_cols=("label",),
-    )
-
-
-def _ann_indexed_topk(sf_dir: str):
-    """Top-k probe of a PERSISTED ANN index (stages/annindex.py): bucket /
-    IVF-list assignments are stored once at ingest (pgvector-column
-    analog, persistence/SegmentDbConnector.py:14,34), the query hashes
-    ONLY its own vector and reads only the probed bucket partitions (hive
-    directory pruning) — zero corpus re-hashing, unlike ann_lsh_topk
-    which re-buckets per call. REAL-SQL-oracled over the index parquet."""
-    from docprocai_service_ray.pipelines.benchqueries import _query_vec
-    from docprocai_service_ray.stages.annindex import ann_indexed_topk
-
-    d = _ensure_ann_index(sf_dir)
-    top = ann_indexed_topk(d, _query_vec(sf_dir), 10, mode="lsh")
-    return top.map_batches(
-        lambda df: df[["vec_id", "label"]], batch_format="pandas"
-    )
-
-
-def _ann_index_sql() -> dict[str, str]:
-    """Real DuckDB SQL over the persisted index parquet (same lazy-ensure
-    contract as _linkgraph_sql: the probe set is pure numpy from the seed,
-    the index is built on demand when Ray is already up)."""
-    import ray
-
-    sf = "/root/testdata/sf0.01"  # driver correctness scale
-    d = _ann_index_dir(sf)
-    if not os.path.exists(os.path.join(d, "_SUCCESS")) and ray.is_initialized():
-        _ensure_ann_index(sf)
-    from docprocai_service_ray.pipelines.benchqueries import _query_vec
-    from docprocai_service_ray.stages.annindex import lsh_probe_buckets
-
-    probe = ", ".join(map(str, lsh_probe_buckets(
-        _query_vec(sf), dim=64, n_planes=8, seed=_CFG.seed)))
-    return {"ann_indexed_topk": f"""
-        WITH q AS (SELECT embedding AS qv FROM embeddings WHERE vec_id = 0)
-        SELECT v.vec_id, v.label
-        FROM read_parquet('{d}/vectors/*/*.parquet', hive_partitioning=1) v, q
-        WHERE v.bucket IN ({probe})
-        ORDER BY list_cosine_similarity(v.embedding, q.qv) DESC, v.vec_id
-        LIMIT 10
-    """}
-
-
-def _lang_id_docs(sf_dir: str):
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import lang_id
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-
-    def per_lang(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "lang_guess": [g["lang_guess"].iloc[0]],
-            "n": [np.int64(len(g))],
-        })
-
-    return (
-        ds.map_batches(
-            lambda df: pd.DataFrame({"lang_guess": lang_id(df["text"])}),
-            batch_format="pandas",
-        )
-        .groupby("lang_guess")
-        .map_groups(per_lang, batch_format="pandas")
-    )
-
-
-def _quality_by_source(sf_dir: str):
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import quality_score, token_counts
-
-    ds = _pq(sf_dir, "documents", ["source", "text"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "source": df["source"],
-            "q": quality_score(df["text"]),
-            "tok": token_counts(df["text"]),
-        }).groupby("source", as_index=False).agg(
-            n=("q", "size"), qs=("q", "sum"), toks=("tok", "sum")
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        n = int(g["n"].sum())
-        return pd.DataFrame({
-            "source": [g["source"].iloc[0]],
-            "n_docs": [np.int64(n)],
-            "avg_quality": [round(float(g["qs"].sum()) / n, 4)],
-            "total_tokens": [np.int64(g["toks"].sum())],
-        })
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("source")
-        .map_groups(final, batch_format="pandas")
-    )
-
-
-def _kg_mentions(sf_dir: str):
-    import ray
-
-    from docprocai_service_ray.sources.webgen import alias_dict_table
-    from docprocai_service_ray.stages.mention import build_mentions
-
-    res = _kg_run(sf_dir)
-    alias_ref = ray.put(alias_dict_table(_CFG.seed, _CFG.embedding_dim))
-    m = build_mentions(res["triples_raw"], alias_ref, _CFG)
-    return m.select_columns(["url", "sent_id", "surface", "role", "cand_qid"])
-
-
-def _ngram_jaccard_dups(sf_dir: str):
-    """n-gram Jaccard near-dup (recall-oriented MinHash variant)."""
-    from docprocai_service_ray.stages.dedup import ngram_jaccard_pairs
-
-    docs = _kg_run(sf_dir)["docs"].select_columns(["url", "text"])
-    return ngram_jaccard_pairs(docs, "url", "text", shingle_words=3, threshold=0.6)
-
-
-def _read_media(n: int = 500):
-    """Deterministic REAL media corpus (valid PNG/BMP/WAV/AVI files under
-    /tmp; sources/mediagen.py) → (media_id, kind, payload) Dataset with
-    path-relative ids."""
-    import os
-
-    from docprocai_service_ray.sources.mediagen import ensure_media_corpus
-    from docprocai_service_ray.stages.multimodal import read_media_files
-
-    media_dir = ensure_media_corpus(n, _CFG.seed)
-    media = read_media_files(media_dir)
-
-    def _rel_id(batch):
-        import pyarrow as pa
-
-        ids = [os.path.basename(p) for p in batch["media_id"].to_pylist()]
-        return batch.set_column(
-            batch.schema.get_field_index("media_id"), "media_id",
-            pa.array(ids, pa.string()),
-        )
-
-    return media.map_batches(_rel_id, batch_format="pyarrow")
-
-
-def _media_features(sf_dir: str):
-    """Multimodal path over REAL FILES with REAL decode: valid PNG/BMP/WAV/
-    AVI files read via ``ray.data.read_binary_files`` and decoded by the
-    pure-numpy StdlibDecoder (actual pixels / PCM, incl. baseline JPEG via
-    functions/jpegcodec.py and MJPEG AVI frame decode — stages/
-    multimodal.py, functions/mediacodec.py). Only native-only codecs
-    (H.264/VP9) remain stubbed."""
-    from docprocai_service_ray.stages.multimodal import (
-        StdlibDecoder,
-        extract_media_features,
-    )
-
-    out = extract_media_features(
-        _read_media(500), feature_dim=16, batch_size=64,
-        decoder_factory=StdlibDecoder,
-    )
-    return out.select_columns(["media_id", "kind", "width", "height", "n_frames", "n_bytes"])
-
-
-def _media_thumbnails(sf_dir: str):
-    """Thumbnail render + image re-encode (M2/M9 analog): decode PNG/BMP
-    pixels, block-mean downsample to ≤32px, re-encode as PNG. Returns
-    metadata + a content hash of the thumbnail bytes (deterministic)."""
-    import hashlib
-
-    from docprocai_service_ray.stages.multimodal import render_thumbnails
-
-    thumbs = render_thumbnails(_read_media(500), max_px=32, batch_size=64)
-
-    def digest(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "media_id": df["media_id"],
-                "thumb_w": df["thumb_w"].astype("int32"),
-                "thumb_h": df["thumb_h"].astype("int32"),
-                "thumb_md5": [hashlib.md5(b).hexdigest() for b in df["thumb"]],
-            }
-        )
-
-    return thumbs.map_batches(digest, batch_format="pandas")
-
-
-def _media_frames(sf_dir: str):
-    """Video frame extraction (reference VideoProcessor.extract_frames
-    analog): demux MJPEG AVIs, decode every 2nd frame to pixels, re-encode
-    PNG; returns metadata + a content hash per frame (deterministic)."""
-    import hashlib
-
-    from docprocai_service_ray.stages.multimodal import sample_video_frames
-
-    frames = sample_video_frames(_read_media(500), every_k=2, batch_size=64)
-
-    def digest(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "media_id": df["media_id"],
-                "frame_idx": df["frame_idx"].astype("int32"),
-                "frame_w": df["frame_w"].astype("int32"),
-                "frame_h": df["frame_h"].astype("int32"),
-                "frame_md5": [hashlib.md5(b).hexdigest() for b in df["frame"]],
-            }
-        )
-
-    return frames.map_batches(digest, batch_format="pandas")
-
-
-def _sample_docs(sf_dir: str):
-    """Deterministic 10% corpus sample keyed on a content hash of doc_id —
-    same rows survive at any parallelism / cluster shape; the SQL oracle
-    evaluates the IDENTICAL md5-prefix predicate."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.sampling import hash_sample
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "lang", "source"])
-    return hash_sample(ds, "doc_id", 0.10, seed=_CFG.seed)
-
-
-def _train_holdout_counts(sf_dir: str):
-    """Complementary train/holdout split (every row in exactly one side):
-    per-source row counts of both sides."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.sampling import split_train_holdout
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "source"])
-    train, holdout = split_train_holdout(ds, "doc_id", 0.2, seed=_CFG.seed)
-
-    def count_by_source(d, split):
-        return (
-            d.map_batches(
-                lambda df: df.groupby("source", as_index=False).agg(n=("doc_id", "size")),
-                batch_format="pandas",
-            )
-            .map_batches(
-                lambda df: df.assign(split=split), batch_format="pandas"
-            )
-        )
-
-    import ray.data as rd  # noqa: F401
-
-    both = count_by_source(train, "train").union(count_by_source(holdout, "holdout"))
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["split", "source"], as_index=False).agg(n=("n", "sum"))
-
-    from docprocai_service_ray.state.groupby import partition_reduce
-
-    return partition_reduce(both, ["split", "source"], final, num_partitions=4)
-
-
-def _value_quantiles(sf_dir: str):
-    """Exact per-event-type value quantiles (p25/p50/p90) — grouped
-    quantile aggregate, bit-matching DuckDB quantile_cont."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.quantiles import grouped_quantiles
-
-    ds = _pq(sf_dir, "events", ["event_type", "value"])
-    return grouped_quantiles(ds, "event_type", "value", [0.25, 0.5, 0.9])
-
-
-def _value_quantiles_sketch(sf_dir: str):
-    """Same grouped quantiles via the MERGEABLE centroid-digest tier
-    (stages/quantiles.grouped_quantiles_sketch): shuffles O(groups x
-    delta) centroids instead of co-locating groups — the corpus-scale
-    path, deterministic at any parallelism (golden-frozen; its ~2/delta
-    rank-error bound vs exact is asserted in tests/test_sampling.py)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.quantiles import grouped_quantiles_sketch
-
-    ds = _pq(sf_dir, "events", ["event_type", "value"])
-    return grouped_quantiles_sketch(ds, "event_type", "value", [0.25, 0.5, 0.9])
-
-
-def _distinct_users_by_type(sf_dir: str):
-    """Exact per-event-type distinct user counts — per-batch local dedup
-    then one hash exchange (matches DuckDB COUNT(DISTINCT ...))."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.distinct import grouped_distinct
-
-    ds = _pq(sf_dir, "events", ["event_type", "user_id"])
-    return grouped_distinct(ds, "event_type", "user_id")
-
-
-def _distinct_users_sketch(sf_dir: str):
-    """Same counts via the MERGEABLE HyperLogLog tier
-    (stages/distinct.grouped_distinct_sketch): O(groups x 2^p) register
-    bytes shuffle, values never do — the corpus-scale path. Deterministic
-    at ANY parallelism and arrival order (register merge is elementwise
-    max), so golden-frozen; the ~1.6% (p=12) error bound vs exact is
-    asserted in tests/test_distinct.py at 20k+ cardinality."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.distinct import grouped_distinct_sketch
-
-    ds = _pq(sf_dir, "events", ["event_type", "user_id"])
-    return grouped_distinct_sketch(ds, "event_type", "user_id")
-
-
-def _doc_top_terms(sf_dir: str):
-    """Per-doc TF-IDF top-3 terms (stages/tfidf.py): in-batch tf explode →
-    df exchange → auto-tiered idf join → per-doc top-k; integer-exact
-    output (the float score is rank-only)."""
-    import ray.data as rd
-
-    from docprocai_service_ray.stages.tfidf import doc_top_terms
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return doc_top_terms(ds, "doc_id", "text", 3)
-
-
-def _curated_corpus_stats(sf_dir: str):
-    """Flagship training-data curation recipe (pipelines/curate.py):
-    quality+lang gate → exact text dedup (min doc_id, hash-only exchange)
-    → deterministic md5 sample → per-lang doc/token counts. The WHOLE
-    composition has a DuckDB twin (curation_sql), so the recipe is
-    oracle-checked end to end."""
-    from docprocai_service_ray.pipelines.curate import curated_corpus_stats
-
-    return curated_corpus_stats(sf_dir)
-
-
-def _release_planted_docs(sf_dir: str):
-    """Documents table + deterministic planted rows exercising every
-    release stage: 8 blocklisted docs (pass the gopher gate, carry the
-    'xblocked' marker — only the blockword stage can drop them), 6
-    PII-bearing docs (pass every gate, scrub must rewrite them), 2 docs
-    under min_words (gopher R1 must drop them). The stages/pii.py
-    planting pattern, shared by the golden and the tests."""
-    import pandas as pd
-    import ray.data as rd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-
-    base = _pq(sf_dir, "documents", ["doc_id", "text", "lang", "source"])
-    # ≥3-char mean word length (gopher R2) — short w0-style fillers fail it
-    filler = " ".join(f"word{j:02d}" for j in range(30))
-    rows = []
-    for i in range(8):
-        rows.append({"doc_id": 1_000_000 + i, "lang": "en",
-                     "source": "planted",
-                     "text": f"doc {i} xblocked content {filler} tail{i}"})
-    for i in range(6):
-        rows.append({"doc_id": 1_000_100 + i, "lang": "de",
-                     "source": "planted",
-                     "text": (f"doc {i} mail p{i}@example.com host 10.0."
-                              f"{i}.1 {filler} tail{i}")})
-    for i in range(2):
-        rows.append({"doc_id": 1_000_200 + i, "lang": "en",
-                     "source": "planted", "text": f"too short {i}"})
-    return base.union(rd.from_pandas(pd.DataFrame(rows)))
-
-
-def _released_corpus_stats(sf_dir: str):
-    """Flagship end-to-end curation RELEASE flow (pipelines/curate.
-    release_documents, VERDICT r4 #5): gopher gate → blockword gate →
-    C4 line dedup (rewrite) → MinHash keep-best + leakage-safe split
-    over ONE shared pair graph → PII scrub, rolled up per (lang, split).
-    Golden-frozen (the LSH cluster closure is approximate-by-design and
-    not SQL-expressible); each link of the chain is independently
-    SQL-oracled or brute-verified, and the composition's drop/scrub/
-    no-straddle properties are asserted in tests/test_curate.py."""
-    from docprocai_service_ray.pipelines.curate import released_corpus_stats
-
-    return released_corpus_stats(None, docs=_release_planted_docs(sf_dir),
-                                 cfg=_CFG)
-
-
-def _release_funnel_stats(sf_dir: str):
-    """Release-chain FUNNEL (pipelines/curate.release_funnel_stats):
-    exact doc counts surviving each macro stage of the flagship release
-    flow (raw → gopher → blockwords → line-dedup+residual → keep-best →
-    train/holdout) — the counters a 100-TB curation run watches instead
-    of diffing exports. Integer counts over the same planted corpus as
-    released_corpus_stats; golden-frozen (the chain includes the LSH
-    closure), chain properties certified in tests/test_curate.py."""
-    from docprocai_service_ray.pipelines.curate import release_funnel_stats
-
-    return release_funnel_stats(None, docs=_release_planted_docs(sf_dir),
-                                cfg=_CFG)
-
-
-def _training_shards_stats(sf_dir: str):
-    """Training-shard publication (pipelines/curate.publish_training_
-    shards): released train-side docs → deterministic content-hash
-    shard_shuffle → ONE shard-keyed exchange packs each shard
-    independently in pos order (straddle-free GPT-style concatenation) →
-    per-shard (n_docs, n_tokens, n_seqs). The last mile of the curation
-    journey. Golden-frozen (chains the release flow's LSH closure);
-    the shuffle/pack kernels are REAL-SQL-oracled separately
-    (doc_shard_shuffle, packed_doc_spans); chain properties in
-    tests/test_curate.py."""
-    from docprocai_service_ray.pipelines.curate import training_shards_stats
-
-    return training_shards_stats(None, docs=_release_planted_docs(sf_dir),
-                                 seq_len=128, n_shards=4, cfg=_CFG)
-
-
-def _top_users_by_type(sf_dir: str):
-    """Per-event-type top-3 most-active users (grouped heavy hitters,
-    EXACT tier: per-batch count partials → one hash exchange → rank;
-    stages/topfreq.py — the MG sketch tier is the corpus-scale path,
-    bounded in tests/test_topfreq.py)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.topfreq import grouped_topn_values
-
-    ds = _pq(sf_dir, "events", ["event_type", "user_id"])
-    return grouped_topn_values(ds, "event_type", "user_id", 3)
-
-
-def _token_doc_frequency(sf_dir: str):
-    """Inverted-index df stats over the documents table (tokens appearing
-    in >= 5 docs)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import token_doc_frequency
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return token_doc_frequency(ds, "doc_id", "text", min_df=5)
-
-
-_TOKEN_DF_SQL = """
-    WITH t AS (
-        SELECT doc_id,
-               unnest(regexp_extract_all(lower(coalesce(text, '')), '[a-z]+')) AS token
-        FROM documents
-    )
-    SELECT token, COUNT(DISTINCT doc_id) AS df
-    FROM t GROUP BY 1 HAVING COUNT(DISTINCT doc_id) >= 5
-"""
-
-
-# language-rebalancing rates for the stratified-sampling query: downsample
-# the majority language, keep most of the minority tails (the classic
-# training-mix reweighting move)
-_STRATA_RATES = {"en": 0.2, "de": 0.8, "fr": 0.8, "es": 0.8, "zh": 0.8}
-
-
-def _repetition_by_source(sf_dir: str):
-    """Gopher-style within-document repetition filters aggregated per
-    source (stages/textstats.repetition_stats): duplicate-word fraction,
-    top-word fraction, docs over the flag threshold."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import repetition_stats
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-    return repetition_stats(ds, "doc_id", "text", "source",
-                            flag_threshold=0.5)
-
-
-def _decontam_by_source(sf_dir: str):
-    """GPT-3-style n-gram benchmark decontamination
-    (stages/decontam.ngram_decontaminate): docs whose 3-grams overlap the
-    held-out benchmark slice (doc_id % 97 == 0), aggregated per source
-    (n=3 on the synthetic word-soup corpus gives real overlap signal —
-    ~35% of docs contaminated at sf0.01; production corpora use n≈13).
-    Auto-tiers broadcast/distributed on benchmark gram count."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.decontam import ngram_decontaminate
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-    bench = ds.map_batches(lambda df: df[df["doc_id"] % 97 == 0],
-                           batch_format="pandas")
-    train = ds.map_batches(lambda df: df[df["doc_id"] % 97 != 0],
-                           batch_format="pandas")
-    return ngram_decontaminate(train, bench, "doc_id", "text", "source",
-                               n=3)
-
-
-def _dup_gram_stats(sf_dir: str):
-    """Lee-et-al-style duplicate-substring stats
-    (stages/substring.dup_gram_stats): per source, how many docs share a
-    4-word gram with another document and the mean duplicated-gram
-    fraction — the corpus-self-overlap signal substring dedup thresholds
-    on. No broadcast tier by design (the corpus is compared with itself,
-    there is no small side): one gram-hash exchange + one doc-id
-    exchange, 8-byte hashes only."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.substring import dup_gram_stats
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-    return dup_gram_stats(ds, "doc_id", "text", "source", n=4)
-
-
-def _token_pmi(sf_dir: str):
-    """Document-level token co-occurrence PMI (stages/cooccur): the
-    association-score table behind collocation mining / relation
-    discovery. df pre-pass + pair-keyed count exchange + auto-tiered df
-    joins; N is a metadata-only count."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.cooccur import cooccurrence_pmi
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return cooccurrence_pmi(ds, "doc_id", "text", min_pair_count=2)
-
-
-def _per_source_doc_sample(sf_dir: str):
-    """Exact-k per-stratum sample (stages/sampling.sample_k_per_group):
-    min(k, |group|) docs per source by deterministic salted-md5 order —
-    the bounded review/eval sample a rate predicate cannot promise.
-    Per-batch local top-k partials; exchange carries <= k rows per
-    (group, batch)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.sampling import sample_k_per_group
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "source"])
-    return sample_k_per_group(ds, "doc_id", "source", 5, seed=_CFG.seed)
-
-
-def _token_postings(sf_dir: str):
-    """Inverted-index build (stages/postings.build_postings): per-token
-    sorted postings lists over the documents table, with the max_df
-    sorted postings lists over the documents table; max_postings
-    exercises truncation (df stays the full count). The max_df stopword
-    ceiling / hot-token defuse is parity-tested in tests/test_postings.py
-    (the synthetic vocabulary is near-uniformly universal, so an absolute
-    ceiling would be scale-fragile here)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.postings import build_postings
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return build_postings(ds, "doc_id", "text", min_df=2, max_postings=16)
-
-
-def _unigram_bits_by_source(sf_dir: str):
-    """Corpus-self unigram cross-entropy per source
-    (stages/textstats.unigram_logprob_stats) — the model-free analog of
-    CCNet perplexity filtering: unigram LM from the corpus's own token
-    counts, mean -log2 p per doc, averaged per source. Token-keyed then
-    doc-keyed count exchanges; the corpus total enters as one final
-    scalar shift (log2 T)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import unigram_logprob_stats
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-    return unigram_logprob_stats(ds, "doc_id", "text", "source")
-
-
-def _embedding_outlier_stats(sf_dir: str):
-    """Embedding-space outlier diagnostics per label
-    (stages/similarity.centroid_distance_stats): distance of every vector
-    to its own label centroid → (n_vecs, avg_dist, max_dist). Centroids
-    from vector-sum partials, broadcast once via ray.put; pass 2 is one
-    vectorized distance kernel per batch — raw vectors never shuffle."""
-    import pyarrow.parquet as pq
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.similarity import centroid_distance_stats
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    pf = pq.ParquetFile(path)
-    d = getattr(pf.schema_arrow.field("embedding").type, "list_size", None)
-    if not d:  # variable-length list: probe one row group, not the file
-        d = len(pf.read_row_group(0, columns=["embedding"])["embedding"][0])
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
-    return centroid_distance_stats(ds, "label", "embedding", d)
-
-
-def _pii_stats_by_source(sf_dir: str):
-    """Dolma-style PII pass (stages/pii.pii_stats): per source, docs
-    with ≥1 email/IPv4/phone hit and per-class totals. The synthetic
-    corpus has no PII, so deterministic PII is PLANTED identically on
-    both sides (doc_id%5 → email, %7 → IPv4, %11 → phone) — the parity
-    under test is the regex-count semantics (Python re vs DuckDB RE2 on
-    the shared RE2-safe pattern subset), not the planting."""
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.pii import pii_stats
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        i = df["doc_id"]
-        t = df["text"].fillna("")
-        t = t.where(i % 5 != 0,
-                    t + " contact user" + i.astype(str) + "@example.com")
-        t = t.where(i % 7 != 0,
-                    t + " server 10.0." + (i % 256).astype(str) + ".1")
-        t = t.where(i % 11 != 0,
-                    t + " call +1 555 01" +
-                    (i % 10).astype(str).str.zfill(2) + " 0199")
-        return pd.DataFrame({"text": t, "source": df["source"]})
-
-    planted = ds.map_batches(plant, batch_format="pandas")
-    return pii_stats(planted, "text", "source")
-
-
-_PII_PLANTED_SQL = """(
-    SELECT source,
-           coalesce(text, '')
-           || CASE WHEN doc_id % 5 = 0 THEN ' contact user' || doc_id
-                   || '@example.com' ELSE '' END
-           || CASE WHEN doc_id % 7 = 0 THEN ' server 10.0.'
-                   || (doc_id % 256) || '.1' ELSE '' END
-           || CASE WHEN doc_id % 11 = 0 THEN ' call +1 555 01'
-                   || lpad(CAST(doc_id % 10 AS VARCHAR), 2, '0')
-                   || ' 0199' ELSE '' END AS text
-    FROM documents
-)"""
-
-
-def _unigram_vocab(sf_dir: str):
-    """Unigram-LM tokenizer training (stages/unigram; Kudo 2018 hard-EM
-    variant): over-complete substring seed → Viterbi E-step with exact
-    int64 counts → prune — the second tokenizer family beside BPE.
-    Corpus-scale work is the ONE shared word-count exchange; EM runs on
-    the vocab-sized word table. Iterative, not SQL-expressible ⇒
-    golden-frozen; both tiers bit-equal in tests/test_unigram.py."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.unigram import unigram_train
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return unigram_train(ds, "text", vocab_size=256, seed_size=2048,
-                         em_iters=3)
-
-
-# --------------- BPE tokenizer training (stages/bpe.py) ---------------------
-
-def _bpe_merges(sf_dir: str):
-    """BPE vocabulary learning (stages/bpe.bpe_train, Sennrich et al.
-    2016): corpus word counts (one exchange) → iterative highest-count
-    pair merges on the vocab-sized word table. Iterative and not
-    SQL-expressible — golden-frozen; both tiers bit-match a naive
-    single-process reference in tests/test_bpe.py."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.bpe import bpe_train
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return bpe_train(ds, "text", num_merges=48)
-
-
-def _bpe_token_stats(sf_dir: str):
-    """Learned-tokenizer corpus statistics (stages/bpe.bpe_apply): encode
-    every doc with the merges from _bpe_merges and report per-lang total
-    subword tokens + distinct token types — the fertility check run after
-    tokenizer training. Pure map over the corpus (merge table ships in
-    the closure, per-word memoized) + lang-keyed partial reduce."""
-    import numpy as np
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.bpe import bpe_apply, bpe_train
-    from docprocai_service_ray.state.groupby import partition_reduce
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "lang"])
-    merges = bpe_train(ds, "text", num_merges=48)
-    enc = bpe_apply(ds, "text", merges)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        e = df[["lang"]].assign(tok=df["bpe_tokens"]).explode("tok").dropna(
-            subset=["tok"])
-        g = e.groupby(["lang", "tok"], as_index=False).agg(n=("tok", "size"))
-        return g
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(["lang", "tok"], as_index=False).agg(n=("n", "sum"))
-        out = g.groupby("lang", as_index=False).agg(
-            total_tokens=("n", "sum"), token_types=("tok", "nunique"))
-        return out.astype({"total_tokens": "int64", "token_types": "int64"})
-
-    # (lang, tok) partials co-locate per lang: one lang never splits, so
-    # the per-lang nunique/total in `final` is exact
-    return partition_reduce(enc.map_batches(partial, batch_format="pandas"),
-                            ["lang"], final, num_partitions=4)
-
-
-# --------------- Gopher quality rules (stages/gopher.py) --------------------
-
-def _gopher_rules_by_source(sf_dir: str):
-    """Gopher Table-A1 document gate (stages/gopher.gopher_rules_stats):
-    per source, per-rule failure counts + docs passing the whole gate —
-    the standard pretraining quality filter (Rae et al. 2021; also
-    RefinedWeb/Dolma). min_words lowered to 20 so the short synthetic
-    docs exercise both sides of R1. REAL-SQL-oracled (same regexes and
-    thresholds in DuckDB)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.gopher import gopher_rules_stats
-
-    ds = _pq(sf_dir, "documents", ["text", "source"])
-    return gopher_rules_stats(ds, "text", "source", min_words=20)
-
-
-# --------------- domain scorecard (wave-3 composition) ----------------------
-
-def _domain_scorecard(sf_dir: str):
-    """Release scorecard per registrable domain — the table a curation
-    run publishes before a dump ships: doc count, mean quality score and
-    bad-word-flagged docs, keyed by eTLD+1 (composition of
-    stages/domains + stages/textstats.quality_score + stages/lexgate
-    over planted urls). Partial pre-agg per batch; one domain-keyed
-    exchange. REAL-SQL-oracled end to end."""
-    import numpy as np
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.domains import add_registrable_domain
-    from docprocai_service_ray.stages.lexgate import _hit_mask
-    from docprocai_service_ray.stages.textstats import quality_score
-    from docprocai_service_ray.state.groupby import partition_reduce
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    planted = ds.map_batches(_plant_urls, batch_format="pandas")
-    withdom = add_registrable_domain(planted, "url", "domain")
-    blocked = frozenset(_BLOCKWORDS)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "domain": df["domain"],
-            "q": quality_score(df["text"]),
-            "h": _hit_mask(df["text"], blocked).astype("int64"),
-        }).groupby("domain", as_index=False).agg(
-            n=("q", "size"), qs=("q", "sum"), f=("h", "sum"))
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("domain", as_index=False).agg(
-            n=("n", "sum"), qs=("qs", "sum"), f=("f", "sum"))
-        return pd.DataFrame({
-            "domain": g["domain"],
-            "n_docs": g["n"].astype("int64"),
-            "avg_quality": (g["qs"] / g["n"]).round(4),
-            "flagged_docs": g["f"].astype("int64"),
-        })
-
-    return partition_reduce(withdom.map_batches(partial, batch_format="pandas"),
-                            ["domain"], final, num_partitions=8)
-
-
-def _corpus_datasheet(sf_dir: str):
-    """THE one-table corpus datasheet a data owner reads before a dump
-    ships (Gebru 2021 "Datasheets for Datasets" rolled up per source):
-    doc/token/char volume, language spread, exact-dup participation,
-    bad-word and PII exposure, mean quality — every signal an existing
-    audited stage computes, composed into ONE exchange. Per-batch
-    pre-agg emits three row kinds (scalar stats, (source, fp) dup
-    counts, (source, lang) distinct markers) stacked into one
-    source-keyed partition_reduce; fp rows are 16-byte hashes (the
-    exact_dedup discipline — dup detection inherently co-locates a
-    source's fingerprints). REAL-SQL-oracled end to end."""
-    import re as _re
-
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.lexgate import _hit_mask
-    from docprocai_service_ray.stages.pii import _COMPILED
-    from docprocai_service_ray.stages.textstats import (
-        fingerprint_md5,
-        quality_score,
-        token_counts,
-    )
-    from docprocai_service_ray.state.groupby import partition_reduce
-
-    ds = _pq(sf_dir, "documents",
-             ["doc_id", "text", "lang", "source", "n_chars"])
-    blocked = frozenset(_BLOCKWORDS)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t = df["text"].fillna("")
-        pii = None
-        for rx in _COMPILED.values():
-            h = t.str.count(rx) > 0
-            pii = h if pii is None else (pii | h)
-        per = pd.DataFrame({
-            "source": df["source"],
-            "tok": token_counts(t),
-            "chars": df["n_chars"].astype("int64"),
-            "q": quality_score(t),
-            "flag": _hit_mask(t, blocked).astype("int64"),
-            "pii": pii.astype("int64"),
-            "lang": df["lang"],
-            "fp": fingerprint_md5(t),
-        })
-        stats = per.groupby("source", as_index=False).agg(
-            n=("tok", "size"), tok=("tok", "sum"), chars=("chars", "sum"),
-            q=("q", "sum"), flag=("flag", "sum"), pii=("pii", "sum"))
-        stats["kind"], stats["key"], stats["c"] = "s", "", 0
-        fps = per.groupby(["source", "fp"], as_index=False).size().rename(
-            columns={"size": "c", "fp": "key"})
-        fps["kind"] = "f"
-        langs = per[["source", "lang"]].drop_duplicates().rename(
-            columns={"lang": "key"})
-        langs["kind"], langs["c"] = "l", 0
-        cols = ["source", "kind", "key", "c", "n", "tok", "chars", "q",
-                "flag", "pii"]
-        for fr in (fps, langs):
-            for col in cols:
-                if col not in fr.columns:
-                    fr[col] = 0 if col not in ("kind", "key") else fr.get(col, "")
-        return pd.concat([stats[cols], fps[cols], langs[cols]],
-                         ignore_index=True)
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        s = part[part["kind"] == "s"].groupby("source", as_index=False).agg(
-            n=("n", "sum"), tok=("tok", "sum"), chars=("chars", "sum"),
-            q=("q", "sum"), flag=("flag", "sum"), pii=("pii", "sum"))
-        f = part[part["kind"] == "f"].groupby(
-            ["source", "key"], as_index=False)["c"].sum()
-        dup = f[f["c"] >= 2].groupby("source")["c"].sum()
-        nl = part[part["kind"] == "l"].groupby(
-            "source")["key"].nunique()
-        return pd.DataFrame({
-            "source": s["source"],
-            "n_docs": s["n"].astype("int64"),
-            "n_tokens": s["tok"].astype("int64"),
-            "avg_chars": (s["chars"] / s["n"]).round(4),
-            "n_langs": s["source"].map(nl).fillna(0).astype("int64"),
-            "dup_docs": s["source"].map(dup).fillna(0).astype("int64"),
-            "flagged_docs": s["flag"].astype("int64"),
-            "pii_docs": s["pii"].astype("int64"),
-            "avg_quality": (s["q"] / s["n"]).round(4),
-        })
-
-    return partition_reduce(ds.map_batches(partial, batch_format="pandas"),
-                            ["source"], final, num_partitions=8)
-
-
-def _corpus_datasheet_sql() -> str:
-    from docprocai_service_ray.stages.pii import PII_PATTERNS
-    from docprocai_service_ray.stages.textstats import _STOPWORDS
-
-    word_re = "[a-zàâäéèêëîïôöùûüß]+"
-    en = _sql_list(_STOPWORDS["en"])
-    blocked = ", ".join(f"'{w}'" for w in sorted(_BLOCKWORDS))
-    any_pii = " OR ".join(f"regexp_matches(t, '{p}')"
-                          for p in PII_PATTERNS.values())
-    py_ws = r"[\t\n\x0b\f\r\x1c-\x1f\x85\p{Z}]+"
-    return f"""
-        WITH d AS (
-            SELECT source, lang, n_chars, coalesce(text, '') AS t,
-                   md5(coalesce(text, '')) AS fp
-            FROM documents
-        ), m AS (
-            SELECT source, lang, n_chars, fp,
-                   len(list_filter(regexp_split_to_array(t, '{py_ws}'),
-                                   x -> x <> '')) AS tok,
-                   length(t) AS n,
-                   len(regexp_extract_all(t, '[.!?,;:]'))::DOUBLE
-                       / greatest(length(t), 1) AS pr,
-                   len(list_filter(regexp_extract_all(lower(t), '{word_re}'),
-                                   x -> list_contains({en}, x)))::DOUBLE
-                       / greatest(len(regexp_extract_all(lower(t),
-                                                         '{word_re}')), 1)
-                       AS swr,
-                   len(list_filter(regexp_extract_all(lower(t), '[a-z]+'),
-                       w -> w IN ({blocked}))) > 0 AS hit,
-                   ({any_pii}) AS pii
-            FROM d
-        ), q AS (
-            SELECT *,
-                   ROUND(0.4::DOUBLE * (CASE WHEN n BETWEEN 50 AND 100000
-                                             THEN 1 ELSE 0 END)
-                       + 0.3::DOUBLE * (CASE WHEN pr > 0.0 AND pr < 0.2
-                                             THEN 1 ELSE 0 END)
-                       + 0.3::DOUBLE * (CASE WHEN swr > 0.02
-                                             THEN 1 ELSE 0 END), 6) AS qs
-            FROM m
-        ), dup AS (
-            SELECT source, CAST(COALESCE(SUM(c) FILTER (WHERE c >= 2), 0)
-                                AS BIGINT) AS dup_docs
-            FROM (SELECT source, fp, COUNT(*) AS c FROM q GROUP BY 1, 2)
-            GROUP BY 1
-        )
-        SELECT q.source,
-               COUNT(*) AS n_docs,
-               CAST(SUM(tok) AS BIGINT) AS n_tokens,
-               ROUND(AVG(n_chars), 4) AS avg_chars,
-               COUNT(DISTINCT lang) AS n_langs,
-               ANY_VALUE(dup.dup_docs) AS dup_docs,
-               CAST(SUM(CASE WHEN hit THEN 1 ELSE 0 END) AS BIGINT)
-                   AS flagged_docs,
-               CAST(SUM(CASE WHEN pii THEN 1 ELSE 0 END) AS BIGINT)
-                   AS pii_docs,
-               ROUND(AVG(qs), 4) AS avg_quality
-        FROM q JOIN dup ON dup.source = q.source
-        GROUP BY 1
-    """
-
-
-def _domain_scorecard_sql() -> str:
-    from docprocai_service_ray.stages.domains import registrable_domain_sql
-    from docprocai_service_ray.stages.textstats import _STOPWORDS
-
-    word_re = "[a-zàâäéèêëîïôöùûüß]+"
-    en = _sql_list(_STOPWORDS["en"])
-    blocked = ", ".join(f"'{w}'" for w in sorted(_BLOCKWORDS))
-    url = """(CASE WHEN doc_id % 2 = 0 THEN 'http' ELSE 'https' END)
-           || '://WWW.Site' || (doc_id % 50) || '.Example'
-           || (CASE WHEN doc_id % 4 = 0 THEN ':80'
-                    WHEN doc_id % 4 = 1 THEN ':443' ELSE '' END)
-           || '/Path/' || doc_id
-           || (CASE WHEN doc_id % 3 = 0 THEN '?utm_source=x&id=' || (doc_id % 7)
-                    WHEN doc_id % 3 = 1 THEN '?id=' || (doc_id % 7) || '&gclid=abc'
-                    ELSE '#Frag' || (doc_id % 5) END)"""
-    host = f"regexp_extract({url}, '^[a-z]+://([^/:?#]+)', 1)"
-    dom = registrable_domain_sql(host)
-    return f"""
-        WITH sc AS (
-            SELECT {dom} AS domain, coalesce(text, '') AS t FROM documents
-        ), m AS (
-            SELECT domain,
-                   length(t) AS n,
-                   len(regexp_extract_all(t, '[.!?,;:]'))::DOUBLE
-                       / greatest(length(t), 1) AS pr,
-                   len(list_filter(regexp_extract_all(lower(t), '{word_re}'),
-                                   x -> list_contains({en}, x)))::DOUBLE
-                       / greatest(len(regexp_extract_all(lower(t),
-                                                         '{word_re}')), 1)
-                       AS swr,
-                   len(list_filter(regexp_extract_all(lower(t), '[a-z]+'),
-                       w -> w IN ({blocked}))) > 0 AS hit
-            FROM sc
-        ), q AS (
-            SELECT domain, hit,
-                   ROUND(0.4::DOUBLE * (CASE WHEN n BETWEEN 50 AND 100000
-                                             THEN 1 ELSE 0 END)
-                       + 0.3::DOUBLE * (CASE WHEN pr > 0.0 AND pr < 0.2
-                                             THEN 1 ELSE 0 END)
-                       + 0.3::DOUBLE * (CASE WHEN swr > 0.02
-                                             THEN 1 ELSE 0 END), 6) AS q
-            FROM m
-        )
-        SELECT domain, COUNT(*) AS n_docs,
-               ROUND(AVG(q), 4) AS avg_quality,
-               COUNT(*) FILTER (WHERE hit) AS flagged_docs
-        FROM q GROUP BY 1
-    """
-
-
-# --------------- text normalization (stages/textnorm.py) --------------------
-
-# dirty text PLANTED on both sides: tabs/NBSP/zero-width chars and a
-# DECOMPOSED é (e + U+0301) that NFC must compose
-_DIRTY_SQL = """(
-    SELECT doc_id,
-           CASE doc_id % 3
-             WHEN 0 THEN '  ' || chr(9) || coalesce(text, '')
-                         || ' ' || chr(8203) || ' tail  '
-             WHEN 1 THEN coalesce(text, '') || chr(160) || chr(160) || 'x'
-             ELSE coalesce(text, '') || ' caf' || chr(101) || chr(769)
-           END AS text
-    FROM documents
-)"""
-
-
-def _normalized_text_docs(sf_dir: str):
-    """C4/CCNet cleanup pass (stages/textnorm.normalize_text): NFC +
-    control/zero-width strip + whitespace collapse, run BEFORE dedup so
-    byte-variant duplicates collide. Dirty text is PLANTED identically
-    on both sides; certificate = (doc_id, md5, lengths). REAL-SQL-oracled
-    (nfc_normalize + the same RE2 chain)."""
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textnorm import normalize_text
-    from docprocai_service_ray.stages.textstats import fingerprint_md5
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        i = df["doc_id"]
-        t = df["text"].fillna("")
-        out = ("  \t" + t + " ​ tail  ").where(i % 3 == 0,
-              (t + "  x").where(i % 3 == 1,
-               t + " caf" + "é"))
-        return pd.DataFrame({"doc_id": i, "text": out})
-
-    planted = ds.map_batches(plant, batch_format="pandas")
-    normed = normalize_text(planted, "text", out_col="text_norm")
-
-    def cert(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": df["doc_id"],
-            "n_in": df["text"].str.len().astype("int64"),
-            "n_out": df["text_norm"].str.len().astype("int64"),
-            "fp": fingerprint_md5(df["text_norm"]),
-        })
-
-    return normed.map_batches(cert, batch_format="pandas")
-
-
-# --------------- corpus versioning (stages/versioning.py) -------------------
-
-_DIFF_OLD_SQL = "(SELECT doc_id, text FROM documents WHERE doc_id % 11 <> 0)"
-_DIFF_NEW_SQL = """(
-    SELECT doc_id,
-           CASE WHEN doc_id % 7 = 0 THEN coalesce(text, '') || ' v2'
-                ELSE text END AS text
-    FROM documents WHERE doc_id % 17 <> 0
-    UNION ALL
-    SELECT doc_id + 100000 AS doc_id, text FROM documents
-    WHERE doc_id % 13 = 0
-)"""
-
-
-def _corpus_diff_docs(sf_dir: str):
-    """Dump-over-dump diff (stages/versioning.corpus_diff): per id,
-    added/removed/changed/same by content md5 — the table incremental
-    re-processing keys off. Two deterministic corpus versions are
-    PLANTED from documents on both sides (drops, edits, additions).
-    REAL-SQL-oracled (FULL OUTER JOIN twin)."""
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.versioning import corpus_diff
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    old = ds.map_batches(
-        lambda df: df[df["doc_id"] % 11 != 0][["doc_id", "text"]],
-        batch_format="pandas")
-
-    def new_side(df: pd.DataFrame) -> pd.DataFrame:
-        i = df["doc_id"]
-        t = df["text"].fillna("")
-        edited = pd.DataFrame({
-            "doc_id": i, "text": t.where(i % 7 != 0, t + " v2")})
-        edited = edited[edited["doc_id"] % 17 != 0]  # planted removals
-        added = pd.DataFrame({
-            "doc_id": i[i % 13 == 0] + 100000,
-            "text": df.loc[i % 13 == 0, "text"]})
-        return pd.concat([edited, added], ignore_index=True)
-
-    new = ds.map_batches(new_side, batch_format="pandas")
-    return corpus_diff(old, new, "doc_id", "text")
-
-
-# --------------- cluster topic terms (stages/topics.py) ---------------------
-
-def _cluster_topic_terms(sf_dir: str):
-    """BERTopic c-TF-IDF analog (stages/topics.cluster_topic_terms; the
-    reference's ST5 BERTopic refit): bit-deterministic kmeans over the
-    embeddings table → per-cluster characteristic terms from the aligned
-    documents (vec_id = doc_id in the testdata contract). Golden-frozen
-    (kmeans fixpoint; planted-vocab recovery + invariance in
-    tests/test_topics.py)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.topics import cluster_topic_terms
-
-    pf = pq.ParquetFile(os.path.join(sf_dir, "embeddings.parquet"))
-    d = len(pf.read_row_group(0, columns=["embedding"])["embedding"][0])
-    docs = _pq(sf_dir, "documents", ["doc_id", "text"])
-    embs = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return cluster_topic_terms(docs, embs, dim=d, k=6, top_n=5,
-                               seed=_CFG.seed)
-
-
-# --------------- document chunking (stages/chunking.py) ---------------------
-
-def _doc_chunk_spans(sf_dir: str):
-    """RAG/embedding chunk preparation (stages/chunking.chunk_spans):
-    overlapping token windows with deterministic (id, chunk_id) keys and
-    token-offset spans — the segment-table design the KG sentences stage
-    uses, generalized to fixed windows. Pure map; REAL-SQL-oracled
-    (same window rule in DuckDB)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.chunking import chunk_spans
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return chunk_spans(ds, "doc_id", "text", chunk_tokens=32, stride=24)
-
-
-# --------------- lexical gates (stages/lexgate.py) --------------------------
-
-_BLOCKWORDS = ["vector", "stream"]
-
-
-def _blockword_stats_docs(sf_dir: str):
-    """C4-style bad-words page gate (stages/lexgate.blockword_stats):
-    per source, docs containing any blocked TOKEN (exact token equality,
-    list rides the closure). REAL-SQL-oracled (list_filter twin)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.lexgate import blockword_stats
-
-    ds = _pq(sf_dir, "documents", ["text", "source"])
-    return blockword_stats(ds, "text", "source", _BLOCKWORDS)
-
-
-def _oov_by_source(sf_dir: str):
-    """Tokenizer-coverage diagnostic (stages/lexgate.oov_rate): share of
-    token occurrences outside the corpus top-30 vocabulary per source —
-    the post-BPE vocab-size sanity check. REAL-SQL-oracled."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.lexgate import oov_rate
-
-    ds = _pq(sf_dir, "documents", ["text", "source"])
-    return oov_rate(ds, "text", "source", vocab_size=30)
-
-
-# --------------- exact duplicated-span scrub (stages/exactsubstr.py) --------
-
-def _dup_span_scrub_docs(sf_dir: str):
-    """Lee et al. ExactSubstr analog (stages/exactsubstr.dup_span_scrub):
-    every token span of ≥6 tokens occurring ≥2 times corpus-wide is
-    removed from every document. The random-vocab corpus has almost no
-    natural 6-gram repeats, so a boilerplate tail is PLANTED on
-    doc_id%4==0 docs on both sides — those docs must lose exactly the
-    planted span. REAL-SQL-oracled (gram-STRING twin — engine hash
-    collisions would surface as mismatches)."""
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.exactsubstr import dup_span_scrub_stats
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        i = df["doc_id"]
-        t = df["text"].fillna("")
-        t = t.where(i % 4 != 0,
-                    t + " subscribe to our newsletter for daily updates now")
-        return pd.DataFrame({"doc_id": i, "text": t})
-
-    planted = ds.map_batches(plant, batch_format="pandas")
-    return dup_span_scrub_stats(planted, "doc_id", "text", span_tokens=6)
-
-
-_DUP_SPAN_PLANTED_SQL = """(
-    SELECT doc_id,
-           coalesce(text, '')
-           || CASE WHEN doc_id % 4 = 0
-              THEN ' subscribe to our newsletter for daily updates now'
-              ELSE '' END AS text
-    FROM documents
-)"""
-
-
-# --------------- BM25 lexical search (stages/bm25.py) -----------------------
-
-_BM25_TERMS = ["spark", "window", "batch"]
-
-
-def _bm25_search_docs(sf_dir: str):
-    """Okapi BM25 top-10 (stages/bm25.bm25_topk) — the lexical companion
-    to kg_semantic_search and the consumer of the postings family.
-    Candidate-set-sized exchanges only; REAL-SQL-oracled (same formula,
-    same rounded-score ranking in DuckDB)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.bm25 import bm25_topk
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return bm25_topk(ds, "doc_id", "text", _BM25_TERMS, k=10)
-
-
-def _bitext_mined_pairs(sf_dir: str):
-    """Margin-based bitext mining (stages/bitext; Artetxe & Schwenk 2019)
-    between the label-1 and label-2 embedding shards: mutual-best pairs
-    with ratio margin ≥ 1. One matmul pass over the streaming target side
-    yields both directions (source side broadcast — the ST7 contract);
-    margins are exact-integer micro-cosine arithmetic, so the quadratic
-    cross-join DuckDB twin is bit-identical."""
-    import pyarrow.compute as pc
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.bitext import bitext_margin_pairs
-
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
-    src = ds.map_batches(lambda t: t.filter(pc.equal(t["label"], 1))
-                         .select(["vec_id", "embedding"]),
-                         batch_format="pyarrow")
-    tgt = ds.map_batches(lambda t: t.filter(pc.equal(t["label"], 2))
-                         .select(["vec_id", "embedding"]),
-                         batch_format="pyarrow")
-    return bitext_margin_pairs(src, tgt, k=4, margin_threshold=1.0,
-                               mutual=True)
-
-
-_WINNOW_KW = dict(k=16, w=24)  # shared-substring guarantee: ≥ 39 chars
-
-
-def _winnow_fps_docs(sf_dir: str):
-    """Winnowing fingerprint sets (stages/winnow; Schleimer 2003
-    all-minima variant): the distinct (doc_id, fp) table whose coverage
-    theorem guarantees any ≥ w+k-1-char shared substring surfaces as a
-    shared fp. Pure per-batch map, REAL-SQL-oracled (same k-gram md5s,
-    same window selection via two DuckDB window frames)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.winnow import winnow_fingerprints
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return winnow_fingerprints(ds, "doc_id", "text", **_WINNOW_KW)
-
-
-def _winnow_overlap_docs(sf_dir: str):
-    """Cross-document syndication map: pairs sharing ≥2 winnowing
-    fingerprints (fp-keyed posting grouping, star-capped pair emission,
-    pair-keyed partial-sum exchange — hashes and ids move, never text).
-    REAL-SQL-oracled (self-join twin; exact while no posting exceeds the
-    cap — max posting at sf0.01 is 23 docs vs cap 200)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.winnow import winnow_overlap_pairs
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return winnow_overlap_pairs(ds, "doc_id", "text", min_shared=2,
-                                **_WINNOW_KW)
-
-
-def _hybrid_search_docs(sf_dir: str):
-    """Hybrid BM25+cosine retrieval fused with Reciprocal Rank Fusion
-    (stages/fusion.hybrid_search_rrf; Cormack 2009). Both legs keep their
-    distributed scoring shapes (bm25_topk candidate exchanges /
-    brute_force_topk block partials); fusion touches two depth-sized
-    lists only. REAL-SQL-oracled: DuckDB re-ranks both legs on the same
-    6dp-rounded scores and fuses with the same 1/(60+rank) sum. doc 0 is
-    the query row (vec_id 0 IS the query vector) — excluded from both
-    legs like knn_topk_cosine."""
-    import pyarrow.compute as pc
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq, _query_vec
-    from docprocai_service_ray.stages.fusion import hybrid_search_rrf
-
-    docs = _pq(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        lambda t: t.filter(pc.not_equal(t["doc_id"], 0)),
-        batch_format="pyarrow")
-    embs = _pq(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
-        lambda t: t.filter(pc.not_equal(t["vec_id"], 0)),
-        batch_format="pyarrow")
-    return hybrid_search_rrf(
-        docs, embs, query_terms=_BM25_TERMS, query_vec=_query_vec(sf_dir),
-        k=10, depth=50)
-
-
-# --------------- quality classifier (stages/classifier.py) ------------------
-
-def _quality_classifier_history(sf_dir: str):
-    """GPT-3-style quality-filter training (stages/classifier): hashed
-    bag-of-words logistic regression, fixed-point int64 gradient partials
-    ⇒ bit-deterministic at any parallelism (golden-frozen). The synthetic
-    corpus carries no label signal, so marker words are PLANTED on a
-    doc_id-derived label (the established planting pattern) — the frozen
-    loss/accuracy history converging to acc 1.0 IS the certificate that
-    distributed training works."""
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.classifier import \
-        train_quality_classifier
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        i = df["doc_id"]
-        y = (i % 3 == 0).astype("int64")
-        t = df["text"].fillna("")
-        t = t.where(y == 0, t + " insight careful evidence analysis")
-        t = t.where(y == 1, t + " spam click offer free")
-        return pd.DataFrame({"text": t, "y": y})
-
-    planted = ds.map_batches(plant, batch_format="pandas")
-    _, history = train_quality_classifier(planted, "text", "y",
-                                          dim=256, iters=20, lr=2.0)
-    return history
-
-
-def _classifier_scored_by_source(sf_dir: str):
-    """Quality-filter INFERENCE at corpus scale (stages/classifier.
-    classifier_score): train on the planted labels (the
-    _quality_classifier_history setup), then score EVERY doc with the
-    trained weights — a pure map, weights ride the closure — and roll up
-    per source: doc count, mean quality prob (6dp), docs kept at the 0.5
-    gate. Bit-deterministic end to end (fixed-point GD + float64 map) ⇒
-    golden-frozen."""
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.classifier import (
-        classifier_score,
-        train_quality_classifier,
-    )
-    from docprocai_service_ray.state.groupby import partition_reduce
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        i = df["doc_id"]
-        y = (i % 3 == 0).astype("int64")
-        t = df["text"].fillna("")
-        t = t.where(y == 0, t + " insight careful evidence analysis")
-        t = t.where(y == 1, t + " spam click offer free")
-        return pd.DataFrame({"text": t, "y": y, "source": df["source"]})
-
-    planted = ds.map_batches(plant, batch_format="pandas").materialize()
-    w, _ = train_quality_classifier(planted, "text", "y",
-                                    dim=256, iters=20, lr=2.0)
-    scored = classifier_score(planted, "text", w)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("source", as_index=False).agg(
-            n_docs=("quality_prob", "size"),
-            p_sum=("quality_prob", "sum"),
-            n_kept=("quality_prob", lambda s: int((s >= 0.5).sum())))
-        return g
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("source", as_index=False).agg(
-            n_docs=("n_docs", "sum"), p_sum=("p_sum", "sum"),
-            n_kept=("n_kept", "sum"))
-        return pd.DataFrame({
-            "source": g["source"],
-            "n_docs": g["n_docs"].astype("int64"),
-            "avg_prob": (g["p_sum"] / g["n_docs"]).round(6),
-            "n_kept": g["n_kept"].astype("int64"),
-        })
-
-    return partition_reduce(
-        scored.map_batches(partial, batch_format="pandas"),
-        ["source"], final, num_partitions=4)
-
-
-# --------------- bigram LM scoring (stages/ngramlm.py) ----------------------
-
-def _bigram_bits_by_source(sf_dir: str):
-    """CCNet-style LM perplexity signal (stages/ngramlm.bigram_lm_bits):
-    per source, mean −log2 p(w_i|w_{i-1}) under the corpus's own
-    add-1-smoothed bigram model — the order-1 upgrade of
-    unigram_bits_by_source. Count-shaped exchanges only; REAL-SQL-oracled
-    (lag-window + join twin)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.ngramlm import bigram_lm_bits
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-    return bigram_lm_bits(ds, "doc_id", "text", "source")
-
-
-def _perplexity_buckets_docs(sf_dir: str):
-    """CCNet head/middle/tail perplexity bucketing (stages/ngramlm.
-    perplexity_buckets, Wenzek 2020 §4.3): score every doc with the
-    corpus's own bigram LM, split each source at its exact tercile
-    cutoffs (quantile_disc), report per-(source, bucket) doc count and
-    mean bits. REAL-SQL-oracled (the bigram twin + quantile_disc CASE)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.ngramlm import perplexity_buckets
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-    return perplexity_buckets(ds, "doc_id", "text", "source")
-
-
-def _kneser_ney_bits_by_source(sf_dir: str):
-    """Interpolated Kneser–Ney bigram LM bits per source (stages/ngramlm.
-    kneser_ney_bits, Kneser & Ney 1995 / Chen & Goodman 1998) — the
-    KenLM/CCNet smoothing family: continuation-count backoff instead of
-    add-k. One extra type-level exchange over the add-k pipeline;
-    REAL-SQL-oracled."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.ngramlm import kneser_ney_bits
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-    return kneser_ney_bits(ds, "doc_id", "text", "source")
-
-
-def _zipf_corpus_stats(sf_dir: str):
-    """Zipf-law corpus health scan (stages/zipf.zipf_law_stats): type/
-    token + hapax shares and the log-log slope/r² of the top-1000 ranks
-    — the standard pre-training corpus sanity signal. One word-count
-    exchange; the fit sees only top-k rows. REAL-SQL-oracled
-    (ROW_NUMBER + REGR_SLOPE twin)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.zipf import zipf_law_stats
-
-    ds = _pq(sf_dir, "documents", ["text"])
-    return zipf_law_stats(ds, "text", top_k=1000)
-
-
-def _source_overlap_matrix(sf_dir: str):
-    """Pairwise source n-gram Jaccard (stages/overlap.
-    source_overlap_jaccard): the mixture-redundancy matrix consulted
-    before weighting sources into a training mix. One gram-hash-keyed
-    exchange; driver folds #sources² rows. REAL-SQL-oracled
-    (string-compared grams — hash collisions would surface)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.overlap import source_overlap_jaccard
-
-    ds = _pq(sf_dir, "documents", ["text", "source"])
-    return source_overlap_jaccard(ds, "text", "source", n=3)
-
-
-def _distinct_ngrams_by_source(sf_dir: str):
-    """distinct-n diversity per source (stages/diversity.
-    distinct_ngram_stats, Li 2016 / Texygen): share of distinct 3-grams
-    among all 3-gram positions — the text-degeneration signal beside
-    repetition/compression gates. One gram-hash-keyed exchange;
-    REAL-SQL-oracled (string-compared grams)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.diversity import distinct_ngram_stats
-
-    ds = _pq(sf_dir, "documents", ["text", "source"])
-    return distinct_ngram_stats(ds, "text", "source", n=3)
-
-
-def _flesch_by_source(sf_dir: str):
-    """Flesch reading-ease per source (stages/readability.
-    flesch_by_group, Flesch 1948 / Kincaid 1975) — the FineWeb-Edu-style
-    audience-level stratifier. Pure map + one group-keyed exchange;
-    REAL-SQL-oracled (identical regexes both sides)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.readability import flesch_by_group
-
-    ds = _pq(sf_dir, "documents", ["text", "source"])
-    return flesch_by_group(ds, "text", "source")
-
-
-def _taxonomy_by_source(sf_dir: str):
-    """Rule-based taxonomy routing (stages/taxonomy.taxonomy_stats):
-    every doc gets its DOMINANT keyword-family topic (first-wins argmax
-    over match counts — the deterministic cousin of WebOrganizer-style
-    domain classifiers; reference analog: content-kind dispatch,
-    DocProcAiService.py routing by media type). Per-batch (source, topic)
-    partials, one small grouped-sum exchange; REAL-SQL-oracled (the CASE
-    ladder provably equals numpy's first-wins argmax)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.taxonomy import taxonomy_stats
-
-    ds = _pq(sf_dir, "documents", ["text", "source"])
-    return taxonomy_stats(ds, "source", "text")
-
-
-_TOPIC_RATES = {"joins": 0.5, "scan_exec": 0.25, "streaming": 1.0,
-                "columnar": 0.1}
-
-
-def _topic_stratified_docs(sf_dir: str):
-    """Topic-aware rebalancing (stages/taxonomy.topic_stratified_sample):
-    route each doc to its dominant topic, then sample at a per-topic rate
-    (the mixture-design step after routing — downsample the head topics,
-    keep the scarce ones). Two pure maps, zero exchange; REAL-SQL-oracled
-    (taxonomy CASE ladder + the exact md5-threshold predicate)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.taxonomy import topic_stratified_sample
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return topic_stratified_sample(ds, "doc_id", "text", _TOPIC_RATES,
-                                   default_rate=1.0, seed=_CFG.seed)
-
-
-# SoftDeDup planting: every doc_id%4==0 doc becomes one of the shared
-# templates (exact-dup clusters of known shape); the engine plants the
-# same transform in pandas.
-_SOFTDEDUP_PLANTED_SQL = (
-    "(SELECT source, CASE WHEN doc_id % 4 = 0 THEN 'dup template ' || "
-    "CAST(doc_id % 6 AS VARCHAR) ELSE coalesce(text, '') END AS text "
-    "FROM documents)"
-)
-
-
-def _soft_dedup_by_source(sf_dir: str):
-    """SoftDeDup duplication reweighting (stages/softdedup, He et al.
-    2024): instead of dropping duplicates, weight each doc by its exact-
-    dup cluster size**-beta; the per-source scorecard reports doc counts,
-    distinct texts, docs-in-dup-clusters and the EFFECTIVE (weight-
-    summed) corpus size. One hash-keyed exchange of (h, source, cnt)
-    partials — text never ships. REAL-SQL-oracled: the twin groups by the
-    text itself, so a u64 collision would surface as a mismatch."""
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.softdedup import soft_dedup_stats
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "source", "text"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        t = df["text"].fillna("")
-        dup = "dup template " + (df["doc_id"] % 6).astype(str)
-        return pd.DataFrame({"source": df["source"],
-                             "text": t.where(df["doc_id"] % 4 != 0, dup)})
-
-    planted = ds.map_batches(plant, batch_format="pandas")
-    return soft_dedup_stats(planted, "source", "text", beta=0.5)
-
-
-def _semantic_decontam_topk(sf_dir: str):
-    """Semantic decontamination retrieval (stages/similarity.
-    multi_query_topk): for every benchmark embedding (vec_id%17==0 — the
-    small fixed eval side), the top-3 nearest TRAINING vectors by cosine
-    — the embedding-space complement of n-gram decontamination
-    (decontam_by_source), Brown et al. 2020 §C generalized. The benchmark
-    matrix broadcasts once (ray.put); each block does one (n,d)@(d,B)
-    matmul + vectorized per-column argpartition, so the merge exchange is
-    n_blocks·k·B candidate rows, never the corpus. REAL-SQL-oracled
-    (list_cosine_similarity + row_number twin)."""
-    import numpy as np
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.similarity import multi_query_topk
-    from docprocai_service_ray.state.joins import collect_broadcast_df
-
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
-    bench = collect_broadcast_df(
-        ds.map_batches(lambda df: df[df["vec_id"] % 17 == 0],
-                       batch_format="pandas"),
-        ["vec_id", "embedding"])
-    qmat = np.asarray(list(bench["embedding"]), dtype=np.float64)
-    corpus = ds.map_batches(lambda df: df[df["vec_id"] % 17 != 0],
-                            batch_format="pandas")
-    return multi_query_topk(corpus, qmat, bench["vec_id"].to_numpy(), 3,
-                            extra_cols=("label",))
-
-
-# --------------- registrable domains (stages/domains.py) --------------------
-
-# url hosts PLANTED with suffix variety (ML2 public suffix, www/deep
-# subdomains, bare 2-label) so every branch of the eTLD+1 rule runs —
-# the _pii_stats_by_source planting pattern
-_DOMAIN_PLANTED_SQL = """(
-    SELECT doc_id,
-           'https://' ||
-           (CASE doc_id % 4
-             WHEN 0 THEN 'a' || (doc_id % 17) || '.co.uk'
-             WHEN 1 THEN 'www.b' || (doc_id % 17) || '.com'
-             WHEN 2 THEN 'c' || (doc_id % 17) || '.org'
-             ELSE 'deep.sub.d' || (doc_id % 17) || '.net' END)
-           || '/p/' || doc_id AS url
-    FROM documents
-)"""
-
-
-def _domain_doc_counts(sf_dir: str):
-    """Docs per registrable domain (stages/domains.domain_rollup):
-    eTLD+1 extraction (PSL 2-label rule with the built-in suffix set) +
-    partial pre-agg + one domain-keyed int exchange — the grouping key
-    domain-level curation filters use. REAL-SQL-oracled (same regexes,
-    same suffix set in DuckDB)."""
-    import numpy as np
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.domains import domain_rollup
-
-    ds = _pq(sf_dir, "documents", ["doc_id"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        i = df["doc_id"]
-        k = (i % 17).astype(str)
-        host = pd.Series(
-            np.select(
-                [i % 4 == 0, i % 4 == 1, i % 4 == 2],
-                ["a" + k + ".co.uk", "www.b" + k + ".com", "c" + k + ".org"],
-                default="deep.sub.d" + k + ".net"),
-            index=df.index)
-        return pd.DataFrame({
-            "doc_id": i, "url": "https://" + host + "/p/" + i.astype(str)})
-
-    return domain_rollup(ds.map_batches(plant, batch_format="pandas"), "url")
-
-
-# --------------- line-level corpus dedup (stages/linededup.py) --------------
-
-# the synthetic docs are single-line bags of words, so line structure is
-# PLANTED identically on both sides (every 6 words become a line — a
-# shared-vocabulary corpus, so ~5% of lines legitimately collide across
-# docs); the parity under test is the first-(id, idx)-wins rewrite.
-_LINE_PLANT_RE = r"((?:\S+ ){5}\S+) "
-_LINE_PLANTED_SQL = (
-    "(SELECT doc_id, regexp_replace(coalesce(text, ''), "
-    f"'{_LINE_PLANT_RE}', '\\1' || chr(10), 'g') AS text FROM documents)"
-)
-
-
-def _line_dedup_docs(sf_dir: str):
-    """C4/CCNet line-level corpus dedup (stages/linededup.line_dedup):
-    every duplicated line survives only at its first (doc_id, position)
-    site, docs are rebuilt from surviving lines; per-doc certificate
-    (n_lines, n_kept, md5 of the rebuilt text) is REAL-SQL-oracled."""
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.linededup import line_dedup_stats
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": df["doc_id"],
-            "text": df["text"].fillna("").str.replace(
-                _LINE_PLANT_RE, r"\1\n", regex=True),
-        })
-
-    planted = ds.map_batches(plant, batch_format="pandas")
-    return line_dedup_stats(planted, "doc_id", "text")
-
-
-# --------------- url hygiene (stages/urltools.py) ---------------------------
-
-# C4/CCNet-style crawl hygiene over PLANTED urls (the documents table has
-# no url column, so both sides build the same deterministic url from
-# doc_id — the parity under test is the normalization/blocklist regex
-# semantics, Python re vs DuckDB RE2, exactly like _pii_stats_by_source).
-_URL_PLANTED_SQL = """(
-    SELECT doc_id, source,
-           (CASE WHEN doc_id % 2 = 0 THEN 'http' ELSE 'https' END)
-           || '://WWW.Site' || (doc_id % 50) || '.Example'
-           || (CASE WHEN doc_id % 4 = 0 THEN ':80'
-                    WHEN doc_id % 4 = 1 THEN ':443' ELSE '' END)
-           || '/Path/' || doc_id
-           || (CASE WHEN doc_id % 3 = 0 THEN '?utm_source=x&id=' || (doc_id % 7)
-                    WHEN doc_id % 3 = 1 THEN '?id=' || (doc_id % 7) || '&gclid=abc'
-                    ELSE '#Frag' || (doc_id % 5) END) AS url
-    FROM documents
-)"""
-
-_URL_BLOCKLIST = ["site7.example", "site13.example", "www.site21.example"]
-
-
-def _plant_urls(df):
-    """Deterministic url per doc exercising every normalization step:
-    mixed-case host, default ports, leading/non-leading tracker params,
-    fragments. MUST mirror _URL_PLANTED_SQL verbatim."""
-    import numpy as np
-    import pandas as pd
-
-    i = df["doc_id"]
-    scheme = pd.Series(np.where(i % 2 == 0, "http", "https"), index=df.index)
-    port = pd.Series(
-        np.where(i % 4 == 0, ":80", np.where(i % 4 == 1, ":443", "")),
-        index=df.index)
-    tail = "#Frag" + (i % 5).astype(str)
-    tail = tail.where(i % 3 != 0, "?utm_source=x&id=" + (i % 7).astype(str))
-    tail = tail.where(i % 3 != 1, "?id=" + (i % 7).astype(str) + "&gclid=abc")
-    url = (scheme + "://WWW.Site" + (i % 50).astype(str) + ".Example" + port
-           + "/Path/" + i.astype(str) + tail)
-    out = df.copy()
-    out["url"] = url
-    return out
-
-
-def _normalized_urls(sf_dir: str):
-    """URL canonicalization (stages/urltools.normalize_urls): fragment /
-    tracker-param / default-port strip + scheme-host lowercase — the key
-    url-dedup should group on. Pure map, REAL-SQL-oracled (the DuckDB twin
-    runs the SAME rewrite chain via urltools.normalize_url_sql)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.urltools import normalize_urls
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "source"])
-    planted = ds.map_batches(_plant_urls, batch_format="pandas")
-    return normalize_urls(planted, "url", out_col="url_norm").select_columns(
-        ["doc_id", "url_norm"])
-
-
-def _blocked_host_doc_counts(sf_dir: str):
-    """Host-blocklist gate (stages/urltools.host_blocklist_filter):
-    exact-or-subdomain host match drops blocked docs before any expensive
-    stage; survivors counted per source (partial pre-agg, source-keyed
-    int exchange only)."""
-    import numpy as np
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.urltools import host_blocklist_filter
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "source"])
-    planted = ds.map_batches(_plant_urls, batch_format="pandas")
-    kept = host_blocklist_filter(planted, _URL_BLOCKLIST, url_col="url")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("source", as_index=False).agg(n=("doc_id", "size"))
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "source": [g["source"].iloc[0]],
-            "n_docs": [np.int64(g["n"].sum())],
-        })
-
-    return (kept.map_batches(partial, batch_format="pandas")
-            .groupby("source").map_groups(final, batch_format="pandas"))
-
-
-def _doc_shard_shuffle(sf_dir: str):
-    """Deterministic global shuffle into training shards
-    (stages/sampling.shard_shuffle): every doc gets a (shard, pos) slot in
-    a content-hash-keyed pseudo-random permutation — identical at any
-    parallelism, on any cluster shape, and in SQL (random_shuffle() can
-    promise none of those). Rank via the pack_spans range-bucket shape."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.sampling import shard_shuffle
-
-    ds = _pq(sf_dir, "documents", ["doc_id"])
-    return shard_shuffle(ds, "doc_id", 8, seed=_CFG.seed)
-
-
-def _lang_mix_alpha(sf_dir: str):
-    """XLM-R temperature sampling weights (stages/textstats.
-    lang_mix_alpha_weights, alpha=0.3): q_i ∝ p_i^alpha smoothing of the
-    natural language mix — the published multilingual rebalancing rule
-    next to the uniform-target lang_mix_weights. REAL-SQL-oracled."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import lang_mix_alpha_weights
-
-    ds = _pq(sf_dir, "documents", ["lang", "text"])
-    return lang_mix_alpha_weights(ds, "lang", "text", alpha=0.3)
-
-
-def _lang_mix_weights(sf_dir: str):
-    """Training-mix reweighting (stages/textstats.lang_mix_weights): per
-    language, token share and the uniform-target sampling multiplier
-    min(1, uniform/actual) — the static rebalancing table whose
-    multipliers feed stratified_sample. Lang-keyed int-partial exchange;
-    finisher math on the #languages-row result."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import lang_mix_weights
-
-    ds = _pq(sf_dir, "documents", ["lang", "text"])
-    return lang_mix_weights(ds, "lang", "text")
-
-
-def _unimax_allocation(sf_dir: str):
-    """UniMax language budget allocation (stages/textstats.
-    unimax_allocation, Chung et al. 2023): water-fill a fixed token
-    budget across languages, capped at max_epochs passes per language —
-    the published fairness upgrade over temperature sampling
-    (lang_mix_alpha). One lang-keyed int exchange + a #languages-row
-    driver waterfall; REAL-SQL-oracled (window-function closed form)."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import unimax_allocation
-
-    ds = _pq(sf_dir, "documents", ["lang", "text"])
-    return unimax_allocation(ds, "lang", "text", budget_tokens=200_000,
-                             max_epochs=4.0)
-
-
-def _compression_ratio_by_source(sf_dir: str):
-    """zlib compressibility profile per source (stages/textstats.
-    compression_ratio_stats): the standard-beside-perplexity quality
-    signal (templated boilerplate compresses hard, noise barely). Fixed-
-    point int64 partials ⇒ bit-deterministic; zlib is not expressible in
-    DuckDB, so golden-frozen — mirror + direction properties in
-    tests/test_compressratio.py."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import compression_ratio_stats
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
-    return compression_ratio_stats(ds, "source", "text")
-
-
-def _dsir_selected_docs(sf_dir: str):
-    """DSIR importance resampling (stages/dsir.dsir_select, Xie et al.
-    2023): pick the raw docs that look like a small in-domain target via
-    hashed-n-gram importance weights + content-hash Gumbel top-k. The
-    target here is the deterministic planting the quality-classifier
-    query uses: docs with doc_id%5==1 carry the in-domain suffix, and
-    docs with doc_id%3==0 in the raw pool carry it too — selection
-    should (and does) concentrate on them. Hashed features are not
-    SQL-expressible ⇒ golden-frozen, certified by the single-process
-    reference mirror in tests/test_dsir.py."""
-    import pandas as pd
-
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.dsir import dsir_select
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    suffix = " insight careful evidence analysis"
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        t = df["text"].fillna("")
-        return pd.DataFrame({
-            "doc_id": df["doc_id"],
-            "text": t.where(df["doc_id"] % 3 != 0, t + suffix),
-        })
-
-    def target(df: pd.DataFrame) -> pd.DataFrame:
-        keep = df["doc_id"] % 5 == 1
-        return pd.DataFrame({
-            "doc_id": df["doc_id"][keep],
-            "text": df["text"][keep].fillna("") + suffix,
-        })
-
-    raw = ds.map_batches(plant, batch_format="pandas")
-    tgt = ds.map_batches(target, batch_format="pandas")
-    return dsir_select(raw, tgt, "doc_id", "text", select_k=50,
-                       buckets=4096, seed=_CFG.seed)
-
-
-def _token_shard_stats(sf_dir: str):
-    """Tokenized binary shard publication (sources/tokenized.
-    export_token_shards): BPE-train on the corpus → sorted-vocab ids →
-    content-hash shard shuffle → ONE shard-keyed exchange writes each
-    shard's flat <u4 token stream (Megatron .bin convention) + idx
-    sidecar + manifest. Returns the manifest (shard, n_docs, n_tokens,
-    n_bytes, sha256, vocab_size) — the sha256 values PIN every byte of
-    every shard, so the golden freeze certifies bit-determinism of the
-    whole encode→shuffle→pack chain at any parallelism (asserted in
-    tests/test_tokenized.py). BPE is not SQL-expressible ⇒ golden."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.sources.tokenized import (export_token_shards,
-                                                         vocab_from_merges)
-    from docprocai_service_ray.stages.bpe import bpe_train
-
-    docs = _pq(sf_dir, "documents", ["doc_id", "text"])
-    merges = bpe_train(docs, "text", num_merges=32)
-    vocab = vocab_from_merges(merges)  # zero corpus passes (100-TB path)
-    tag = os.path.basename(sf_dir.rstrip("/"))
-    out = f"/tmp/raykg_token_shards/v1_{tag}"
-    man = export_token_shards(docs, out, "doc_id", "text", merges, vocab,
-                              n_shards=8, seed=_CFG.seed)
-    man["vocab_size"] = np.int64(len(vocab))
-    return man
-
-
-_DEDUP_IDX_VER = "v1"
-
-
-def _shard_dedup_probe(sf_dir: str):
-    """Incremental dedup of a new crawl shard against a PERSISTED MinHash
-    index of the existing corpus (stages/dedup.build_dedup_index /
-    probe_dedup_index — index once at ingest, probe every shard; corpus
-    text is never re-shingled and never stored in the index). The shard
-    is a deterministic synthetic recrawl: every doc_id%10==0 doc returns
-    with a new id, half verbatim (est 1.0), half with the last 3 words
-    dropped (near-dup, est ≈ true jaccard, σ≈0.05 at 64 perms).
-    Deterministic (seeded hashing) ⇒ golden-frozen; estimate accuracy and
-    exact/near/novel behavior tested in tests/test_dedup_index.py."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.dedup import (build_dedup_index,
-                                                    probe_dedup_index)
-    from docprocai_service_ray.state.groupby import collect_pandas
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    tag = os.path.basename(sf_dir.rstrip("/"))
-    idx = build_dedup_index(
-        ds, f"/tmp/raykg_dedup_index/{_DEDUP_IDX_VER}_{tag}",
-        "doc_id", "text")
-
-    def recrawl(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["doc_id"] % 10 == 0]
-        cut = df["doc_id"] % 20 == 0
-        text = df["text"].where(
-            ~cut, df["text"].str.split(" ").str[:-3].str.join(" "))
-        return pd.DataFrame({"doc_id": df["doc_id"] + 1_000_000,
-                             "text": text})
-
-    shard = ds.map_batches(recrawl, batch_format="pandas")
-    res = probe_dedup_index(shard, idx, "doc_id", "text", threshold=0.5)
-    return (collect_pandas(res, ["new_id", "corpus_id", "est_jaccard"])
-            .sort_values(["new_id", "corpus_id"]).reset_index(drop=True))
-
-
-def _packed_doc_spans(sf_dir: str):
-    """GPT-style concat-and-chunk sequence packing over the documents
-    table (stages/packing.pack_spans): each doc's [start_seq, end_seq]
-    span in a 512-token packed stream — a distributed integer prefix sum,
-    bit-identical to the single-threaded cumsum at any parallelism."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.packing import pack_spans
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return pack_spans(ds, "doc_id", "text", budget=512)
-
-
-def _semantic_dedup_keep(sf_dir: str):
-    """SemDeDup-style semantic dedup over the embeddings table
-    (stages/similarity.semantic_dedup): k-means clusters, then
-    within-cluster cosine>=0.4 marks later-id rows as duplicates.
-    Iterative float fixpoint (kmeans) ⇒ golden-frozen; determinism and
-    planted-duplicate behavior tested in tests/test_packing_semdedup.py."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.similarity import semantic_dedup
-
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    res = semantic_dedup(ds, "vec_id", "embedding", 64, 8,
-                         threshold=0.4, iters=10, seed=_CFG.seed)
-    from docprocai_service_ray.state.groupby import collect_pandas
-
-    df = collect_pandas(res, ["vec_id", "cluster", "kept"])
-    return df.sort_values("vec_id").reset_index(drop=True)
-
-
-def _kmeans_embeddings(sf_dir: str):
-    """Distributed Lloyd's k-means over the embeddings table with
-    fixed-point (int64) centroid updates — integer sums are exactly
-    associative, so the clustering is BIT-identical at any parallelism
-    (stages/similarity.kmeans; reference-mirror + parallelism-invariance
-    + blob-recovery tests in tests/test_kmeans.py). Iterative float
-    fixpoint ⇒ golden-frozen."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.similarity import kmeans_cluster_sizes
-
-    ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return kmeans_cluster_sizes(ds, "vec_id", "embedding", 64, 8,
-                                iters=10, seed=_CFG.seed)
-
-
-def _weighted_sample_docs(sf_dir: str):
-    """Deterministic weighted sampling without replacement (exp-key /
-    Efraimidis-Spirakis with content-hash uniforms): longer docs
-    proportionally likelier — stages/sampling.weighted_sample."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.sampling import weighted_sample
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    return weighted_sample(ds, "doc_id", "n_chars", 25, seed=_CFG.seed)
-
-
-def _similar_surfaces(sf_dir: str):
-    """Entity-resolution fuzzy self-join: edit-distance-≤1 surface pairs
-    from the LIVE pipeline's entity map via deletion-neighborhood blocking
-    (stages/dedup.fuzzy_pairs — no false negatives at radius 1); the
-    oracle cross-joins the GOLDEN entity map with DuckDB levenshtein, so
-    blocking completeness is externally checked."""
-    from docprocai_service_ray.stages.dedup import fuzzy_pairs
-
-    surfaces = _kg_run(sf_dir)["entity_map"].select_columns(["surface"])
-    return fuzzy_pairs(surfaces, "surface")
-
-
-def _stratified_docs_sample(sf_dir: str):
-    """Per-language deterministic rebalancing sample
-    (stages/sampling.stratified_sample): different keep-rate per stratum,
-    same content-hash predicate — a pure map, SQL-reproducible."""
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.sampling import stratified_sample
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "lang", "source"])
-    return stratified_sample(ds, "doc_id", "lang", _STRATA_RATES, seed=_CFG.seed)
-
-
-def _sampling_sql() -> dict[str, str]:
-    from docprocai_service_ray.stages.sampling import (
-        sample_sql_predicate,
-        stratified_sql_predicate,
-        weighted_sample_sql,
-    )
-
-    pred10 = sample_sql_predicate("doc_id", 0.10, seed=_CFG.seed)
-    hold = sample_sql_predicate("doc_id", 0.2, seed=_CFG.seed)
-    strat = stratified_sql_predicate("doc_id", "lang", _STRATA_RATES, seed=_CFG.seed)
-    return {
-        "sample_docs": f"SELECT doc_id, lang, source FROM documents WHERE {pred10}",
-        "train_holdout_counts": f"""
-            SELECT CASE WHEN {hold} THEN 'holdout' ELSE 'train' END AS split,
-                   source, COUNT(*) AS n
-            FROM documents GROUP BY 1, 2
-        """,
-        "stratified_docs_sample":
-            f"SELECT doc_id, lang, source FROM documents WHERE {strat}",
-        "weighted_sample_docs": weighted_sample_sql(
-            "documents", ["doc_id", "lang", "n_chars"], "doc_id", "n_chars",
-            25, seed=_CFG.seed,
-        ),
-    }
-
-
-# ------------------------- graph analytics over the materialized KG --------
-
-def _entity_degree(sf_dir: str):
-    """In/out/total triple counts per entity; SQL-oracled against the
-    certified golden kg_triples table (a genuine cross-check: Ray computes
-    from the LIVE pipeline, DuckDB aggregates the frozen certified copy)."""
-    from docprocai_service_ray.stages.graph import entity_degree
-
-    return entity_degree(_kg_run(sf_dir)["triples"])
-
-
-def _pagerank_entities(sf_dir: str):
-    from docprocai_service_ray.stages.graph import pagerank
-
-    return pagerank(_kg_run(sf_dir)["triples"], iters=20)
-
-
-def _khop_seed(triples) -> str:
-    """Lexicographic-min subject — per-batch Arrow min partials, driver
-    min over ≤ n_blocks scalars (the SQL oracle computes the same seed)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    parts = triples.map_batches(
-        lambda t: pa.table(
-            {"m": pa.array([pc.min(t["subject_id"]).as_py()], pa.string())}
-        ),
-        batch_format="pyarrow",
-    ).take_all()
-    return min(r["m"] for r in parts if r["m"] is not None)
-
-
-def _graph_components(sf_dir: str):
-    from docprocai_service_ray.stages.graph import connected_components
-
-    return connected_components(_kg_run(sf_dir)["triples"], _CFG)
-
-
-def _triple_pr_vs_oracle(sf_dir: str):
-    """THE north-rule headline metric, surfaced as a query: precision /
-    recall of the LIVE distributed pipeline's (subject, pred, object,
-    weight) triples against the INDEPENDENT single-process scalar oracle
-    (docprocai_service_ray/oracle/scalar.py — row-at-a-time, shares only
-    the pure kernels; the same oracle that certifies the goldens),
-    recomputed fresh for this sf. The bar is P/R ≥ 0.95; the engine holds
-    P = R = 1.0 (exact set equality), asserted in tests and frozen in the
-    golden. Driver-sized comparison: both triple sets are vocab-sized."""
-    import pyarrow as _pa
-
-    from docprocai_service_ray.oracle.scalar import run_oracle
-    from docprocai_service_ray.sources.webgen import alias_dict_table, gen_page
-    from docprocai_service_ray.state.groupby import collect_pandas
-
-    live_df = collect_pandas(
-        _kg_run(sf_dir)["triples"],
-        ["subject_id", "pred", "object_id", "weight"])
-    live = set(map(tuple, live_df.itertuples(index=False)))
-    n = _corpus_n(sf_dir)
-    pages = [gen_page(_CFG.seed, r) for r in range(n)]
-    oracle = run_oracle(pages, alias_dict_table(_CFG.seed, _CFG.embedding_dim),
-                        _CFG)
-    ref = {(t["subject_id"], t["pred"], t["object_id"], t["weight"])
-           for t in oracle["triples"]}
-    common = len(live & ref)
-    return _pa.table({
-        "n_live": _pa.array([len(live)], _pa.int64()),
-        "n_ref": _pa.array([len(ref)], _pa.int64()),
-        "n_common": _pa.array([common], _pa.int64()),
-        "precision": _pa.array(
-            [round(common / len(live), 6) if live else 0.0], _pa.float64()),
-        "recall": _pa.array(
-            [round(common / len(ref), 6) if ref else 0.0], _pa.float64()),
-    })
-
-
-def _entity_triangles(sf_dir: str):
-    """Triangle counts + local clustering coefficients over the KG
-    (stages/graph.triangle_counts: degree-ordered orientation defuses hub
-    wedge blowup; exact integer counts). SQL twin: id-ordered three-way
-    self-join over the certified golden kg_triples."""
-    from docprocai_service_ray.stages.graph import triangle_counts
-
-    return triangle_counts(_kg_run(sf_dir)["triples"])
-
-
-def _entity_communities(sf_dir: str):
-    """Label-propagation communities over the KG (stages/graph.
-    label_propagation: deterministic LPA — neighborhood label mode with
-    (count DESC, label ASC) tie-break, fixed round count; driver +
-    distributed tiers bit-equal in tests). Finds dense regions of one
-    connected graph — the companion to graph_components' islands.
-    Iterative integer/mode fixpoint ⇒ golden-frozen."""
-    from docprocai_service_ray.stages.graph import label_propagation
-
-    return label_propagation(_kg_run(sf_dir)["triples"], iters=10)
-
-
-def _entity_coreness(sf_dir: str):
-    """k-core numbers over the KG (stages/graph.core_numbers: exact
-    Batagelj–Zaveršnik peel under the vocab gate, h-index fixpoint — Lü
-    2016, provably convergent to coreness — above it; both tiers
-    bit-equal in tests). Iterative integer fixpoint, not SQL-expressible
-    ⇒ golden-frozen; the link-farm/density signal."""
-    from docprocai_service_ray.stages.graph import core_numbers
-
-    return core_numbers(_kg_run(sf_dir)["triples"])
-
-
-def _khop_neighborhood(sf_dir: str):
-    from docprocai_service_ray.stages.graph import khop_neighborhood
-
-    triples = _kg_run(sf_dir)["triples"]
-    return khop_neighborhood(triples, _khop_seed(triples), k=2)
-
-
-def _graph_sql() -> dict[str, str]:
-    from docprocai_service_ray.stages.graph import triangles_sql
-
-    t = os.path.join(_GOLDEN_DIR, "kg_triples.parquet")
-    return {
-        "entity_triangles": triangles_sql(f"read_parquet('{t}')"),
-        "entity_degree": f"""
-            WITH t AS (SELECT subject_id, object_id FROM read_parquet('{t}')),
-            o AS (SELECT subject_id AS entity, COUNT(*) AS c FROM t GROUP BY 1),
-            i AS (SELECT object_id AS entity, COUNT(*) AS c FROM t GROUP BY 1)
-            SELECT COALESCE(o.entity, i.entity) AS entity,
-                   COALESCE(o.c, 0) AS out_deg,
-                   COALESCE(i.c, 0) AS in_deg,
-                   COALESCE(o.c, 0) + COALESCE(i.c, 0) AS degree
-            FROM o FULL OUTER JOIN i ON o.entity = i.entity
-        """,
-        "graph_components": f"""
-            WITH RECURSIVE
-            t AS (SELECT subject_id, object_id FROM read_parquet('{t}')),
-            e AS (SELECT DISTINCT subject_id AS s, object_id AS o FROM t
-                  UNION SELECT DISTINCT object_id, subject_id FROM t),
-            n AS (SELECT DISTINCT s AS node FROM e),
-            reach(a, b) AS (
-                SELECT node, node FROM n
-                UNION
-                SELECT r.a, e.o FROM reach r JOIN e ON e.s = r.b
-            ),
-            comp AS (SELECT a AS entity, MIN(b) AS component_id
-                     FROM reach GROUP BY a)
-            SELECT entity, component_id,
-                   CAST(COUNT(*) OVER (PARTITION BY component_id) AS BIGINT)
-                       AS component_size
-            FROM comp
-        """,
-        "khop_neighborhood": f"""
-            WITH RECURSIVE
-            e AS (SELECT DISTINCT subject_id AS s, object_id AS o
-                  FROM read_parquet('{t}')),
-            seed AS (SELECT MIN(subject_id) AS ent FROM read_parquet('{t}')),
-            reach(entity, hop) AS (
-                SELECT ent, 0 FROM seed
-                UNION
-                SELECT e.o, r.hop + 1
-                FROM reach r JOIN e ON e.s = r.entity
-                WHERE r.hop < 2
-            )
-            SELECT entity, CAST(MIN(hop) AS BIGINT) AS hop
-            FROM reach GROUP BY entity
-        """,
-    }
-
-
-def _rolling_fingerprints(sf_dir: str):
-    from docprocai_service_ray.pipelines.benchqueries import _pq
-    from docprocai_service_ray.stages.textstats import bpe_ish_token_counts, rolling_fingerprint
-
-    ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "doc_id": df["doc_id"],
-                "rfp": rolling_fingerprint(df["text"]),
-                "bpe_tokens": bpe_ish_token_counts(df["text"]),
-            }
-        ),
-        batch_format="pandas",
-    )
-
-
-# ---------------- SQL oracles for the text-analysis ops ---------------------
-# Built PROGRAMMATICALLY from the same stopword lists / regexes the Ray
-# kernels use (docprocai_service_ray/stages/textstats.py) so the two sides
-# cannot drift.
-
-def _sql_list(words) -> str:
-    return "[" + ", ".join(f"'{w}'" for w in sorted(words)) + "]"
-
-
-def _lang_id_sql() -> str:
-    from docprocai_service_ray.stages.textstats import _STOPWORDS
-
-    word_re = "[a-zàâäéèêëîïôöùûüß]+"
-    score = {
-        lang: (
-            f"len(list_filter(regexp_extract_all(lower(coalesce(text, '')), "
-            f"'{word_re}'), x -> list_contains({_sql_list(sw)}, x)))"
-        )
-        for lang, sw in _STOPWORDS.items()
-    }
-    # python rule: langs scanned in sorted order, strictly-greater score
-    # wins → earlier language wins ties; all-zero → 'und'
-    return f"""
-        WITH sc AS (
-            SELECT {score['de']} AS de, {score['en']} AS en, {score['fr']} AS fr
-            FROM documents
-        )
-        SELECT CASE WHEN de = 0 AND en = 0 AND fr = 0 THEN 'und'
-                    WHEN de >= en AND de >= fr THEN 'de'
-                    WHEN en >= fr THEN 'en'
-                    ELSE 'fr' END AS lang_guess,
-               COUNT(*) AS n
-        FROM sc GROUP BY 1
-    """
-
-
-def _quality_sql() -> str:
-    from docprocai_service_ray.stages.textstats import _STOPWORDS
-
-    word_re = "[a-zàâäéèêëîïôöùûüß]+"
-    en = _sql_list(_STOPWORDS["en"])
-    return f"""
-        WITH d AS (SELECT source, coalesce(text, '') AS t FROM documents),
-        m AS (
-            SELECT source,
-                   length(t) AS n,
-                   len(regexp_extract_all(t, '\\S+')) AS tok,
-                   len(regexp_extract_all(t, '[.!?,;:]'))::DOUBLE
-                       / greatest(length(t), 1) AS pr,
-                   len(list_filter(regexp_extract_all(lower(t), '{word_re}'),
-                                   x -> list_contains({en}, x)))::DOUBLE
-                       / greatest(len(regexp_extract_all(lower(t), '{word_re}')), 1)
-                       AS swr
-            FROM d
-        ),
-        q AS (
-            SELECT source, tok,
-                   ROUND(0.4::DOUBLE * (CASE WHEN n BETWEEN 50 AND 100000 THEN 1 ELSE 0 END)
-                       + 0.3::DOUBLE * (CASE WHEN pr > 0.0 AND pr < 0.2 THEN 1 ELSE 0 END)
-                       + 0.3::DOUBLE * (CASE WHEN swr > 0.02 THEN 1 ELSE 0 END), 6) AS q
-            FROM m
-        )
-        SELECT source, COUNT(*) AS n_docs,
-               ROUND(SUM(q) / COUNT(*), 4) AS avg_quality,
-               CAST(SUM(tok) AS BIGINT) AS total_tokens
-        FROM q GROUP BY 1
-    """
-
-
-_ROLLING_SQL = """
-    WITH d AS (SELECT doc_id, coalesce(text, '') AS t FROM documents),
-    g AS (SELECT unnest(range((SELECT greatest(max(length(t)) - 64, 0) + 1 FROM d))) AS i),
-    win AS (
-        SELECT d.doc_id, min(md5(substr(d.t, g.i + 1, 64))) AS rfp
-        FROM d, g
-        WHERE length(d.t) > 64
-          AND g.i <= length(d.t) - 64
-          AND g.i % greatest(1, (length(d.t) - 64) // 128) = 0
-        GROUP BY 1
-    ),
-    small AS (SELECT doc_id, md5(t) AS rfp FROM d WHERE length(t) <= 64)
-    SELECT d.doc_id,
-           coalesce(w.rfp, s.rfp) AS rfp,
-           len(regexp_extract_all(d.t, '[A-Za-z]+|\\d+|[^\\sA-Za-z\\d]')) AS bpe_tokens
-    FROM d LEFT JOIN win w USING (doc_id) LEFT JOIN small s USING (doc_id)
-"""
-
-# deterministic KG / near-dup outputs frozen as golden parquet (generated
-# by scripts/make_goldens.py at sf0.01 — kg_docs/sentences/triples/
-# entity_map come from the INDEPENDENT scalar oracle, the rest freeze the
-# verified pipeline output); the oracle SQL just reads the file back
-_GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens", "sf0.01")
-_GOLDEN_QUERIES = [
-    "kg_docs",
-    "kg_sentences",
-    "kg_triples",
-    "kg_entity_map",
-    "kg_mentions",
-    "doc_summaries",
-    "kg_semantic_search",
-    "near_dup_pages_minhash",
-    "near_dup_pages_simhash",
-    "ngram_jaccard_dups",
-    "media_features",
-    "media_thumbnails",
-    "media_frames",
-    # LSH ops are approximate BY DESIGN (recall measured vs brute force in
-    # tests, not assumed) — no exact SQL can reproduce them; the golden
-    # freeze pins their deterministic output instead
-    "embedding_near_dup",
-    "ann_lsh_topk",
-    "ann_ivf_topk",
-    # SQ8 prefilter is approximate BY DESIGN (recall measured in
-    # tests/test_quantize.py); golden pins the deterministic output
-    "ann_quantized_topk",
-    # JL projected prefilter: approximate by design (recall measured in
-    # tests/test_project.py); seeded ⇒ deterministic, golden pins it
-    "ann_projected_topk",
-    # seeded-LSH candidate counts per banding — golden pins the
-    # deterministic profile
-    "dedup_threshold_profile",
-    # iterative float fixpoint — no exact SQL; verified vs dense numpy in
-    # tests/test_graph.py, frozen rounded to 8dp
-    "pagerank_entities",
-    # mergeable-sketch tier: approximate BY DESIGN (error bound asserted
-    # in tests vs the exact tier); golden pins its determinism
-    "value_quantiles_sketch",
-    "distinct_users_sketch",
-    # iterative float fixpoint over the host link graph (see
-    # pagerank_entities note above); edges themselves are REAL-SQL-oracled
-    "host_pagerank",
-    "host_pagerank_weighted",
-    # HITS over the same host graph: L2-normalized float fixpoint
-    # (both tiers dense-verified at 1e-9 in tests/test_graph.py::TestHITS)
-    "host_hits",
-    # k-core numbers: iterative integer fixpoint (both tiers bit-equal to
-    # the exact peel in tests) — not SQL-expressible
-    "entity_coreness",
-    # deterministic LPA communities: fixed-round mode fixpoint (tiers
-    # bit-equal in tests) — not SQL-expressible
-    "entity_communities",
-    # the north-rule P/R metric vs the independent scalar oracle: golden
-    # pins P = R = 1.0 (exact triple-set equality)
-    "triple_pr_vs_oracle",
-    # iterative clustering; bit-deterministic via fixed-point updates
-    # (parallelism invariance + reference mirror in tests/test_kmeans.py)
-    "kmeans_embeddings",
-    # GD training + sigmoid map — no exact SQL; bit-deterministic
-    # (fixed-point gradient partials), golden pins train→score→rollup
-    "classifier_scored_by_source",
-    # SemDeDup: kmeans fixpoint + within-cluster cosine — deterministic
-    # (parallelism invariance + planted-duplicate tests), golden-frozen
-    "semantic_dedup_keep",
-    # persisted-MinHash-index probe: signature-agreement estimates are
-    # approximate BY DESIGN (accuracy vs exact jaccard asserted in
-    # tests/test_dedup_index.py); golden pins the deterministic output
-    "shard_dedup_probe",
-    # iterative merge fixpoint (tokenizer training) — not SQL-expressible;
-    # both tiers bit-match a naive single-process reference in
-    # tests/test_bpe.py, golden pins the deterministic output
-    "bpe_merges",
-    "bpe_token_stats",
-    # unigram-LM hard-EM training: int64 Viterbi counts ⇒ bit-
-    # deterministic (tiers bit-equal in tests/test_unigram.py); golden
-    "unigram_vocab",
-    # cluster closure + survivor pick over the approximate (verified)
-    # LSH pair graph — golden pins the deterministic output
-    "near_dup_keep_best",
-    # iterative GD fixpoint (fixed-point int64 gradient partials) — not
-    # SQL-expressible; separable-data convergence + bit-invariance in
-    # tests/test_classifier.py, golden pins the loss/acc history
-    "quality_classifier_history",
-    # kmeans fixpoint + exact-count c-TF-IDF — deterministic
-    # (planted-vocab recovery + invariance in tests/test_topics.py)
-    "cluster_topic_terms",
-    # cluster-unit split over the approximate LSH pair graph — golden
-    # pins the deterministic assignment; no-straddle property tested
-    "leakage_safe_split_docs",
-    # end-to-end release chain (r5): contains the LSH closure — golden
-    # pins the composed per-(lang, split) rollup; chain properties
-    # (drops, scrub, no-straddle) asserted in tests/test_curate.py
-    "released_corpus_stats",
-    "training_shards_stats",
-    # DSIR hashed-n-gram features (pd.util u64 hash) are not expressible
-    # in DuckDB — golden pins the deterministic selection, certified by
-    # the single-process reference mirror in tests/test_dsir.py
-    "dsir_selected_docs",
-    # zlib is not expressible in DuckDB — golden pins the fixed-point
-    # deterministic profile (mirror + direction in test_compressratio.py)
-    "compression_ratio_by_source",
-    # release-chain funnel counters: same LSH-closure chain as
-    # released_corpus_stats — golden pins the exact per-stage counts
-    "release_funnel_stats",
-    # tokenized .bin shard publication: BPE merges are not SQL; the
-    # frozen sha256 values pin every byte of every shard
-    "token_shard_stats",
-]
-
-
-def _golden_sql() -> dict[str, str]:
-    out = {}
-    for name in _GOLDEN_QUERIES:
-        path = os.path.join(_GOLDEN_DIR, f"{name}.parquet")
-        if os.path.exists(path):
-            out[name] = f"SELECT * FROM read_parquet('{path}')"
-    return out
-
-
-# queries the per-round correctness check has not yet recorded a row for
-# (the check covers a prefix of the registry per round) — keep these FIRST
-# so every registered query accumulates at least one recorded comparison
-_PRIORITY_QUERIES = [
-    # NEVER driver-sampled in r1–r4 (CORRECTNESS_r0{1..4}.json union) —
-    # keep these three at the very front so the 50-query window reaches
-    # them; everything below already has a green recorded row
-    "gopher_rules_by_source",
-    "lang_mix_alpha",
-    "released_corpus_stats",
-    "training_shards_stats",
-    # r5 additions — never sampled before this round
-    "host_hits",
-    "hybrid_search_docs",
-    "winnow_fps_docs",
-    "winnow_overlap_docs",
-    "entity_triangles",
-    "entity_coreness",
-    "bitext_mined_pairs",
-    "host_crawl_stats",
-    "triple_pr_vs_oracle",
-    "ann_projected_topk",
-    "unigram_vocab",
-    "entity_communities",
-    "corpus_datasheet",
-    "taxonomy_by_source",
-    "soft_dedup_by_source",
-    "semantic_decontam_topk",
-    "release_funnel_stats",
-    "topic_stratified_docs",
-    "token_shard_stats",
-    "perplexity_buckets_docs",
-    "kneser_ney_bits_by_source",
-    "zipf_corpus_stats",
-    "source_overlap_matrix",
-    "classifier_scored_by_source",
-    "distinct_ngrams_by_source",
-    "flesch_by_source",
-    "unimax_allocation",
-    "dsir_selected_docs",
-    "compression_ratio_by_source",
-    "doc_summaries",
-    "ann_indexed_topk",
-    "media_frames",
-    "value_quantiles_sketch",
-    "distinct_users_sketch",
-    "doc_top_terms",
-    "host_link_edges",
-    "top_linked_hosts",
-    "host_pagerank",
-    "host_pagerank_weighted",
-    "anchor_terms",
-    "stratified_docs_sample",
-    "similar_surfaces",
-    "weighted_sample_docs",
-    "kmeans_embeddings",
-    # new in r4 — no recorded row yet by construction
-    "repetition_by_source",
-    "packed_doc_spans",
-    "semantic_dedup_keep",
-    "decontam_by_source",
-    "dup_gram_stats",
-    "pii_stats_by_source",
-    "doc_shard_shuffle",
-    "lang_mix_weights",
-    "shard_dedup_probe",
-    "unigram_bits_by_source",
-    "embedding_outlier_stats",
-    "token_postings",
-    "per_source_doc_sample",
-    "token_pmi",
-    "normalized_urls",
-    "blocked_host_doc_counts",
-    "line_dedup_docs",
-    "bpe_merges",
-    "bpe_token_stats",
-    "domain_doc_counts",
-    "bigram_bits_by_source",
-    "near_dup_keep_best",
-    "quality_classifier_history",
-    "bm25_search_docs",
-    "dup_span_scrub_docs",
-    "blockword_stats_docs",
-    "oov_by_source",
-    "doc_chunk_spans",
-    "cluster_topic_terms",
-    "corpus_diff_docs",
-    "leakage_safe_split_docs",
-    "normalized_text_docs",
-    "ann_quantized_topk",
-    "dedup_threshold_profile",
-    "domain_scorecard",
-]
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
-    q: dict[str, Callable[[str], Any]] = dict(_BENCH_QUERIES)
-    q.update(
-        {
-            "kg_docs": _kg_docs,
-            "kg_sentences": _kg_sentences,
-            "kg_triples": _kg_triples,
-            "kg_entity_map": _kg_entity_map,
-            "doc_summaries": _doc_summaries,
-            "kg_semantic_search": _kg_semantic_search,
-            "near_dup_pages_minhash": _near_dup_pages_minhash,
-            "near_dup_pages_simhash": _near_dup_pages_simhash,
-            "embedding_near_dup": _embedding_near_dup,
-            "ann_lsh_topk": _ann_lsh_topk,
-            "ann_ivf_topk": _ann_ivf_topk,
-            "ann_quantized_topk": _ann_quantized_topk,
-            "ann_projected_topk": _ann_projected_topk,
-            "dedup_threshold_profile": _dedup_threshold_profile,
-            "domain_scorecard": _domain_scorecard,
-            "corpus_datasheet": _corpus_datasheet,
-            "gopher_rules_by_source": _gopher_rules_by_source,
-            "lang_mix_alpha": _lang_mix_alpha,
-            "ann_indexed_topk": _ann_indexed_topk,
-            "lang_id_docs": _lang_id_docs,
-            "quality_by_source": _quality_by_source,
-            "kg_mentions": _kg_mentions,
-            "ngram_jaccard_dups": _ngram_jaccard_dups,
-            "media_features": _media_features,
-            "media_thumbnails": _media_thumbnails,
-            "media_frames": _media_frames,
-            "rolling_fingerprints": _rolling_fingerprints,
-            "sample_docs": _sample_docs,
-            "train_holdout_counts": _train_holdout_counts,
-            "value_quantiles": _value_quantiles,
-            "token_doc_frequency": _token_doc_frequency,
-            "entity_degree": _entity_degree,
-            "pagerank_entities": _pagerank_entities,
-            "khop_neighborhood": _khop_neighborhood,
-            "value_quantiles_sketch": _value_quantiles_sketch,
-            "distinct_users_by_type": _distinct_users_by_type,
-            "distinct_users_sketch": _distinct_users_sketch,
-            "top_users_by_type": _top_users_by_type,
-            "curated_corpus_stats": _curated_corpus_stats,
-            "doc_top_terms": _doc_top_terms,
-            "graph_components": _graph_components,
-            "entity_triangles": _entity_triangles,
-            "entity_coreness": _entity_coreness,
-            "entity_communities": _entity_communities,
-            "triple_pr_vs_oracle": _triple_pr_vs_oracle,
-            "host_link_edges": _host_link_edges,
-            "top_linked_hosts": _top_linked_hosts,
-            "host_pagerank": _host_pagerank,
-            "host_pagerank_weighted": _host_pagerank_weighted,
-            "host_hits": _host_hits,
-            "host_crawl_stats": _host_crawl_stats,
-            "anchor_terms": _anchor_terms,
-            "stratified_docs_sample": _stratified_docs_sample,
-            "similar_surfaces": _similar_surfaces,
-            "weighted_sample_docs": _weighted_sample_docs,
-            "kmeans_embeddings": _kmeans_embeddings,
-            "repetition_by_source": _repetition_by_source,
-            "decontam_by_source": _decontam_by_source,
-            "dup_gram_stats": _dup_gram_stats,
-            "pii_stats_by_source": _pii_stats_by_source,
-            "token_postings": _token_postings,
-            "per_source_doc_sample": _per_source_doc_sample,
-            "token_pmi": _token_pmi,
-            "unigram_bits_by_source": _unigram_bits_by_source,
-            "embedding_outlier_stats": _embedding_outlier_stats,
-            "doc_shard_shuffle": _doc_shard_shuffle,
-            "lang_mix_weights": _lang_mix_weights,
-            "unimax_allocation": _unimax_allocation,
-            "compression_ratio_by_source": _compression_ratio_by_source,
-            "dsir_selected_docs": _dsir_selected_docs,
-            "shard_dedup_probe": _shard_dedup_probe,
-            "packed_doc_spans": _packed_doc_spans,
-            "semantic_dedup_keep": _semantic_dedup_keep,
-            "normalized_urls": _normalized_urls,
-            "blocked_host_doc_counts": _blocked_host_doc_counts,
-            "line_dedup_docs": _line_dedup_docs,
-            "bpe_merges": _bpe_merges,
-            "unigram_vocab": _unigram_vocab,
-            "bpe_token_stats": _bpe_token_stats,
-            "domain_doc_counts": _domain_doc_counts,
-            "bigram_bits_by_source": _bigram_bits_by_source,
-            "perplexity_buckets_docs": _perplexity_buckets_docs,
-            "kneser_ney_bits_by_source": _kneser_ney_bits_by_source,
-            "zipf_corpus_stats": _zipf_corpus_stats,
-            "source_overlap_matrix": _source_overlap_matrix,
-            "distinct_ngrams_by_source": _distinct_ngrams_by_source,
-            "flesch_by_source": _flesch_by_source,
-            "near_dup_keep_best": _near_dup_keep_best,
-            "quality_classifier_history": _quality_classifier_history,
-            "classifier_scored_by_source": _classifier_scored_by_source,
-            "bm25_search_docs": _bm25_search_docs,
-            "hybrid_search_docs": _hybrid_search_docs,
-            "winnow_fps_docs": _winnow_fps_docs,
-            "winnow_overlap_docs": _winnow_overlap_docs,
-            "bitext_mined_pairs": _bitext_mined_pairs,
-            "dup_span_scrub_docs": _dup_span_scrub_docs,
-            "blockword_stats_docs": _blockword_stats_docs,
-            "oov_by_source": _oov_by_source,
-            "doc_chunk_spans": _doc_chunk_spans,
-            "cluster_topic_terms": _cluster_topic_terms,
-            "corpus_diff_docs": _corpus_diff_docs,
-            "leakage_safe_split_docs": _leakage_safe_split_docs,
-            "normalized_text_docs": _normalized_text_docs,
-            "released_corpus_stats": _released_corpus_stats,
-            "training_shards_stats": _training_shards_stats,
-            "taxonomy_by_source": _taxonomy_by_source,
-            "soft_dedup_by_source": _soft_dedup_by_source,
-            "semantic_decontam_topk": _semantic_decontam_topk,
-            "release_funnel_stats": _release_funnel_stats,
-            "topic_stratified_docs": _topic_stratified_docs,
-            "token_shard_stats": _token_shard_stats,
-        }
-    )
-    head = {k: q[k] for k in _PRIORITY_QUERIES}
-    head.update({k: v for k, v in q.items() if k not in head})
-    return head
+    return registry.loaded().queries(os.path.dirname(os.path.abspath(__file__)))
 
 
 def oracle_sql() -> dict[str, str]:
-    sql = dict(_BENCH_SQL)
-    sql["lang_id_docs"] = _lang_id_sql()
-    sql["quality_by_source"] = _quality_sql()
-    sql["rolling_fingerprints"] = _ROLLING_SQL
-    sql.update(_sampling_sql())
-    from docprocai_service_ray.stages.quantiles import quantile_sql
-
-    sql["value_quantiles"] = quantile_sql("events", "event_type", "value", [0.25, 0.5, 0.9])
-    sql["token_doc_frequency"] = _TOKEN_DF_SQL
-    sql["distinct_users_by_type"] = (
-        "SELECT event_type, COUNT(DISTINCT user_id) AS n_distinct "
-        "FROM events GROUP BY event_type"
-    )
-    from docprocai_service_ray.stages.topfreq import topn_sql
-
-    sql["top_users_by_type"] = topn_sql("events", "event_type", "user_id", 3)
-    from docprocai_service_ray.pipelines.curate import curation_sql
-
-    sql["curated_corpus_stats"] = curation_sql()
-    from docprocai_service_ray.stages.tfidf import tfidf_sql
-
-    sql["doc_top_terms"] = tfidf_sql("documents", "doc_id", "text", 3)
-    from docprocai_service_ray.pipelines.benchqueries import _ORDER_STATUSES
-    from docprocai_service_ray.stages.pivot import pivot_sql
-
-    sql["orders_status_pivot"] = pivot_sql(
-        "orders", ["o_orderpriority"], "o_orderstatus", _ORDER_STATUSES,
-        "o_totalprice", agg="sum", col_prefix="rev_",
-    )
-    from docprocai_service_ray.stages.quantiles import quantile_disc_sql
-
-    sql["value_quantiles_disc"] = quantile_disc_sql(
-        "events", "event_type", "value", [0.25, 0.5, 0.9],
-    )
-    from docprocai_service_ray.stages.textstats import boilerplate_sql, corr_sql
-
-    sql["lineitem_price_corr"] = corr_sql(
-        "lineitem", "l_returnflag", "l_quantity", "l_extendedprice",
-    )
-    from docprocai_service_ray.pipelines.benchqueries import _PROFILE_COLS
-    from docprocai_service_ray.stages.textstats import profile_sql
-
-    sql["orders_profile"] = profile_sql("orders", _PROFILE_COLS,
-                                        ts_cols={"o_orderdate"})
-    from docprocai_service_ray.stages.quantiles import histogram_sql
-
-    sql["value_histogram"] = histogram_sql(
-        "events", "value", 0.0, 500.0, 20, by="event_type",
-    )
-
-    sql["boilerplate_by_source"] = boilerplate_sql(
-        "documents", "doc_id", "text", "source",
-    )
-    from docprocai_service_ray.stages.packing import pack_sql
-    from docprocai_service_ray.stages.textstats import repetition_sql
-
-    sql["repetition_by_source"] = repetition_sql(
-        "documents", "doc_id", "text", "source", flag_threshold=0.5,
-    )
-    sql["packed_doc_spans"] = pack_sql("documents", "doc_id", "text", 512)
-    from docprocai_service_ray.stages.sampling import shard_shuffle_sql
-
-    sql["doc_shard_shuffle"] = shard_shuffle_sql(
-        "documents", "doc_id", 8, seed=_CFG.seed)
-    from docprocai_service_ray.stages.textstats import (lang_mix_alpha_sql,
-                                                        lang_mix_sql)
-
-    sql["lang_mix_weights"] = lang_mix_sql("documents", "lang", "text")
-    sql["lang_mix_alpha"] = lang_mix_alpha_sql("documents", "lang", "text",
-                                               alpha=0.3)
-    from docprocai_service_ray.stages.textstats import unimax_allocation_sql
-
-    sql["unimax_allocation"] = unimax_allocation_sql(
-        "documents", "lang", "text", budget_tokens=200_000, max_epochs=4.0)
-    from docprocai_service_ray.stages.decontam import decontam_sql
-
-    sql["decontam_by_source"] = decontam_sql(
-        "(SELECT * FROM documents WHERE doc_id % 97 <> 0)",
-        "(SELECT * FROM documents WHERE doc_id % 97 = 0)",
-        "doc_id", "text", "source", n=3,
-    )
-    from docprocai_service_ray.stages.substring import dup_gram_sql
-
-    sql["dup_gram_stats"] = dup_gram_sql("documents", "doc_id", "text",
-                                         "source", n=4)
-    from docprocai_service_ray.stages.pii import pii_stats_sql
-
-    sql["pii_stats_by_source"] = pii_stats_sql(
-        _PII_PLANTED_SQL, "text", "source")
-    from docprocai_service_ray.stages.postings import postings_sql
-
-    sql["token_postings"] = postings_sql(
-        "documents", "doc_id", "text", min_df=2, max_postings=16)
-    from docprocai_service_ray.stages.sampling import sample_k_per_group_sql
-
-    sql["per_source_doc_sample"] = sample_k_per_group_sql(
-        "documents", "doc_id", "source", 5, seed=_CFG.seed)
-    from docprocai_service_ray.stages.cooccur import cooccurrence_pmi_sql
-
-    sql["token_pmi"] = cooccurrence_pmi_sql(
-        "documents", "doc_id", "text", min_pair_count=2)
-    from docprocai_service_ray.stages.textstats import unigram_logprob_sql
-
-    sql["unigram_bits_by_source"] = unigram_logprob_sql(
-        "documents", "doc_id", "text", "source")
-    from docprocai_service_ray.stages.similarity import centroid_distance_sql
-
-    sql["embedding_outlier_stats"] = centroid_distance_sql(
-        "embeddings", "label", "embedding")
-    from docprocai_service_ray.stages.urltools import (blocklist_predicate_sql,
-                                                       normalize_url_sql)
-
-    sql["normalized_urls"] = (
-        f"SELECT doc_id, {normalize_url_sql('url')} AS url_norm "
-        f"FROM {_URL_PLANTED_SQL}")
-    sql["blocked_host_doc_counts"] = (
-        f"SELECT source, COUNT(*) AS n_docs FROM {_URL_PLANTED_SQL} "
-        f"WHERE {blocklist_predicate_sql('url', _URL_BLOCKLIST, blocked=False)} "
-        "GROUP BY source")
-    from docprocai_service_ray.stages.linededup import line_dedup_sql
-
-    sql["line_dedup_docs"] = line_dedup_sql(_LINE_PLANTED_SQL, "doc_id", "text")
-    from docprocai_service_ray.stages.domains import domain_rollup_sql
-
-    sql["domain_doc_counts"] = domain_rollup_sql(_DOMAIN_PLANTED_SQL, "url")
-    from docprocai_service_ray.stages.ngramlm import bigram_lm_sql
-
-    sql["bigram_bits_by_source"] = bigram_lm_sql(
-        "documents", "doc_id", "text", "source")
-    from docprocai_service_ray.stages.ngramlm import perplexity_buckets_sql
-
-    sql["perplexity_buckets_docs"] = perplexity_buckets_sql(
-        "documents", "doc_id", "text", "source")
-    from docprocai_service_ray.stages.ngramlm import kneser_ney_sql
-
-    sql["kneser_ney_bits_by_source"] = kneser_ney_sql(
-        "documents", "doc_id", "text", "source")
-    from docprocai_service_ray.stages.zipf import zipf_law_sql
-
-    sql["zipf_corpus_stats"] = zipf_law_sql("documents", "text",
-                                            top_k=1000)
-    from docprocai_service_ray.stages.overlap import source_overlap_sql
-
-    sql["source_overlap_matrix"] = source_overlap_sql(
-        "documents", "text", "source", n=3)
-    from docprocai_service_ray.stages.diversity import distinct_ngram_sql
-
-    sql["distinct_ngrams_by_source"] = distinct_ngram_sql(
-        "documents", "text", "source", n=3)
-    from docprocai_service_ray.stages.readability import flesch_sql
-
-    sql["flesch_by_source"] = flesch_sql("documents", "text", "source")
-    from docprocai_service_ray.stages.taxonomy import taxonomy_sql
-
-    sql["taxonomy_by_source"] = taxonomy_sql("documents", "text", "source")
-    from docprocai_service_ray.stages.softdedup import soft_dedup_sql
-
-    sql["soft_dedup_by_source"] = soft_dedup_sql(
-        _SOFTDEDUP_PLANTED_SQL, "source", "text", beta=0.5)
-    from docprocai_service_ray.stages.similarity import multi_query_topk_sql
-
-    sql["semantic_decontam_topk"] = multi_query_topk_sql(
-        "embeddings", "vec_id % 17 = 0", 3, extra_cols=("label",))
-    from docprocai_service_ray.stages.taxonomy import topic_stratified_sql
-
-    sql["topic_stratified_docs"] = topic_stratified_sql(
-        "documents", "doc_id", "text", _TOPIC_RATES, default_rate=1.0,
-        seed=_CFG.seed)
-    from docprocai_service_ray.stages.bm25 import bm25_sql
-
-    sql["bm25_search_docs"] = bm25_sql(
-        "documents", "doc_id", "text", _BM25_TERMS, k=10)
-    from docprocai_service_ray.stages.fusion import rrf_sql
-
-    from docprocai_service_ray.stages.bitext import bitext_sql
-
-    sql["bitext_mined_pairs"] = bitext_sql(
-        "SELECT vec_id AS id, embedding FROM embeddings WHERE label = 1",
-        "SELECT vec_id AS id, embedding FROM embeddings WHERE label = 2",
-        k=4, margin_threshold=1.0, mutual=True)
-    from docprocai_service_ray.stages.winnow import winnow_pairs_sql, winnow_sql
-
-    sql["winnow_fps_docs"] = winnow_sql(
-        "documents", "doc_id", "text", **_WINNOW_KW)
-    sql["winnow_overlap_docs"] = winnow_pairs_sql(
-        "documents", "doc_id", "text", min_shared=2, **_WINNOW_KW)
-    sql["hybrid_search_docs"] = rrf_sql(
-        bm25_sql("(SELECT * FROM documents WHERE doc_id <> 0)",
-                 "doc_id", "text", _BM25_TERMS, k=50),
-        """
-        -- DOUBLE[] cast: FLOAT-list cosines compute in float32, whose
-        -- ~1e-7 error can flip 6dp-rounded ranks vs the engine's float64
-        -- (the stages/bitext lesson)
-        SELECT e.vec_id AS doc_id,
-               ROUND(list_cosine_similarity(CAST(e.embedding AS DOUBLE[]),
-                                            CAST(q.embedding AS DOUBLE[])), 6)
-                   AS score
-        FROM embeddings e,
-             (SELECT embedding FROM embeddings WHERE vec_id = 0) q
-        WHERE e.vec_id <> 0
-        ORDER BY score DESC, doc_id LIMIT 50
-        """,
-        "doc_id", k=10)
-    from docprocai_service_ray.stages.exactsubstr import dup_span_scrub_sql
-
-    sql["dup_span_scrub_docs"] = dup_span_scrub_sql(
-        _DUP_SPAN_PLANTED_SQL, "doc_id", "text", span_tokens=6)
-    from docprocai_service_ray.stages.lexgate import (blockword_stats_sql,
-                                                      oov_rate_sql)
-
-    sql["blockword_stats_docs"] = blockword_stats_sql(
-        "documents", "text", "source", _BLOCKWORDS)
-    sql["oov_by_source"] = oov_rate_sql(
-        "documents", "text", "source", vocab_size=30)
-    from docprocai_service_ray.stages.chunking import chunk_spans_sql
-
-    sql["doc_chunk_spans"] = chunk_spans_sql(
-        "documents", "doc_id", "text", chunk_tokens=32, stride=24)
-    from docprocai_service_ray.stages.versioning import corpus_diff_sql
-
-    sql["corpus_diff_docs"] = corpus_diff_sql(
-        _DIFF_OLD_SQL, _DIFF_NEW_SQL, "doc_id", "text")
-    sql["domain_scorecard"] = _domain_scorecard_sql()
-    sql["corpus_datasheet"] = _corpus_datasheet_sql()
-    from docprocai_service_ray.stages.gopher import gopher_rules_sql
-
-    sql["gopher_rules_by_source"] = gopher_rules_sql(
-        "documents", "text", "source", min_words=20)
-    from docprocai_service_ray.stages.textnorm import normalize_text_sql
-
-    sql["normalized_text_docs"] = f"""
-        SELECT doc_id, length(text) AS n_in,
-               length({normalize_text_sql('text')}) AS n_out,
-               md5({normalize_text_sql('text')}) AS fp
-        FROM {_DIRTY_SQL}
-    """
-    emap = os.path.join(_GOLDEN_DIR, "kg_entity_map.parquet")
-    sql["similar_surfaces"] = f"""
-        SELECT a.surface AS s1, b.surface AS s2,
-               CAST(levenshtein(a.surface, b.surface) AS BIGINT) AS d
-        FROM read_parquet('{emap}') a, read_parquet('{emap}') b
-        WHERE a.surface < b.surface
-          AND levenshtein(a.surface, b.surface) <= 1
-    """
-    sql.update(_graph_sql())
-    sql.update(_linkgraph_sql())
-    sql.update(_ann_index_sql())
-    sql.update(_golden_sql())
-    return sql
+    return registry.loaded().oracle_sql()

@@ -192,7 +192,6 @@ def run_headline(num_cpus: int, skip_queries: bool = False) -> dict:
     ctx.execution_options.verbose_progress = False
 
     from docprocai_service_ray.config import KGConfig
-    from docprocai_service_ray.pipelines.benchqueries import QUERIES
     from docprocai_service_ray.pipelines.kg import run_kg
     from docprocai_service_ray.sources.webgen import alias_dict_table, ensure_corpus
 
@@ -265,8 +264,7 @@ def run_headline(num_cpus: int, skip_queries: bool = False) -> dict:
 
         gc.collect()
 
-        lookup = dict(QUERIES)
-        lookup.update(_entry.queries())
+        lookup = _entry.queries()
         for name in QUERY_NAMES:
             t0 = time.monotonic()
             r = lookup[name](SF_DIR)

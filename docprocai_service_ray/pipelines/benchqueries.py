@@ -1,10 +1,12 @@
-"""Query surface over the driver testdata tables + the synthetic KG corpus.
+"""Query surface over the driver testdata tables (TPC-H-shaped orders,
+lineitem, customer, ... plus events, documents and embeddings).
 
 Every function here takes ``sf_dir`` and returns a Dataset / DataFrame /
-Table; ``SQL`` holds the DuckDB oracle for each SQL-expressible query with
-IDENTICAL output column names (the driver hashes values after sorting
-columns by name). Float aggregate outputs are ROUNDed the same way on both
-sides so summation-order ulps can't flip the value hash.
+Table. Each is declared in the registry (pipelines/registry.py) with its
+DuckDB oracle, whose output column names are IDENTICAL (the driver hashes
+values after sorting columns by name). Float aggregate outputs are ROUNDed
+the same way on both sides so summation-order ulps can't flip the value
+hash.
 
 Operator coverage map (SURVEY.md §2): pricing_summary A-class partial+final
 aggregation; topk_orders W1; mktsegment_revenue J-broadcast;
@@ -16,8 +18,8 @@ operator; exact_dedup/token/fingerprint/knn = training-data ops.
 
 from __future__ import annotations
 
+import functools
 import os
-import re
 
 import numpy as np
 import pandas as pd
@@ -25,9 +27,19 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..config import KGConfig
 from ..stages.dedup import exact_dedup
+from ..stages.pivot import pivot_sql
+from ..stages.quantiles import histogram_sql, quantile_disc_sql, quantile_sql
 from ..stages.similarity import brute_force_topk
-from ..stages.textstats import fingerprint_md5, token_counts
+from ..stages.textstats import (
+    boilerplate_sql,
+    corr_sql,
+    fingerprint_md5,
+    profile_sql,
+    token_counts,
+)
+from ..stages.topfreq import topn_sql
 from ..state.joins import (
     anti_join_filter,
     asof_join,
@@ -35,6 +47,11 @@ from ..state.joins import (
     hash_join,
     semi_join_filter,
 )
+from .curate import curation_sql
+from .registry import register
+
+# the configuration every registered query runs with (seeds, dimensions)
+_CFG = KGConfig()
 
 
 def _pq(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -56,12 +73,17 @@ def _grouped_final(partials, keys: list[str], agg: dict, post=None,
     return partition_reduce(partials, keys, reduce, num_partitions=num_partitions)
 
 
-def _arrow(ds):
-    return ds.map_batches(lambda t: t, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------- aggregates
 
+@register("pricing_summary", sql="""
+        SELECT l_returnflag, l_linestatus,
+               ROUND(SUM(l_quantity), 2) AS sum_qty,
+               ROUND(SUM(l_extendedprice), 2) AS sum_base_price,
+               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price,
+               ROUND(SUM(l_discount) / COUNT(*), 4) AS avg_disc,
+               COUNT(*) AS count_order
+        FROM lineitem GROUP BY 1, 2
+    """)
 def pricing_summary(sf_dir: str):
     """TPC-H Q1-shaped grouped aggregate with per-batch partial combine
     before the (tiny) global groupby — the pre-aggregation pattern that
@@ -99,6 +121,10 @@ def pricing_summary(sf_dir: str):
     )
 
 
+@register("topk_orders", sql="""
+        SELECT o_orderkey, ROUND(o_totalprice, 2) AS total
+        FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
+    """)
 def topk_orders(sf_dir: str):
     ds = _pq(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     top = ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10)
@@ -111,6 +137,10 @@ def topk_orders(sf_dir: str):
     )
 
 
+@register("customer_min_order", sql="""
+        SELECT o_custkey, ROUND(MIN(o_totalprice), 2) AS min_totalprice
+        FROM orders GROUP BY 1
+    """)
 def customer_min_order(sf_dir: str):
     ds = _pq(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
@@ -125,6 +155,11 @@ def customer_min_order(sf_dir: str):
     )
 
 
+@register("hourly_events", sql="""
+        SELECT strftime(date_trunc('hour', ts), '%Y-%m-%d %H:00:00') AS hour,
+               event_type, COUNT(*) AS n, ROUND(SUM(value), 2) AS sum_value
+        FROM events GROUP BY 1, 2
+    """)
 def hourly_events(sf_dir: str):
     """Tumbling-window aggregate (streaming-shaped; §2.8) — hour buckets as
     strings so both engines agree on the output dtype exactly."""
@@ -146,6 +181,10 @@ def hourly_events(sf_dir: str):
     )
 
 
+@register("event_user_stats", sql="""
+        SELECT event_type, COUNT(*) AS n, COUNT(DISTINCT user_id) AS users
+        FROM events GROUP BY 1
+    """)
 def event_user_stats(sf_dir: str):
     ds = _pq(sf_dir, "events", ["event_type", "user_id"])
 
@@ -159,6 +198,11 @@ def event_user_stats(sf_dir: str):
     return ds.groupby("event_type").map_groups(per_type, batch_format="pandas")
 
 
+@register("json_props_sum", sql="""
+        SELECT event_type,
+               CAST(SUM(CAST(regexp_extract(props, '"k":\\s*(\\d+)', 1) AS BIGINT)) AS BIGINT) AS sum_k
+        FROM events GROUP BY 1
+    """)
 def json_props_sum(sf_dir: str):
     """Scalar JSON-field extraction (§2.7 json ops) — vectorized regex."""
     ds = _pq(sf_dir, "events", ["event_type", "props"])
@@ -182,6 +226,11 @@ def json_props_sum(sf_dir: str):
 
 # ------------------------------------------------------------------- joins
 
+@register("mktsegment_revenue", sql="""
+        SELECT c_mktsegment, COUNT(*) AS order_count,
+               ROUND(SUM(o_totalprice), 2) AS revenue
+        FROM orders JOIN customer ON o_custkey = c_custkey GROUP BY 1
+    """)
 def mktsegment_revenue(sf_dir: str):
     """orders ⋈ customer with the dimension side broadcast (ray.put once)."""
     cust = collect_broadcast_df(
@@ -210,6 +259,12 @@ def mktsegment_revenue(sf_dir: str):
     )
 
 
+@register("large_part_lineitems", sql="""
+        SELECT l_returnflag, COUNT(*) AS n, ROUND(SUM(l_extendedprice), 2) AS total
+        FROM lineitem
+        WHERE l_partkey IN (SELECT p_partkey FROM part WHERE p_size >= 40)
+        GROUP BY 1
+    """)
 def large_part_lineitems(sf_dir: str):
     """Semi-join via broadcast key set (J4)."""
     part = collect_broadcast_df(
@@ -235,6 +290,13 @@ def large_part_lineitems(sf_dir: str):
     )
 
 
+@register("idle_customers", sql="""
+        SELECT c_mktsegment, COUNT(*) AS idle_customers
+        FROM customer
+        WHERE c_custkey NOT IN (
+            SELECT DISTINCT o_custkey FROM orders WHERE o_orderpriority = '1-URGENT')
+        GROUP BY 1
+    """)
 def idle_customers(sf_dir: str):
     """Anti-join via broadcast key set (J5): customers with no URGENT order."""
     import pyarrow.compute as pc
@@ -260,6 +322,14 @@ def idle_customers(sf_dir: str):
     return ds.groupby("c_mktsegment").map_groups(per_seg, batch_format="pandas")
 
 
+_LINEITEM_REVENUE_SQL = """
+        SELECT o_orderpriority, COUNT(*) AS n_lines,
+               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue
+        FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY 1
+    """
+
+
+@register("orders_lineitem_join", sql=_LINEITEM_REVENUE_SQL)
 def orders_lineitem_join(sf_dir: str, strategy: str = "auto"):
     """Fact-fact join (state/joins.hash_join): auto tier broadcasts the
     dimension-sized right side; ``strategy="shuffle"`` forces the
@@ -299,6 +369,18 @@ def orders_lineitem_join(sf_dir: str, strategy: str = "auto"):
     )
 
 
+# the same answer with the partitioned shuffle tier forced, so both join
+# strategies stay oracle-checked
+register("orders_lineitem_join_shuffle",
+         functools.partial(orders_lineitem_join, strategy="shuffle"), sql=_LINEITEM_REVENUE_SQL)
+
+
+@register("urgent_lineitem_revenue_bloom", sql="""
+        SELECT o_orderpriority, COUNT(*) AS n_lines,
+               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue
+        FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+        WHERE o_orderpriority = '1-URGENT' GROUP BY 1
+    """)
 def urgent_lineitem_revenue(sf_dir: str, bloom: bool = True):
     """Selective fact join on the FORCED shuffle tier with the Bloom
     prefilter (state/joins.hash_join bloom_prefilter): the right side is
@@ -347,6 +429,12 @@ def urgent_lineitem_revenue(sf_dir: str, bloom: bool = True):
     )
 
 
+@register("user_event_type_sets", sql="""
+        SELECT user_id,
+               string_agg(DISTINCT event_type, ',' ORDER BY event_type) AS event_types,
+               COUNT(DISTINCT event_type) AS n_types
+        FROM events GROUP BY user_id
+    """)
 def user_event_type_sets(sf_dir: str):
     """Grouped collect-set with deterministic order (the set-union /
     provenance-collect shape, SURVEY A2, as a standalone string
@@ -372,6 +460,9 @@ def user_event_type_sets(sf_dir: str):
     )
 
 
+@register("distinct_users_by_type",
+          sql=("SELECT event_type, COUNT(DISTINCT user_id) AS n_distinct "
+              "FROM events GROUP BY event_type"))
 def distinct_users_by_type(sf_dir: str):
     """Exact grouped distinct counts (stages/distinct.grouped_distinct)."""
     from ..stages.distinct import grouped_distinct
@@ -380,6 +471,8 @@ def distinct_users_by_type(sf_dir: str):
     return grouped_distinct(ds, "event_type", "user_id")
 
 
+@register("top_users_by_type",
+          sql=topn_sql("events", "event_type", "user_id", 3))
 def top_users_by_type(sf_dir: str):
     """Exact grouped heavy hitters (stages/topfreq.grouped_topn_values)."""
     from ..stages.topfreq import grouped_topn_values
@@ -388,6 +481,7 @@ def top_users_by_type(sf_dir: str):
     return grouped_topn_values(ds, "event_type", "user_id", 3)
 
 
+@register("curated_corpus_stats", sql=curation_sql)
 def curated_corpus_stats_query(sf_dir: str):
     """End-to-end curation recipe stats (pipelines/curate.py)."""
     from .curate import curated_corpus_stats
@@ -395,6 +489,19 @@ def curated_corpus_stats_query(sf_dir: str):
     return curated_corpus_stats(sf_dir)
 
 
+_ASOF_SQL = """
+        WITH o AS (
+            SELECT o_custkey, o_orderdate, MAX(o_totalprice) AS best_price
+            FROM orders GROUP BY 1, 2
+        )
+        SELECT e.event_type, COUNT(*) AS n, ROUND(SUM(o.best_price), 2) AS matched_total
+        FROM events e ASOF JOIN o
+          ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate
+        GROUP BY 1
+    """
+
+
+@register("asof_events_orders", sql=_ASOF_SQL)
 def asof_events_orders(sf_dir: str, strategy: str = "auto"):
     """As-of join: each event matched to the user's latest order at or
     before the event time (custom operator; right side pre-aggregated to
@@ -444,6 +551,24 @@ def asof_events_orders(sf_dir: str, strategy: str = "auto"):
     )
 
 
+# the same answer with the partitioned shuffle tier forced, so both join
+# strategies stay oracle-checked
+register("asof_events_orders_shuffle",
+         functools.partial(asof_events_orders, strategy="shuffle"), sql=_ASOF_SQL)
+
+
+@register("session_stats_q", sql="""
+        WITH d AS (
+            SELECT user_id,
+                   CASE WHEN LAG(ts) OVER (PARTITION BY user_id ORDER BY ts) IS NULL
+                             OR ts - LAG(ts) OVER (PARTITION BY user_id ORDER BY ts)
+                                > INTERVAL 30 MINUTE
+                        THEN 1 ELSE 0 END AS new_s
+            FROM events)
+        SELECT user_id, CAST(SUM(new_s) AS BIGINT) AS n_sessions,
+               COUNT(*) AS n_events
+        FROM d GROUP BY 1
+    """)
 def session_stats_q(sf_dir: str):
     """Gap-based session windows (streaming-shaped, §2.8)."""
     from ..stages.windows import session_stats
@@ -451,6 +576,13 @@ def session_stats_q(sf_dir: str):
     return session_stats(_pq(sf_dir, "events", ["user_id", "ts"]), gap_minutes=30)
 
 
+@register("sliding_event_counts", sql="""
+        SELECT strftime(date_trunc('hour', ts) - i * INTERVAL 60 MINUTE,
+                        '%Y-%m-%d %H:%M:%S') AS window_start,
+               event_type AS key, COUNT(*) AS n
+        FROM events, range(2) t(i)
+        GROUP BY 1, 2
+    """)
 def sliding_event_counts(sf_dir: str):
     """Sliding 2h/1h windows per event type — oracle-checked via the DuckDB
     window-explode (events × range(n_slots))."""
@@ -459,6 +591,15 @@ def sliding_event_counts(sf_dir: str):
     return sliding_counts(_pq(sf_dir, "events", ["ts", "event_type"]))
 
 
+@register("top_orders_per_priority", sql="""
+        SELECT o_orderpriority, o_orderkey, ROUND(o_totalprice, 2) AS o_totalprice, rn
+        FROM (
+            SELECT o_orderpriority, o_orderkey, o_totalprice,
+                   ROW_NUMBER() OVER (PARTITION BY o_orderpriority
+                                      ORDER BY o_totalprice DESC, o_orderkey) AS rn
+            FROM orders
+        ) WHERE rn <= 3
+    """)
 def top_orders_per_priority(sf_dir: str):
     """Per-group top-N whole rows with rank (ROW_NUMBER window analog,
     stages/windows.grouped_topn_rows): per-batch partial top-3 bounds the
@@ -477,6 +618,13 @@ def top_orders_per_priority(sf_dir: str):
     )
 
 
+@register("customer_running_spend", sql="""
+        SELECT o_custkey, o_orderkey,
+               ROUND(SUM(o_totalprice) OVER (
+                   PARTITION BY o_custkey ORDER BY o_orderdate, o_orderkey
+                   ROWS UNBOUNDED PRECEDING), 2) AS running_spend
+        FROM orders
+    """)
 def customer_running_spend(sf_dir: str):
     """Running per-customer order total in order-date order (cumulative
     window-sum analog, stages/windows.running_group_agg) — row-per-order
@@ -494,6 +642,13 @@ def customer_running_spend(sf_dir: str):
     )
 
 
+@register("revenue_rollup", sql="""
+        SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
+               COALESCE(l_linestatus, 'ALL') AS l_linestatus,
+               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue,
+               COUNT(*) AS n_lines
+        FROM lineitem GROUP BY ROLLUP (l_returnflag, l_linestatus)
+    """)
 def revenue_rollup(sf_dir: str):
     """One-pass GROUP BY ROLLUP(l_returnflag, l_linestatus) on lineitem
     revenue (stages/windows.rollup_aggregate): every level computed from
@@ -516,6 +671,19 @@ def revenue_rollup(sf_dir: str):
     )
 
 
+_FOLLOWUP_SQL = """
+        SELECT w.o_orderpriority AS w_priority, COUNT(*) AS n,
+               ROUND(SUM(p.o_totalprice), 2) AS followup_total
+        FROM orders p JOIN orders w
+          ON p.o_custkey = w.o_custkey
+         AND p.o_orderdate >= w.o_orderdate
+         AND p.o_orderdate < w.o_orderdate + INTERVAL 90 DAY
+         AND p.o_orderkey <> w.o_orderkey
+        GROUP BY 1
+    """
+
+
+@register("followup_orders", sql=_FOLLOWUP_SQL)
 def followup_orders(sf_dir: str, strategy: str = "auto"):
     """Point-in-interval join (state/joins.interval_join): each order
     matched to every EARLIER order by the same customer whose 90-day
@@ -560,6 +728,28 @@ def followup_orders(sf_dir: str, strategy: str = "auto"):
     )
 
 
+# the same answer with the partitioned shuffle tier forced, so both join
+# strategies stay oracle-checked
+register("followup_orders_shuffle",
+         functools.partial(followup_orders, strategy="shuffle"), sql=_FOLLOWUP_SQL)
+
+
+@register("event_sessions", sql="""
+        WITH d AS (
+            SELECT event_id, user_id, ts,
+                   CASE WHEN LAG(ts) OVER w IS NULL
+                             OR ts - LAG(ts) OVER w > INTERVAL 30 MINUTE
+                        THEN 1 ELSE 0 END AS new_s
+            FROM events
+            WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
+        )
+        SELECT event_id, user_id,
+               CAST(SUM(new_s) OVER (PARTITION BY user_id
+                                     ORDER BY ts, event_id
+                                     ROWS UNBOUNDED PRECEDING) AS BIGINT)
+                   AS session_seq
+        FROM d
+    """)
 def event_sessions(sf_dir: str):
     """Row-level sessionization (stages/windows.sessionize): every event
     tagged with its gap-based session ordinal — oracle = LAG() + running
@@ -571,6 +761,8 @@ def event_sessions(sf_dir: str):
                       gap_minutes=30)
 
 
+@register("boilerplate_by_source",
+          sql=boilerplate_sql("documents", "doc_id", "text", "source"))
 def boilerplate_by_source(sf_dir: str):
     """Cross-doc duplicated-sentence (boilerplate) ratio per source
     (stages/textstats.boilerplate_stats) — sentence hashes exchange, text
@@ -581,6 +773,11 @@ def boilerplate_by_source(sf_dir: str):
     return boilerplate_stats(ds, "doc_id", "text", "source")
 
 
+@register("label_centroids", sql="""
+        SELECT label, i AS dim, ROUND(AVG(embedding[i + 1]), 6) AS avg_v
+        FROM embeddings, range(64) t(i)
+        GROUP BY 1, 2
+    """)
 def label_centroids_q(sf_dir: str):
     """Grouped vector aggregate (stages/similarity.label_centroids):
     per-label embedding centroid, long-form output so DuckDB can check it
@@ -591,6 +788,13 @@ def label_centroids_q(sf_dir: str):
     return label_centroids(ds, "label", "embedding", 64)
 
 
+@register("customer_order_counts", sql="""
+        SELECT c_custkey, c_mktsegment,
+               CAST(COUNT(o_custkey) AS BIGINT) AS n_orders,
+               ROUND(COALESCE(SUM(o_totalprice), 0), 2) AS total_spend
+        FROM customer LEFT JOIN orders ON c_custkey = o_custkey
+        GROUP BY 1, 2
+    """)
 def customer_order_counts(sf_dir: str):
     """LEFT OUTER hash join: every customer row survives, idle customers
     carry zero counts (null-fill after the join) — J6 lookup-with-default
@@ -625,6 +829,10 @@ def customer_order_counts(sf_dir: str):
 _ORDER_STATUSES = ["F", "O", "P"]
 
 
+@register("orders_status_pivot",
+          sql=pivot_sql("orders", ["o_orderpriority"], "o_orderstatus",
+                        _ORDER_STATUSES, "o_totalprice", agg="sum",
+                        col_prefix="rev_"))
 def orders_status_pivot(sf_dir: str):
     """Long→wide pivot (stages/pivot.pivot_table): revenue per
     (priority, status) as one wide row per priority — one wide partial row
@@ -638,6 +846,9 @@ def orders_status_pivot(sf_dir: str):
     )
 
 
+@register("value_quantiles_disc",
+          sql=quantile_disc_sql("events", "event_type", "value",
+                                [0.25, 0.5, 0.9]))
 def value_quantiles_disc(sf_dir: str):
     """PERCENTILE_DISC analog: smallest actual value covering each rank
     (stages/quantiles.grouped_quantiles_disc; bit-matches DuckDB
@@ -651,6 +862,9 @@ def value_quantiles_disc(sf_dir: str):
 _PROFILE_COLS = ["o_orderkey", "o_orderstatus", "o_orderpriority", "o_orderdate"]
 
 
+@register("value_histogram",
+          sql=histogram_sql("events", "value", 0.0, 500.0, 20,
+                            by="event_type"))
 def value_histogram(sf_dir: str):
     """Per-event-type equi-width value histogram (stages/quantiles.
     fixed_histogram): integer bincount partials, exactly mergeable."""
@@ -660,6 +874,8 @@ def value_histogram(sf_dir: str):
     return fixed_histogram(ds, "value", 0.0, 500.0, 20, by="event_type")
 
 
+@register("orders_profile",
+          sql=profile_sql("orders", _PROFILE_COLS, ts_cols={"o_orderdate"}))
 def orders_profile(sf_dir: str):
     """Ingest-time data-quality profile (stages/textstats.profile_table):
     per-column rows / nulls / distincts / min / max in one pass."""
@@ -669,6 +885,15 @@ def orders_profile(sf_dir: str):
     return profile_table(ds, _PROFILE_COLS)
 
 
+@register("event_customer_coverage", sql="""
+        SELECT CASE WHEN e.event_id IS NOT NULL AND c.c_mktsegment IS NOT NULL
+                    THEN 'both'
+                    WHEN e.event_id IS NOT NULL THEN 'event_only'
+                    ELSE 'customer_only' END AS side,
+               COUNT(*) AS n
+        FROM events e FULL OUTER JOIN customer c ON e.user_id = c.c_custkey
+        GROUP BY 1
+    """)
 def event_customer_coverage(sf_dir: str):
     """FULL OUTER hash join (shuffle tier — a map-side full outer would
     re-emit unmatched right rows per batch): which event users have a
@@ -697,6 +922,9 @@ def event_customer_coverage(sf_dir: str):
     )
 
 
+@register("lineitem_price_corr",
+          sql=corr_sql("lineitem", "l_returnflag", "l_quantity",
+                       "l_extendedprice"))
 def lineitem_price_corr(sf_dir: str):
     """Per-returnflag Pearson corr + OLS slope of quantity vs extended
     price, from six sufficient statistics per (group, batch)
@@ -708,6 +936,13 @@ def lineitem_price_corr(sf_dir: str):
     return grouped_corr(ds, "l_returnflag", "l_quantity", "l_extendedprice")
 
 
+@register("revenue_cube", sql="""
+        SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
+               COALESCE(l_linestatus, 'ALL') AS l_linestatus,
+               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue,
+               COUNT(*) AS n_lines
+        FROM lineitem GROUP BY CUBE (l_returnflag, l_linestatus)
+    """)
 def revenue_cube(sf_dir: str):
     """One-pass GROUP BY CUBE (stages/windows.cube_aggregate): all 2^k
     grouping subsets from the same per-batch finest partials."""
@@ -729,6 +964,17 @@ def revenue_cube(sf_dir: str):
     )
 
 
+@register("order_price_quartiles", sql="""
+        WITH t AS (
+            SELECT o_orderpriority, o_totalprice,
+                   NTILE(4) OVER (PARTITION BY o_orderpriority
+                                  ORDER BY o_totalprice, o_orderkey) AS tile
+            FROM orders
+        )
+        SELECT o_orderpriority, CAST(tile AS BIGINT) AS tile, COUNT(*) AS n,
+               ROUND(SUM(o_totalprice), 2) AS sum_price
+        FROM t GROUP BY 1, 2
+    """)
 def order_price_quartiles(sf_dir: str):
     """NTILE(4) per order priority (stages/windows.grouped_ntile),
     aggregated per (priority, tile) so the SQL window oracle checks every
@@ -754,6 +1000,12 @@ def order_price_quartiles(sf_dir: str):
     )
 
 
+@register("region_customer_rollup", sql="""
+        SELECT r_name, COUNT(*) AS customers, ROUND(SUM(c_acctbal), 2) AS total_acctbal
+        FROM customer JOIN nation ON c_nationkey = n_nationkey
+                      JOIN region ON n_regionkey = r_regionkey
+        GROUP BY 1
+    """)
 def region_customer_rollup(sf_dir: str):
     """Three-way dimension join (region ⋈ nation ⋈ customer) with both tiny
     dims broadcast — the star-schema lookup shape."""
@@ -791,6 +1043,10 @@ def region_customer_rollup(sf_dir: str):
     )
 
 
+@register("supplier_nation_stats", sql="""
+        SELECT n_name, COUNT(*) AS suppliers, ROUND(SUM(s_acctbal), 2) AS s_total
+        FROM supplier JOIN nation ON s_nationkey = n_nationkey GROUP BY 1
+    """)
 def supplier_nation_stats(sf_dir: str):
     nation = collect_broadcast_df(
         _pq(sf_dir, "nation", ["n_nationkey", "n_name"]),
@@ -820,6 +1076,11 @@ def supplier_nation_stats(sf_dir: str):
 
 # ---------------------------------------------------------- set ops / union
 
+@register("union_sources", sql="""
+        SELECT 'doc' AS src, lang AS key, COUNT(*) AS n FROM documents GROUP BY 2
+        UNION ALL
+        SELECT 'event' AS src, event_type AS key, COUNT(*) AS n FROM events GROUP BY 2
+    """)
 def union_sources(sf_dir: str):
     """W4 analog: heterogeneous tables unioned on a common schema with a
     source discriminator."""
@@ -850,11 +1111,23 @@ def union_sources(sf_dir: str):
 
 # ------------------------------------------------- documents training-data ops
 
+@register("exact_dedup_docs", sql="""
+        SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_copies
+        FROM documents GROUP BY text
+    """)
 def exact_dedup_docs(sf_dir: str):
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
     return exact_dedup(ds, "doc_id", "text")
 
 
+# split class = textstats._PY_WS_SQL (Python-\s-equivalent, not RE2's
+# ASCII-only \s) so the oracle tokenizes exactly like token_counts()
+@register("token_stats_by_lang", sql=r"""
+        SELECT lang,
+               CAST(SUM(len(list_filter(regexp_split_to_array(text, '[\t\n\x0b\f\r\x1c-\x1f\x85\p{Z}]+'), x -> x <> ''))) AS BIGINT) AS total_tokens,
+               COUNT(*) AS n_docs
+        FROM documents GROUP BY 1
+    """)
 def token_stats_by_lang(sf_dir: str):
     ds = _pq(sf_dir, "documents", ["lang", "text"])
 
@@ -879,6 +1152,7 @@ def token_stats_by_lang(sf_dir: str):
     )
 
 
+@register("doc_fingerprints", sql="SELECT doc_id, md5(text) AS fp FROM documents")
 def doc_fingerprints(sf_dir: str):
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
     return ds.map_batches(
@@ -887,6 +1161,10 @@ def doc_fingerprints(sf_dir: str):
     )
 
 
+@register("chars_by_lang_source", sql="""
+        SELECT lang, source, COUNT(*) AS n_docs, ROUND(AVG(n_chars), 4) AS avg_chars
+        FROM documents GROUP BY 1, 2
+    """)
 def chars_by_lang_source(sf_dir: str):
     ds = _pq(sf_dir, "documents", ["lang", "source", "n_chars"])
 
@@ -924,6 +1202,14 @@ def _query_vec(sf_dir: str) -> np.ndarray:
     return np.asarray(row["embedding"].to_pylist()[0], dtype=np.float64)
 
 
+@register("knn_topk_whitelist", sql="""
+        WITH q AS (SELECT embedding FROM embeddings WHERE vec_id = 0)
+        SELECT e.vec_id, e.label
+        FROM embeddings e, q
+        WHERE e.vec_id <> 0 AND e.label IN (1, 3, 5)
+        ORDER BY list_cosine_similarity(e.embedding, q.embedding) DESC, e.vec_id
+        LIMIT 5
+    """)
 def knn_topk_whitelist(sf_dir: str):
     """Q1-shaped search with whitelist semi-join (J4): top-5 cosine among
     labels {1,3,5} only."""
@@ -944,6 +1230,14 @@ def knn_topk_whitelist(sf_dir: str):
     return top.map_batches(lambda df: df[["vec_id", "label"]], batch_format="pandas")
 
 
+@register("knn_topk_cosine", sql="""
+        WITH q AS (SELECT embedding FROM embeddings WHERE vec_id = 0)
+        SELECT e.vec_id, e.label
+        FROM embeddings e, q
+        WHERE e.vec_id <> 0
+        ORDER BY list_cosine_similarity(e.embedding, q.embedding) DESC, e.vec_id
+        LIMIT 10
+    """)
 def knn_topk_cosine(sf_dir: str):
     q = _query_vec(sf_dir)
     ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
@@ -958,312 +1252,43 @@ def knn_topk_cosine(sf_dir: str):
     )
 
 
-SQL: dict[str, str] = {
-    "pricing_summary": """
-        SELECT l_returnflag, l_linestatus,
-               ROUND(SUM(l_quantity), 2) AS sum_qty,
-               ROUND(SUM(l_extendedprice), 2) AS sum_base_price,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price,
-               ROUND(SUM(l_discount) / COUNT(*), 4) AS avg_disc,
-               COUNT(*) AS count_order
-        FROM lineitem GROUP BY 1, 2
-    """,
-    "topk_orders": """
-        SELECT o_orderkey, ROUND(o_totalprice, 2) AS total
-        FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
-    """,
-    "customer_min_order": """
-        SELECT o_custkey, ROUND(MIN(o_totalprice), 2) AS min_totalprice
-        FROM orders GROUP BY 1
-    """,
-    "hourly_events": """
-        SELECT strftime(date_trunc('hour', ts), '%Y-%m-%d %H:00:00') AS hour,
-               event_type, COUNT(*) AS n, ROUND(SUM(value), 2) AS sum_value
-        FROM events GROUP BY 1, 2
-    """,
-    "event_user_stats": """
-        SELECT event_type, COUNT(*) AS n, COUNT(DISTINCT user_id) AS users
-        FROM events GROUP BY 1
-    """,
-    "json_props_sum": """
-        SELECT event_type,
-               CAST(SUM(CAST(regexp_extract(props, '"k":\\s*(\\d+)', 1) AS BIGINT)) AS BIGINT) AS sum_k
-        FROM events GROUP BY 1
-    """,
-    "mktsegment_revenue": """
-        SELECT c_mktsegment, COUNT(*) AS order_count,
-               ROUND(SUM(o_totalprice), 2) AS revenue
-        FROM orders JOIN customer ON o_custkey = c_custkey GROUP BY 1
-    """,
-    "large_part_lineitems": """
-        SELECT l_returnflag, COUNT(*) AS n, ROUND(SUM(l_extendedprice), 2) AS total
-        FROM lineitem
-        WHERE l_partkey IN (SELECT p_partkey FROM part WHERE p_size >= 40)
-        GROUP BY 1
-    """,
-    "idle_customers": """
-        SELECT c_mktsegment, COUNT(*) AS idle_customers
-        FROM customer
-        WHERE c_custkey NOT IN (
-            SELECT DISTINCT o_custkey FROM orders WHERE o_orderpriority = '1-URGENT')
-        GROUP BY 1
-    """,
-    "orders_lineitem_join": """
-        SELECT o_orderpriority, COUNT(*) AS n_lines,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY 1
-    """,
-    "asof_events_orders": """
-        WITH o AS (
-            SELECT o_custkey, o_orderdate, MAX(o_totalprice) AS best_price
-            FROM orders GROUP BY 1, 2
-        )
-        SELECT e.event_type, COUNT(*) AS n, ROUND(SUM(o.best_price), 2) AS matched_total
-        FROM events e ASOF JOIN o
-          ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate
-        GROUP BY 1
-    """,
-    # same answers as the auto-tier queries — these force the partitioned
-    # shuffle tier so BOTH join strategies stay oracle-checked
-    "orders_lineitem_join_shuffle": """
-        SELECT o_orderpriority, COUNT(*) AS n_lines,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY 1
-    """,
-    "asof_events_orders_shuffle": """
-        WITH o AS (
-            SELECT o_custkey, o_orderdate, MAX(o_totalprice) AS best_price
-            FROM orders GROUP BY 1, 2
-        )
-        SELECT e.event_type, COUNT(*) AS n, ROUND(SUM(o.best_price), 2) AS matched_total
-        FROM events e ASOF JOIN o
-          ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate
-        GROUP BY 1
-    """,
-    "user_event_type_sets": """
-        SELECT user_id,
-               string_agg(DISTINCT event_type, ',' ORDER BY event_type) AS event_types,
-               COUNT(DISTINCT event_type) AS n_types
-        FROM events GROUP BY user_id
-    """,
-    "urgent_lineitem_revenue_bloom": """
-        SELECT o_orderpriority, COUNT(*) AS n_lines,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-        WHERE o_orderpriority = '1-URGENT' GROUP BY 1
-    """,
-    "region_customer_rollup": """
-        SELECT r_name, COUNT(*) AS customers, ROUND(SUM(c_acctbal), 2) AS total_acctbal
-        FROM customer JOIN nation ON c_nationkey = n_nationkey
-                      JOIN region ON n_regionkey = r_regionkey
-        GROUP BY 1
-    """,
-    "supplier_nation_stats": """
-        SELECT n_name, COUNT(*) AS suppliers, ROUND(SUM(s_acctbal), 2) AS s_total
-        FROM supplier JOIN nation ON s_nationkey = n_nationkey GROUP BY 1
-    """,
-    "top_orders_per_priority": """
-        SELECT o_orderpriority, o_orderkey, ROUND(o_totalprice, 2) AS o_totalprice, rn
-        FROM (
-            SELECT o_orderpriority, o_orderkey, o_totalprice,
-                   ROW_NUMBER() OVER (PARTITION BY o_orderpriority
-                                      ORDER BY o_totalprice DESC, o_orderkey) AS rn
-            FROM orders
-        ) WHERE rn <= 3
-    """,
-    "customer_running_spend": """
-        SELECT o_custkey, o_orderkey,
-               ROUND(SUM(o_totalprice) OVER (
-                   PARTITION BY o_custkey ORDER BY o_orderdate, o_orderkey
-                   ROWS UNBOUNDED PRECEDING), 2) AS running_spend
-        FROM orders
-    """,
-    "revenue_rollup": """
-        SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
-               COALESCE(l_linestatus, 'ALL') AS l_linestatus,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue,
-               COUNT(*) AS n_lines
-        FROM lineitem GROUP BY ROLLUP (l_returnflag, l_linestatus)
-    """,
-    "followup_orders": """
-        SELECT w.o_orderpriority AS w_priority, COUNT(*) AS n,
-               ROUND(SUM(p.o_totalprice), 2) AS followup_total
-        FROM orders p JOIN orders w
-          ON p.o_custkey = w.o_custkey
-         AND p.o_orderdate >= w.o_orderdate
-         AND p.o_orderdate < w.o_orderdate + INTERVAL 90 DAY
-         AND p.o_orderkey <> w.o_orderkey
-        GROUP BY 1
-    """,
-    "followup_orders_shuffle": """
-        SELECT w.o_orderpriority AS w_priority, COUNT(*) AS n,
-               ROUND(SUM(p.o_totalprice), 2) AS followup_total
-        FROM orders p JOIN orders w
-          ON p.o_custkey = w.o_custkey
-         AND p.o_orderdate >= w.o_orderdate
-         AND p.o_orderdate < w.o_orderdate + INTERVAL 90 DAY
-         AND p.o_orderkey <> w.o_orderkey
-        GROUP BY 1
-    """,
-    "event_customer_coverage": """
-        SELECT CASE WHEN e.event_id IS NOT NULL AND c.c_mktsegment IS NOT NULL
-                    THEN 'both'
-                    WHEN e.event_id IS NOT NULL THEN 'event_only'
-                    ELSE 'customer_only' END AS side,
-               COUNT(*) AS n
-        FROM events e FULL OUTER JOIN customer c ON e.user_id = c.c_custkey
-        GROUP BY 1
-    """,
-    "revenue_cube": """
-        SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
-               COALESCE(l_linestatus, 'ALL') AS l_linestatus,
-               ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue,
-               COUNT(*) AS n_lines
-        FROM lineitem GROUP BY CUBE (l_returnflag, l_linestatus)
-    """,
-    "order_price_quartiles": """
-        WITH t AS (
-            SELECT o_orderpriority, o_totalprice,
-                   NTILE(4) OVER (PARTITION BY o_orderpriority
-                                  ORDER BY o_totalprice, o_orderkey) AS tile
-            FROM orders
-        )
-        SELECT o_orderpriority, CAST(tile AS BIGINT) AS tile, COUNT(*) AS n,
-               ROUND(SUM(o_totalprice), 2) AS sum_price
-        FROM t GROUP BY 1, 2
-    """,
-    "label_centroids": """
-        SELECT label, i AS dim, ROUND(AVG(embedding[i + 1]), 6) AS avg_v
-        FROM embeddings, range(64) t(i)
-        GROUP BY 1, 2
-    """,
-    "customer_order_counts": """
-        SELECT c_custkey, c_mktsegment,
-               CAST(COUNT(o_custkey) AS BIGINT) AS n_orders,
-               ROUND(COALESCE(SUM(o_totalprice), 0), 2) AS total_spend
-        FROM customer LEFT JOIN orders ON c_custkey = o_custkey
-        GROUP BY 1, 2
-    """,
-    "event_sessions": """
-        WITH d AS (
-            SELECT event_id, user_id, ts,
-                   CASE WHEN LAG(ts) OVER w IS NULL
-                             OR ts - LAG(ts) OVER w > INTERVAL 30 MINUTE
-                        THEN 1 ELSE 0 END AS new_s
-            FROM events
-            WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-        )
-        SELECT event_id, user_id,
-               CAST(SUM(new_s) OVER (PARTITION BY user_id
-                                     ORDER BY ts, event_id
-                                     ROWS UNBOUNDED PRECEDING) AS BIGINT)
-                   AS session_seq
-        FROM d
-    """,
-    "session_stats_q": """
-        WITH d AS (
-            SELECT user_id,
-                   CASE WHEN LAG(ts) OVER (PARTITION BY user_id ORDER BY ts) IS NULL
-                             OR ts - LAG(ts) OVER (PARTITION BY user_id ORDER BY ts)
-                                > INTERVAL 30 MINUTE
-                        THEN 1 ELSE 0 END AS new_s
-            FROM events)
-        SELECT user_id, CAST(SUM(new_s) AS BIGINT) AS n_sessions,
-               COUNT(*) AS n_events
-        FROM d GROUP BY 1
-    """,
-    "sliding_event_counts": """
-        SELECT strftime(date_trunc('hour', ts) - i * INTERVAL 60 MINUTE,
-                        '%Y-%m-%d %H:%M:%S') AS window_start,
-               event_type AS key, COUNT(*) AS n
-        FROM events, range(2) t(i)
-        GROUP BY 1, 2
-    """,
-    "union_sources": """
-        SELECT 'doc' AS src, lang AS key, COUNT(*) AS n FROM documents GROUP BY 2
-        UNION ALL
-        SELECT 'event' AS src, event_type AS key, COUNT(*) AS n FROM events GROUP BY 2
-    """,
-    "exact_dedup_docs": """
-        SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_copies
-        FROM documents GROUP BY text
-    """,
-    # split class = textstats._PY_WS_SQL (Python-\s-equivalent, not RE2's
-    # ASCII-only \s) so the oracle tokenizes exactly like token_counts()
-    "token_stats_by_lang": r"""
-        SELECT lang,
-               CAST(SUM(len(list_filter(regexp_split_to_array(text, '[\t\n\x0b\f\r\x1c-\x1f\x85\p{Z}]+'), x -> x <> ''))) AS BIGINT) AS total_tokens,
-               COUNT(*) AS n_docs
-        FROM documents GROUP BY 1
-    """,
-    "doc_fingerprints": "SELECT doc_id, md5(text) AS fp FROM documents",
-    "chars_by_lang_source": """
-        SELECT lang, source, COUNT(*) AS n_docs, ROUND(AVG(n_chars), 4) AS avg_chars
-        FROM documents GROUP BY 1, 2
-    """,
-    "knn_topk_cosine": """
-        WITH q AS (SELECT embedding FROM embeddings WHERE vec_id = 0)
-        SELECT e.vec_id, e.label
-        FROM embeddings e, q
-        WHERE e.vec_id <> 0
-        ORDER BY list_cosine_similarity(e.embedding, q.embedding) DESC, e.vec_id
-        LIMIT 10
-    """,
-    "knn_topk_whitelist": """
-        WITH q AS (SELECT embedding FROM embeddings WHERE vec_id = 0)
-        SELECT e.vec_id, e.label
-        FROM embeddings e, q
-        WHERE e.vec_id <> 0 AND e.label IN (1, 3, 5)
-        ORDER BY list_cosine_similarity(e.embedding, q.embedding) DESC, e.vec_id
-        LIMIT 5
-    """,
-}
+_SKETCH = ("mergeable-sketch tier: approximate by design (error bound asserted "
+           "in tests against the exact tier); the golden pins its determinism")
 
-QUERIES = {
-    "knn_topk_whitelist": knn_topk_whitelist,
-    "pricing_summary": pricing_summary,
-    "topk_orders": topk_orders,
-    "customer_min_order": customer_min_order,
-    "hourly_events": hourly_events,
-    "event_user_stats": event_user_stats,
-    "json_props_sum": json_props_sum,
-    "mktsegment_revenue": mktsegment_revenue,
-    "large_part_lineitems": large_part_lineitems,
-    "idle_customers": idle_customers,
-    "orders_lineitem_join": orders_lineitem_join,
-    "orders_lineitem_join_shuffle": lambda sf: orders_lineitem_join(sf, strategy="shuffle"),
-    "urgent_lineitem_revenue_bloom": urgent_lineitem_revenue,
-    "distinct_users_by_type": distinct_users_by_type,
-    "user_event_type_sets": user_event_type_sets,
-    "top_users_by_type": top_users_by_type,
-    "curated_corpus_stats": curated_corpus_stats_query,
-    "asof_events_orders": asof_events_orders,
-    "asof_events_orders_shuffle": lambda sf: asof_events_orders(sf, strategy="shuffle"),
-    "union_sources": union_sources,
-    "session_stats_q": session_stats_q,
-    "sliding_event_counts": sliding_event_counts,
-    "top_orders_per_priority": top_orders_per_priority,
-    "customer_running_spend": customer_running_spend,
-    "revenue_rollup": revenue_rollup,
-    "followup_orders": followup_orders,
-    "followup_orders_shuffle": lambda sf: followup_orders(sf, strategy="shuffle"),
-    "orders_status_pivot": orders_status_pivot,
-    "value_quantiles_disc": value_quantiles_disc,
-    "event_sessions": event_sessions,
-    "boilerplate_by_source": boilerplate_by_source,
-    "label_centroids": label_centroids_q,
-    "customer_order_counts": customer_order_counts,
-    "revenue_cube": revenue_cube,
-    "order_price_quartiles": order_price_quartiles,
-    "lineitem_price_corr": lineitem_price_corr,
-    "event_customer_coverage": event_customer_coverage,
-    "orders_profile": orders_profile,
-    "value_histogram": value_histogram,
-    "region_customer_rollup": region_customer_rollup,
-    "supplier_nation_stats": supplier_nation_stats,
-    "exact_dedup_docs": exact_dedup_docs,
-    "token_stats_by_lang": token_stats_by_lang,
-    "doc_fingerprints": doc_fingerprints,
-    "chars_by_lang_source": chars_by_lang_source,
-    "knn_topk_cosine": knn_topk_cosine,
-}
+
+@register("value_quantiles", sql=quantile_sql("events", "event_type", "value",
+                                               [0.25, 0.5, 0.9]))
+def _value_quantiles(sf_dir: str):
+    """Exact per-event-type value quantiles (p25/p50/p90) — grouped
+    quantile aggregate, bit-matching DuckDB quantile_cont."""
+    from docprocai_service_ray.stages.quantiles import grouped_quantiles
+
+    ds = _pq(sf_dir, "events", ["event_type", "value"])
+    return grouped_quantiles(ds, "event_type", "value", [0.25, 0.5, 0.9])
+
+
+@register("value_quantiles_sketch", golden=_SKETCH)
+def _value_quantiles_sketch(sf_dir: str):
+    """Same grouped quantiles via the MERGEABLE centroid-digest tier
+    (stages/quantiles.grouped_quantiles_sketch): shuffles O(groups x
+    delta) centroids instead of co-locating groups — the corpus-scale
+    path, deterministic at any parallelism (golden-frozen; its ~2/delta
+    rank-error bound vs exact is asserted in tests/test_sampling.py)."""
+    from docprocai_service_ray.stages.quantiles import grouped_quantiles_sketch
+
+    ds = _pq(sf_dir, "events", ["event_type", "value"])
+    return grouped_quantiles_sketch(ds, "event_type", "value", [0.25, 0.5, 0.9])
+
+
+@register("distinct_users_sketch", golden=_SKETCH)
+def _distinct_users_sketch(sf_dir: str):
+    """Same counts via the MERGEABLE HyperLogLog tier
+    (stages/distinct.grouped_distinct_sketch): O(groups x 2^p) register
+    bytes shuffle, values never do — the corpus-scale path. Deterministic
+    at ANY parallelism and arrival order (register merge is elementwise
+    max), so golden-frozen; the ~1.6% (p=12) error bound vs exact is
+    asserted in tests/test_distinct.py at 20k+ cardinality."""
+    from docprocai_service_ray.stages.distinct import grouped_distinct_sketch
+
+    ds = _pq(sf_dir, "events", ["event_type", "user_id"])
+    return grouped_distinct_sketch(ds, "event_type", "user_id")

@@ -114,7 +114,7 @@ def curated_corpus_stats(sf_dir: str, **kwargs):
 def curation_sql(langs=DEFAULT_LANGS, min_quality: float = DEFAULT_MIN_QUALITY,
                  sample_rate: float = DEFAULT_SAMPLE_RATE, seed: int = 42) -> str:
     """The DuckDB twin of the WHOLE recipe (same quality formula as
-    __ray_entry__._quality_sql, group-by-text dedup with min doc_id, same
+    textqueries._quality_sql, group-by-text dedup with min doc_id, same
     md5 sample predicate) — stats grouped per lang."""
     from ..stages.textstats import _STOPWORDS
 

@@ -146,6 +146,8 @@ def dedup_urls(docs_ds, cfg: KGConfig):
     tier, proj = choose_tier(
         docs_ds.select_columns(["url", "warc_ts", "content_hash"]),
         cfg.driver_dedup_max, what="dedup_urls")
+    if proj.count() == 0:  # nothing to dedup; the input keeps its typed schema
+        return docs_ds
 
     def winners(part: pd.DataFrame) -> pd.DataFrame:
         # all rows of a url are in this partition → global per-url decision,
@@ -168,7 +170,7 @@ def dedup_urls(docs_ds, cfg: KGConfig):
     if tier == "driver":
         # small-side fast path: the 40-byte/row projection fits on the
         # driver — one collect, no shuffle
-        win_df = winners(proj.to_pandas())
+        win_df = winners(collect_pandas(proj, ["url", "warc_ts", "content_hash"]))
     else:
         tier, dup_winners = choose_tier(
             partition_reduce(proj, ["url"], winners, num_partitions=None),
@@ -300,6 +302,8 @@ def dedup_urls_meta(pages_ds, cfg: KGConfig):
     pages_ds = filter_langs(pages_ds, cfg)  # dedup must see post-filter rows
     tier, proj = choose_tier(pages_ds.select_columns(["url", "warc_ts"]),
                              cfg.driver_dedup_max, what="dedup_urls_meta")
+    if proj.count() == 0:  # no pages: typed empty docs on either tier
+        return ray.data.from_arrow(DOCS_SCHEMA.empty_table())
 
     def winners(part: pd.DataFrame) -> pd.DataFrame:
         """Per duplicated url: max warc_ts + how many captures tie at it."""
@@ -320,7 +324,7 @@ def dedup_urls_meta(pages_ds, cfg: KGConfig):
         return mx.merge(at_max, on="url")
 
     if tier == "driver":
-        win_df = winners(proj.to_pandas())
+        win_df = winners(collect_pandas(proj, ["url", "warc_ts"]))
     else:
         tier, dup_winners = choose_tier(
             partition_reduce(proj, ["url"], winners, num_partitions=None),

@@ -2,15 +2,17 @@
 """Local full-registry correctness check — the driver's gate, in-repo.
 
 The per-round driver samples 50 queries; this script runs EVERY
-``__ray_entry__.queries()`` entry against its ``oracle_sql()`` twin (or
-records rows-only for the few without one) at sf0.01, comparing
-row count, schema (column names) and a value hash with columns sorted by
-name and rows sorted by all columns — the same discipline as the driver's
-CORRECTNESS_r{N}.json. Floats are rounded to 6 decimals before hashing.
+``__ray_entry__.queries()`` entry against its ``oracle_sql()`` twin at
+sf0.01, comparing row count, schema (column names) and a value hash with
+columns sorted by name and rows sorted by all columns — the same discipline
+as the driver's CORRECTNESS_r{N}.json. Floats are rounded to 6 decimals
+before hashing.
 
 Usage:
     python scripts/check_correctness.py [sf_dir] [--only name1,name2]
-Prints one line per query + a summary; exit 1 on any mismatch.
+Prints one flushed JSON object per query as it finishes ({"name", "ok",
+"ray_rows", "oracle_rows"} plus "err" or "diff" when it fails), so a cut run
+still leaves its rows, then a last line "N/M green"; exit 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -106,35 +108,22 @@ def main() -> int:
         if os.path.exists(p):
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
 
-    n_bad = 0
-    results = {}
+    n_ok = n_run = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
         try:
-            ray_df = _to_pandas(fn(sf_dir))
-            if name in sqls:
-                ora_df = con.execute(sqls[name]).fetchdf()
-                r = compare(ray_df, ora_df)
-            else:
-                r = {"rows_match": len(ray_df) >= 0, "schema_match": True,
-                     "hash_match": None, "ray_rows": len(ray_df),
-                     "oracle_rows": None, "note": "rows-only (no SQL twin)"}
+            r = compare(_to_pandas(fn(sf_dir)), con.execute(sqls[name]).fetchdf())
         except Exception as e:  # noqa: BLE001
-            r = {"rows_match": False, "schema_match": False,
-                 "hash_match": False, "err": f"{type(e).__name__}: {e}"[:300]}
-        ok = r.get("hash_match") in (True, None) and r["rows_match"] \
-            and r["schema_match"] and "err" not in r
-        n_bad += 0 if ok else 1
-        results[name] = r
-        print(("PASS " if ok else "FAIL ") + name + " " +
-              json.dumps({k: v for k, v in r.items()
-                          if k in ("ray_rows", "oracle_rows", "err", "diff",
-                                   "note")}),
-              flush=True)
-    print(f"\n{len(results) - n_bad}/{len(results)} green")
+            r = {"hash_match": False, "err": f"{type(e).__name__}: {e}"[:300]}
+        ok = r["hash_match"]  # only set when rows and schema match too
+        n_ok, n_run = n_ok + ok, n_run + 1
+        print(json.dumps({"name": name, "ok": ok, **{
+            k: r[k] for k in ("ray_rows", "oracle_rows", "err", "diff") if k in r}}),
+            flush=True)
+    print(f"{n_ok}/{n_run} green", flush=True)
     ray.shutdown()
-    return 1 if n_bad else 0
+    return 0 if n_ok == n_run else 1
 
 
 if __name__ == "__main__":

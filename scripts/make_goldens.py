@@ -10,8 +10,9 @@ Two tiers:
   freeze the pipeline output (no independent oracle exists; the freeze
   still pins determinism across rounds).
 
-`__ray_entry__.oracle_sql()` serves each golden back to the driver as
-``SELECT * FROM read_parquet(...)``.
+It writes every query declared with ``golden=`` in the query registry
+(docprocai_service_ray/pipelines/registry.py), which serves each golden back
+to the driver as ``SELECT * FROM read_parquet(...)``.
 
 Run: python scripts/make_goldens.py
 """
@@ -41,11 +42,13 @@ def main() -> None:
             logging_level="ERROR",
         )
     import __ray_entry__ as entry
+    from docprocai_service_ray.config import KGConfig
     from docprocai_service_ray.oracle.scalar import run_oracle
+    from docprocai_service_ray.pipelines import registry
     from docprocai_service_ray.sources.webgen import alias_dict_table, gen_page
 
     os.makedirs(OUT, exist_ok=True)
-    cfg = entry._CFG
+    cfg = KGConfig()
     n = 2000  # sf0.01 → max(300, 0.01 * 200_000)
     pages = [gen_page(cfg.seed, r) for r in range(n)]
     oracle = run_oracle(pages, alias_dict_table(cfg.seed, cfg.embedding_dim), cfg)
@@ -73,7 +76,7 @@ def main() -> None:
     }
 
     qs = entry.queries()
-    for name in entry._GOLDEN_QUERIES:
+    for name in registry.loaded().goldens:
         r = qs[name](SF_DIR)
         df = r.to_pandas() if hasattr(r, "to_pandas") else r
         if name in oracle_expect:

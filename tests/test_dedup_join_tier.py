@@ -8,12 +8,16 @@ from __future__ import annotations
 import datetime as dt
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from docprocai_service_ray.config import KGConfig
+from docprocai_service_ray.sources.webgen import WEB_PAGES_SCHEMA
 from docprocai_service_ray.stages.extract import (
+    DOCS_SCHEMA,
     build_docs,
     dedup_urls,
+    dedup_urls_meta,
     drop_empty,
     extract_docs,
 )
@@ -82,3 +86,16 @@ def test_docs_join_tier_matches_broadcast(ray_session):
     with forced("distributed"):
         got = _docs_key(drop_empty(dedup_urls(docs_raw.repartition(7), KGConfig())))
     assert got == base and len(base) == 30 + 5 + 3 + 20
+
+
+@pytest.mark.parametrize("tier", ["driver", "distributed"])
+@pytest.mark.parametrize("dedup, schema", [(dedup_urls, DOCS_SCHEMA),
+                                           (dedup_urls_meta, WEB_PAGES_SCHEMA)],
+                         ids=["dedup_urls", "dedup_urls_meta"])
+def test_empty_input_keeps_docs_schema(ray_session, tier, dedup, schema):
+    """No rows in → no rows out, typed like any docs table, on both tiers."""
+    with forced(tier):
+        out = dedup(rd.from_arrow(schema.empty_table()), KGConfig()).materialize()
+    assert out.count() == 0
+    assert list(out.schema().names) == DOCS_SCHEMA.names
+    assert list(out.schema().types) == DOCS_SCHEMA.types
