@@ -49,12 +49,6 @@ class KGConfig:
                                      # triple canonicalization switches from the
                                      # broadcast Arrow map to canonicalize_via_join
                                      # (stages/materialize.build_triples_auto)
-    streaming_fused_max_bytes: int = 32 << 30  # input-bytes estimate above which
-                                     # STREAMING-mode fused link extraction refuses
-                                     # to materialize the docs-sized fused table in
-                                     # the object store (it would spill at scale)
-                                     # and raises pointing at out_dir — the
-                                     # checkpointed mode writes Parquet instead
     # ---- entity linking ----
     link_threshold: float = 0.40     # cutoff on 0.5*cos+0.5*prior — structural analog of
                                      # the reference's 0.7 similarity cutoff
@@ -64,12 +58,6 @@ class KGConfig:
     prov_cap: int = 20               # max provenance entries kept per triple (overflow counted,
                                      # never silently dropped — manifest records the cap)
     # ---- execution ----
-    extract_batch_size: int = 256    # html rows per batch (rows are KB..MB: keep batches small)
-    triple_batch_size: int = 1024    # sentence rows per extraction batch
-    agg_batch_size: int = 32768      # triple rows per phase-0 partial-agg batch:
-                                     # compression grows with batch size (distinct
-                                     # keys saturate), and a batch is only ~6 MB
-    embed_batch_size: int = 2048
     actor_pool_size: int = 4         # concurrency for stateful stages in tests; bench overrides
     ingest_partitions: int = 0       # >0: checkpointed docs_raw ingest runs in this many
                                      # independent input-file shards with per-partition

@@ -40,6 +40,7 @@ from ..stages.textstats import (
     token_counts,
 )
 from ..stages.topfreq import topn_sql
+from ..state.groupby import group_agg
 from ..state.joins import (
     anti_join_filter,
     asof_join,
@@ -58,19 +59,9 @@ def _pq(sf_dir: str, table: str, columns: list[str] | None = None):
     return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
 
 
-def _grouped_final(partials, keys: list[str], agg: dict, post=None,
-                   num_partitions: int | None = None):
-    """Vectorized final merge of per-batch partial aggregates: one pandas
-    groupby.agg per hash partition (state/groupby.partition_reduce) instead
-    of one Python call per key. ``agg``: out_col -> (in_col, fn);
-    ``post(df) -> df`` applies rounding/casts."""
-    from ..state.groupby import partition_reduce
-
-    def reduce(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(keys, as_index=False).agg(**agg)
-        return post(out) if post else out
-
-    return partition_reduce(partials, keys, reduce, num_partitions=num_partitions)
+def _round(**cols: int):
+    """``finish`` for :func:`group_agg`: round the named columns."""
+    return lambda df: df.round(cols)
 
 
 # ---------------------------------------------------------------- aggregates
@@ -91,33 +82,22 @@ def pricing_summary(sf_dir: str):
     ds = _pq(sf_dir, "lineitem",
              ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(disc_price=df["l_extendedprice"] * (1 - df["l_discount"]))
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            sum_qty=("l_quantity", "sum"),
-            sum_base_price=("l_extendedprice", "sum"),
-            sum_disc_price=("disc_price", "sum"),
-            sum_disc=("l_discount", "sum"),
-            count_order=("l_quantity", "size"),
-        )
-        return g
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.round({"sum_qty": 2, "sum_base_price": 2, "sum_disc_price": 2})
+        avg_disc = (g.pop("sum_disc") / g["count_order"]).round(4)
+        return g.assign(avg_disc=avg_disc, count_order=g.pop("count_order"))
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        n = int(g["count_order"].sum())
-        return pd.DataFrame({
-            "l_returnflag": [g["l_returnflag"].iloc[0]],
-            "l_linestatus": [g["l_linestatus"].iloc[0]],
-            "sum_qty": [round(float(g["sum_qty"].sum()), 2)],
-            "sum_base_price": [round(float(g["sum_base_price"].sum()), 2)],
-            "sum_disc_price": [round(float(g["sum_disc_price"].sum()), 2)],
-            "avg_disc": [round(float(g["sum_disc"].sum()) / n, 4)],
-            "count_order": [np.int64(n)],
-        })
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .map_groups(final, batch_format="pandas")
+    return group_agg(
+        ds.map_batches(lambda df: df.assign(
+            disc_price=df["l_extendedprice"] * (1 - df["l_discount"])),
+            batch_format="pandas"),
+        ["l_returnflag", "l_linestatus"],
+        {"sum_qty": ("l_quantity", "sum"),
+         "sum_base_price": ("l_extendedprice", "sum"),
+         "sum_disc_price": ("disc_price", "sum"),
+         "sum_disc": ("l_discount", "sum"),
+         "count_order": ("l_quantity", "size")},
+        finish=finish, num_partitions=4,
     )
 
 
@@ -143,16 +123,8 @@ def topk_orders(sf_dir: str):
     """)
 def customer_min_order(sf_dir: str):
     ds = _pq(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("o_custkey", as_index=False).agg(m=("o_totalprice", "min"))
-
-    return _grouped_final(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["o_custkey"],
-        {"min_totalprice": ("m", "min")},
-        post=lambda df: df.assign(min_totalprice=df["min_totalprice"].round(2)),
-    )
+    return group_agg(ds, ["o_custkey"], {"min_totalprice": ("o_totalprice", "min")},
+                     finish=_round(min_totalprice=2))
 
 
 @register("hourly_events", sql="""
@@ -165,20 +137,12 @@ def hourly_events(sf_dir: str):
     strings so both engines agree on the output dtype exactly."""
     ds = _pq(sf_dir, "events", ["ts", "event_type", "value"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(hour=pd.to_datetime(df["ts"]).dt.strftime("%Y-%m-%d %H:00:00"))
-        return df.groupby(["hour", "event_type"], as_index=False).agg(
-            n=("value", "size"), s=("value", "sum")
-        )
-
-    return _grouped_final(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["hour", "event_type"],
-        {"n": ("n", "sum"), "sum_value": ("s", "sum")},
-        post=lambda df: df.assign(
-            n=df["n"].astype("int64"), sum_value=df["sum_value"].round(2)
-        ),
-    )
+    hourly = ds.map_batches(lambda df: df.assign(
+        hour=pd.to_datetime(df["ts"]).dt.strftime("%Y-%m-%d %H:00:00")),
+        batch_format="pandas")
+    return group_agg(hourly, ["hour", "event_type"],
+                     {"n": ("value", "size"), "sum_value": ("value", "sum")},
+                     finish=_round(sum_value=2))
 
 
 @register("event_user_stats", sql="""
@@ -207,21 +171,11 @@ def json_props_sum(sf_dir: str):
     """Scalar JSON-field extraction (§2.7 json ops) — vectorized regex."""
     ds = _pq(sf_dir, "events", ["event_type", "props"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["props"].str.extract(r'"k":\s*(\d+)')[0].astype("int64")
-        return (
-            df.assign(k=k)
-            .groupby("event_type", as_index=False)
-            .agg(s=("k", "sum"))
-        )
-
-    return _grouped_final(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["event_type"],
-        {"sum_k": ("s", "sum")},
-        post=lambda df: df.assign(sum_k=df["sum_k"].astype("int64")),
-        num_partitions=4,
-    )
+    with_k = ds.map_batches(lambda df: df.assign(
+        k=df["props"].str.extract(r'"k":\s*(\d+)')[0].astype("int64")),
+        batch_format="pandas")
+    return group_agg(with_k, ["event_type"], {"sum_k": ("k", "sum")},
+                     num_partitions=4)
 
 
 # ------------------------------------------------------------------- joins
@@ -240,22 +194,13 @@ def mktsegment_revenue(sf_dir: str):
     seg_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
     ds = _pq(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        seg = ray.get(seg_ref)
-        df = df.assign(c_mktsegment=df["o_custkey"].map(seg))
-        return df.groupby("c_mktsegment", as_index=False).agg(
-            n=("o_totalprice", "size"), s=("o_totalprice", "sum")
-        )
+    def lookup(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(c_mktsegment=df["o_custkey"].map(ray.get(seg_ref)))
 
-    return _grouped_final(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["c_mktsegment"],
-        {"order_count": ("n", "sum"), "revenue": ("s", "sum")},
-        post=lambda df: df.assign(
-            order_count=df["order_count"].astype("int64"),
-            revenue=df["revenue"].round(2),
-        ),
-        num_partitions=4,
+    return group_agg(
+        ds.map_batches(lookup, batch_format="pandas"), ["c_mktsegment"],
+        {"order_count": ("o_totalprice", "size"), "revenue": ("o_totalprice", "sum")},
+        finish=_round(revenue=2), num_partitions=4,
     )
 
 
@@ -273,20 +218,10 @@ def large_part_lineitems(sf_dir: str):
     keys_ref = ray.put(set(part.loc[part["p_size"] >= 40, "p_partkey"]))
     ds = _pq(sf_dir, "lineitem", ["l_partkey", "l_returnflag", "l_extendedprice"])
     ds = semi_join_filter(ds, "l_partkey", keys_ref)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("l_returnflag", as_index=False).agg(
-            n=("l_extendedprice", "size"), s=("l_extendedprice", "sum")
-        )
-
-    return _grouped_final(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["l_returnflag"],
-        {"n": ("n", "sum"), "total": ("s", "sum")},
-        post=lambda df: df.assign(
-            n=df["n"].astype("int64"), total=df["total"].round(2)
-        ),
-        num_partitions=4,
+    return group_agg(
+        ds, ["l_returnflag"],
+        {"n": ("l_extendedprice", "size"), "total": ("l_extendedprice", "sum")},
+        finish=_round(total=2), num_partitions=4,
     )
 
 
@@ -312,14 +247,28 @@ def idle_customers(sf_dir: str):
     keys_ref = ray.put(set(okeys))
     ds = _pq(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     ds = anti_join_filter(ds, "c_custkey", keys_ref)
+    return group_agg(ds, ["c_mktsegment"],
+                     {"idle_customers": ("c_custkey", "size")}, num_partitions=4)
 
-    def per_seg(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "c_mktsegment": [g["c_mktsegment"].iloc[0]],
-            "idle_customers": [np.int64(len(g))],
-        })
 
-    return ds.groupby("c_mktsegment").map_groups(per_seg, batch_format="pandas")
+def _lineitem_revenue(sf_dir: str):
+    """lineitem as (o_orderkey, rev = extendedprice * (1 - discount))."""
+    import pyarrow.compute as pc
+
+    def project(b: pa.Table) -> pa.Table:
+        rev = pc.multiply(
+            b["l_extendedprice"], pc.subtract(pa.scalar(1.0), b["l_discount"])
+        )
+        return pa.Table.from_arrays([b["l_orderkey"], rev], names=["o_orderkey", "rev"])
+
+    li = _pq(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
+    return li.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _revenue_by_priority(joined):
+    return group_agg(joined, ["o_orderpriority"],
+                     {"n_lines": ("rev", "size"), "revenue": ("rev", "sum")},
+                     finish=_round(revenue=2), num_partitions=4)
 
 
 _LINEITEM_REVENUE_SQL = """
@@ -335,38 +284,11 @@ def orders_lineitem_join(sf_dir: str, strategy: str = "auto"):
     dimension-sized right side; ``strategy="shuffle"`` forces the
     both-sides-large partitioned path (kept oracle-checked via the
     ``orders_lineitem_join_shuffle`` query)."""
-    li = _pq(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
-
-    def _project(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        rev = pc.multiply(
-            b["l_extendedprice"], pc.subtract(pa.scalar(1.0), b["l_discount"])
-        )
-        return pa.Table.from_arrays([b["l_orderkey"], rev], names=["o_orderkey", "rev"])
-
-    li = li.map_batches(_project, batch_format="pyarrow", zero_copy_batch=True)
     orders = _pq(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     # buckets auto-sized from input bytes (shuffle tier only)
-    joined = hash_join(li, orders, on="o_orderkey", strategy=strategy)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("o_orderpriority", as_index=False).agg(
-            n=("rev", "size"), s=("rev", "sum")
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderpriority": [g["o_orderpriority"].iloc[0]],
-            "n_lines": [np.int64(g["n"].sum())],
-            "revenue": [round(float(g["s"].sum()), 2)],
-        })
-
-    return (
-        joined.map_batches(partial, batch_format="pandas")
-        .groupby("o_orderpriority")
-        .map_groups(final, batch_format="pandas")
-    )
+    return _revenue_by_priority(
+        hash_join(_lineitem_revenue(sf_dir), orders, on="o_orderkey",
+                  strategy=strategy))
 
 
 # the same answer with the partitioned shuffle tier forced, so both join
@@ -387,17 +309,6 @@ def urgent_lineitem_revenue(sf_dir: str, bloom: bool = True):
     orders filtered to one priority (~20%), so ~80% of lineitem rows are
     dropped before the exchange — the runtime-row-filter pattern
     (exactness preserved: Bloom false positives still meet the merge)."""
-    li = _pq(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
-
-    def _project(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        rev = pc.multiply(
-            b["l_extendedprice"], pc.subtract(pa.scalar(1.0), b["l_discount"])
-        )
-        return pa.Table.from_arrays([b["l_orderkey"], rev], names=["o_orderkey", "rev"])
-
-    li = li.map_batches(_project, batch_format="pyarrow", zero_copy_batch=True)
     import pyarrow.dataset as pads
 
     # row filter pushed to the parquet read (row-group pruning at source)
@@ -406,27 +317,9 @@ def urgent_lineitem_revenue(sf_dir: str, bloom: bool = True):
         columns=["o_orderkey", "o_orderpriority"],
         filter=pads.field("o_orderpriority") == "1-URGENT",
     )
-    joined = hash_join(
-        li, orders, on="o_orderkey", strategy="shuffle", bloom_prefilter=bloom
-    )
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("o_orderpriority", as_index=False).agg(
-            n=("rev", "size"), s=("rev", "sum")
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderpriority": [g["o_orderpriority"].iloc[0]],
-            "n_lines": [np.int64(g["n"].sum())],
-            "revenue": [round(float(g["s"].sum()), 2)],
-        })
-
-    return (
-        joined.map_batches(partial, batch_format="pandas")
-        .groupby("o_orderpriority")
-        .map_groups(final, batch_format="pandas")
-    )
+    return _revenue_by_priority(hash_join(
+        _lineitem_revenue(sf_dir), orders, on="o_orderkey", strategy="shuffle",
+        bloom_prefilter=bloom))
 
 
 @register("user_event_type_sets", sql="""
@@ -531,23 +424,12 @@ def asof_events_orders(sf_dir: str, strategy: str = "auto"):
         right_reduce=dedup_final, strategy=strategy,
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["best_price"].notna()]
-        return df.groupby("event_type", as_index=False).agg(
-            n=("best_price", "size"), s=("best_price", "sum")
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": [g["event_type"].iloc[0]],
-            "n": [np.int64(g["n"].sum())],
-            "matched_total": [round(float(g["s"].sum()), 2)],
-        })
-
-    return (
-        joined.map_batches(partial, batch_format="pandas")
-        .groupby("event_type")
-        .map_groups(final, batch_format="pandas")
+    # count, not size: events with no earlier order carry a null price
+    return group_agg(
+        joined, ["event_type"],
+        {"n": ("best_price", "count"), "matched_total": ("best_price", "sum")},
+        finish=lambda g: g[g["n"] > 0].round({"matched_total": 2}),
+        num_partitions=4,
     )
 
 
@@ -712,19 +594,12 @@ def followup_orders(sf_dir: str, strategy: str = "auto"):
         by=["o_custkey"], bucket_width=pd.Timedelta(days=90), strategy=strategy,
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["o_orderkey"] != df["w_orderkey"]]  # drop the self-pair
-        return df.groupby("w_priority", as_index=False).agg(
-            n=("o_totalprice", "size"), s=("o_totalprice", "sum")
-        )
-
-    return _grouped_final(
-        j.map_batches(partial, batch_format="pandas"),
-        ["w_priority"],
-        {"n": ("n", "sum"), "followup_total": ("s", "sum")},
-        post=lambda df: df.assign(n=df["n"].astype("int64"),
-                                  followup_total=df["followup_total"].round(2)),
-        num_partitions=4,
+    j = j.map_batches(lambda df: df[df["o_orderkey"] != df["w_orderkey"]],
+                      batch_format="pandas")  # drop the self-pair
+    return group_agg(
+        j, ["w_priority"],
+        {"n": ("o_totalprice", "size"), "followup_total": ("o_totalprice", "sum")},
+        finish=_round(followup_total=2), num_partitions=4,
     )
 
 
@@ -802,16 +677,10 @@ def customer_order_counts(sf_dir: str):
     cust = _pq(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = _pq(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_custkey", as_index=False).agg(
-            n=("o_totalprice", "size"), s=("o_totalprice", "sum")
-        )
-        return g.rename(columns={"o_custkey": "c_custkey"})
-
-    counts = _grouped_final(
-        orders.map_batches(partial, batch_format="pandas"),
-        ["c_custkey"],
-        {"n": ("n", "sum"), "s": ("s", "sum")},
+    counts = group_agg(
+        orders, ["o_custkey"],
+        {"n": ("o_totalprice", "size"), "s": ("o_totalprice", "sum")},
+        finish=lambda df: df.rename(columns={"o_custkey": "c_custkey"}),
         num_partitions=8,
     )
     j = hash_join(cust, counts, on="c_custkey", how="left")
@@ -906,20 +775,13 @@ def event_customer_coverage(sf_dir: str):
     j = hash_join(events, cust, on="user_id", how="outer")
 
     def classify(df: pd.DataFrame) -> pd.DataFrame:
-        side = np.where(
+        return pd.DataFrame({"side": np.where(
             df["event_id"].notna() & df["c_mktsegment"].notna(), "both",
             np.where(df["event_id"].notna(), "event_only", "customer_only"),
-        )
-        return pd.DataFrame({"side": side}).groupby("side", as_index=False).agg(
-            n=("side", "size")
-        )
+        )})
 
-    return _grouped_final(
-        j.map_batches(classify, batch_format="pandas"),
-        ["side"], {"n": ("n", "sum")},
-        post=lambda df: df.assign(n=df["n"].astype("int64")),
-        num_partitions=2,
-    )
+    return group_agg(j.map_batches(classify, batch_format="pandas"), ["side"],
+                     {"n": ("side", "size")}, num_partitions=2)
 
 
 @register("lineitem_price_corr",
@@ -985,18 +847,10 @@ def order_price_quartiles(sf_dir: str):
     tiled = grouped_ntile(ds, ["o_orderpriority"], "o_totalprice", 4,
                           tiebreak=["o_orderkey"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["o_orderpriority", "tile"], as_index=False).agg(
-            n=("o_totalprice", "size"), s=("o_totalprice", "sum")
-        )
-
-    return _grouped_final(
-        tiled.map_batches(partial, batch_format="pandas"),
-        ["o_orderpriority", "tile"],
-        {"n": ("n", "sum"), "sum_price": ("s", "sum")},
-        post=lambda df: df.assign(n=df["n"].astype("int64"),
-                                  sum_price=df["sum_price"].round(2)),
-        num_partitions=4,
+    return group_agg(
+        tiled, ["o_orderpriority", "tile"],
+        {"n": ("o_totalprice", "size"), "sum_price": ("o_totalprice", "sum")},
+        finish=_round(sum_price=2), num_partitions=4,
     )
 
 
@@ -1022,24 +876,14 @@ def region_customer_rollup(sf_dir: str):
     ref = ray.put((n2r, r2name))
     ds = _pq(sf_dir, "customer", ["c_nationkey", "c_acctbal"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def lookup(df: pd.DataFrame) -> pd.DataFrame:
         n2r_, r2name_ = ray.get(ref)
-        rname = df["c_nationkey"].map(n2r_).map(r2name_)
-        return (
-            df.assign(r_name=rname)
-            .groupby("r_name", as_index=False)
-            .agg(n=("c_acctbal", "size"), s=("c_acctbal", "sum"))
-        )
+        return df.assign(r_name=df["c_nationkey"].map(n2r_).map(r2name_))
 
-    return _grouped_final(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["r_name"],
-        {"customers": ("n", "sum"), "total_acctbal": ("s", "sum")},
-        post=lambda df: df.assign(
-            customers=df["customers"].astype("int64"),
-            total_acctbal=df["total_acctbal"].round(2),
-        ),
-        num_partitions=4,
+    return group_agg(
+        ds.map_batches(lookup, batch_format="pandas"), ["r_name"],
+        {"customers": ("c_acctbal", "size"), "total_acctbal": ("c_acctbal", "sum")},
+        finish=_round(total_acctbal=2), num_partitions=4,
     )
 
 
@@ -1055,22 +899,13 @@ def supplier_nation_stats(sf_dir: str):
     ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
     ds = _pq(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        nm = ray.get(ref)
-        return (
-            df.assign(n_name=df["s_nationkey"].map(nm))
-            .groupby("n_name", as_index=False)
-            .agg(n=("s_acctbal", "size"), s=("s_acctbal", "sum"))
-        )
+    def lookup(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(n_name=df["s_nationkey"].map(ray.get(ref)))
 
-    return _grouped_final(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["n_name"],
-        {"suppliers": ("n", "sum"), "s_total": ("s", "sum")},
-        post=lambda df: df.assign(
-            suppliers=df["suppliers"].astype("int64"), s_total=df["s_total"].round(2)
-        ),
-        num_partitions=4,
+    return group_agg(
+        ds.map_batches(lookup, batch_format="pandas"), ["n_name"],
+        {"suppliers": ("s_acctbal", "size"), "s_total": ("s_acctbal", "sum")},
+        finish=_round(s_total=2), num_partitions=4,
     )
 
 
@@ -1099,14 +934,8 @@ def union_sources(sf_dir: str):
         batch_format="pyarrow",
     )
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "src": [g["src"].iloc[0]],
-            "key": [g["key"].iloc[0]],
-            "n": [np.int64(len(g))],
-        })
-
-    return d.union(e).groupby(["src", "key"]).map_groups(per_key, batch_format="pandas")
+    return group_agg(d.union(e), ["src", "key"], {"n": ("src", "size")},
+                     num_partitions=4)
 
 
 # ------------------------------------------------- documents training-data ops
@@ -1131,25 +960,11 @@ def exact_dedup_docs(sf_dir: str):
 def token_stats_by_lang(sf_dir: str):
     ds = _pq(sf_dir, "documents", ["lang", "text"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.assign(tok=token_counts(df["text"]))
-            .groupby("lang", as_index=False)
-            .agg(s=("tok", "sum"), n=("tok", "size"))
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "lang": [g["lang"].iloc[0]],
-            "total_tokens": [np.int64(g["s"].sum())],
-            "n_docs": [np.int64(g["n"].sum())],
-        })
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("lang")
-        .map_groups(final, batch_format="pandas")
-    )
+    toks = ds.map_batches(lambda df: df.assign(tok=token_counts(df["text"])),
+                          batch_format="pandas")
+    return group_agg(toks, ["lang"],
+                     {"total_tokens": ("tok", "sum"), "n_docs": ("tok", "size")},
+                     num_partitions=4)
 
 
 @register("doc_fingerprints", sql="SELECT doc_id, md5(text) AS fp FROM documents")
@@ -1168,24 +983,11 @@ def doc_fingerprints(sf_dir: str):
 def chars_by_lang_source(sf_dir: str):
     ds = _pq(sf_dir, "documents", ["lang", "source", "n_chars"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["lang", "source"], as_index=False).agg(
-            n=("n_chars", "size"), s=("n_chars", "sum")
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        n = int(g["n"].sum())
-        return pd.DataFrame({
-            "lang": [g["lang"].iloc[0]],
-            "source": [g["source"].iloc[0]],
-            "n_docs": [np.int64(n)],
-            "avg_chars": [round(float(g["s"].sum()) / n, 4)],
-        })
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["lang", "source"])
-        .map_groups(final, batch_format="pandas")
+    return group_agg(
+        ds, ["lang", "source"],
+        {"n_docs": ("n_chars", "size"), "s": ("n_chars", "sum")},
+        finish=lambda g: g.assign(avg_chars=(g.pop("s") / g["n_docs"]).round(4)),
+        num_partitions=4,
     )
 
 

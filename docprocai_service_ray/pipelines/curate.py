@@ -39,6 +39,7 @@ import ray.data as rd
 
 from ..stages.sampling import hash_sample, sample_sql_predicate
 from ..stages.textstats import quality_score, token_counts
+from ..state.groupby import group_agg
 
 DEFAULT_LANGS = ("en", "de")
 DEFAULT_MIN_QUALITY = 0.7
@@ -90,25 +91,9 @@ def curate_documents(sf_dir: str, *, langs=DEFAULT_LANGS,
 
 def curated_corpus_stats(sf_dir: str, **kwargs):
     """→ (lang, n_docs, n_tokens): per-language size of the curated set."""
-    from ..state.groupby import partition_reduce
-
-    kept = curate_documents(sf_dir, **kwargs)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("lang", as_index=False).agg(
-            n=("doc_id", "size"), s=("tok", "sum")
-        )
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby("lang", as_index=False).agg(
-            n_docs=("n", "sum"), n_tokens=("s", "sum")
-        )
-        return out.astype({"n_docs": "int64", "n_tokens": "int64"})
-
-    return partition_reduce(
-        kept.map_batches(partial, batch_format="pandas"), ["lang"], final,
-        num_partitions=4,
-    )
+    return group_agg(curate_documents(sf_dir, **kwargs), ["lang"],
+                     {"n_docs": ("doc_id", "size"), "n_tokens": ("tok", "sum")},
+                     num_partitions=4)
 
 
 def curation_sql(langs=DEFAULT_LANGS, min_quality: float = DEFAULT_MIN_QUALITY,
@@ -309,28 +294,12 @@ def released_corpus_stats(sf_dir: str | None, **kwargs):
     scorecard (golden-frozen: the chain includes the LSH cluster closure,
     which is approximate-by-design and not SQL-expressible; chain
     properties are certified in tests/test_curate.py)."""
-    from ..state.groupby import partition_reduce
-
-    released = release_documents(sf_dir, **kwargs)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"lang": pd.Series([], dtype=object),
-                                 "split": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64"),
-                                 "s": pd.Series([], dtype="int64")})
-        return df.groupby(["lang", "split"], as_index=False).agg(
-            n=("doc_id", "size"), s=("n_tokens", "sum"))
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(["lang", "split"], as_index=False).agg(
-            n_docs=("n", "sum"), n_tokens=("s", "sum"))
-        out["avg_tokens"] = (out["n_tokens"] / out["n_docs"]).round(6)
-        return out.astype({"n_docs": "int64", "n_tokens": "int64"})
-
-    return partition_reduce(
-        released.map_batches(partial, batch_format="pandas"),
-        ["lang", "split"], final, num_partitions=4)
+    return group_agg(
+        release_documents(sf_dir, **kwargs), ["lang", "split"],
+        {"n_docs": ("doc_id", "size"), "n_tokens": ("n_tokens", "sum")},
+        finish=lambda g: g.assign(
+            avg_tokens=(g["n_tokens"] / g["n_docs"]).round(6)),
+        num_partitions=4)
 
 
 _FUNNEL_ORDER = ("raw", "gopher_gate", "blockword_gate",
@@ -347,30 +316,14 @@ def release_funnel_stats(sf_dir: str | None, **kwargs):
     diffing exports. Counts are exact integers ⇒ golden-freezable (the
     chain includes the LSH closure, so no exact SQL twin exists;
     chain-shape properties are certified in tests/test_curate.py)."""
-    import pandas as pd
-
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import collect_pandas
 
     counts: dict = {}
     released = release_documents(sf_dir, stage_counts=counts,
                                  **kwargs).materialize()
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"split": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64")})
-        return df.groupby("split", as_index=False).agg(n=("doc_id", "size"))
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby("split", as_index=False).agg(
-            n=("n", "sum")).astype({"n": "int64"})
-
-    from ..state.groupby import collect_pandas
-
     sides = collect_pandas(
-        partition_reduce(released.map_batches(partial,
-                                              batch_format="pandas"),
-                         ["split"], final, num_partitions=2),
+        group_agg(released, ["split"], {"n": ("doc_id", "size")},
+                  num_partitions=2),
         ["split", "n"]).set_index("split")["n"].to_dict()
 
     rows = [{"step": i, "stage": s, "n_docs": int(counts[s])}
@@ -492,27 +445,11 @@ def training_shards_stats(sf_dir: str | None, *, seq_len: int = 512,
     packing (= max end_seq + 1). Golden-frozen (chains the release flow's
     LSH closure); packing/shuffle kernels are REAL-SQL-oracled separately
     (packed_doc_spans, doc_shard_shuffle)."""
-    from ..state.groupby import partition_reduce
-
     packed = publish_training_shards(sf_dir, seq_len=seq_len,
                                      n_shards=n_shards, **kwargs)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"shard": pd.Series([], dtype="int64"),
-                                 "n": pd.Series([], dtype="int64"),
-                                 "s": pd.Series([], dtype="int64"),
-                                 "m": pd.Series([], dtype="int64")})
-        return df.groupby("shard", as_index=False).agg(
-            n=("doc_id", "size"), s=("n_tokens", "sum"), m=("end_seq", "max"))
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby("shard", as_index=False).agg(
-            n_docs=("n", "sum"), n_tokens=("s", "sum"), m=("m", "max"))
-        out["n_seqs"] = out["m"] + 1
-        return out[["shard", "n_docs", "n_tokens", "n_seqs"]].astype(
-            {c: "int64" for c in ("shard", "n_docs", "n_tokens", "n_seqs")})
-
-    return partition_reduce(
-        packed.map_batches(partial, batch_format="pandas"),
-        ["shard"], final, num_partitions=4)
+    return group_agg(
+        packed, ["shard"],
+        {"n_docs": ("doc_id", "size"), "n_tokens": ("n_tokens", "sum"),
+         "n_seqs": ("end_seq", "max")},
+        finish=lambda g: g.assign(n_seqs=g["n_seqs"] + 1).astype("int64"),
+        num_partitions=4)

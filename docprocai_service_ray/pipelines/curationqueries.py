@@ -37,6 +37,7 @@ from ..stages.textstats import lang_mix_alpha_sql, lang_mix_sql, unimax_allocati
 from ..stages.urltools import blocklist_predicate_sql, normalize_url_sql
 from ..stages.versioning import corpus_diff_sql
 from ..stages.winnow import winnow_pairs_sql, winnow_sql
+from ..state.groupby import group_agg
 from .benchqueries import _CFG, _pq
 from .registry import register
 from .textqueries import _sql_list
@@ -80,27 +81,12 @@ def _train_holdout_counts(sf_dir: str):
     ds = _pq(sf_dir, "documents", ["doc_id", "source"])
     train, holdout = split_train_holdout(ds, "doc_id", 0.2, seed=_CFG.seed)
 
-    def count_by_source(d, split):
-        return (
-            d.map_batches(
-                lambda df: df.groupby("source", as_index=False).agg(n=("doc_id", "size")),
-                batch_format="pandas",
-            )
-            .map_batches(
-                lambda df: df.assign(split=split), batch_format="pandas"
-            )
-        )
+    def tagged(d, split):
+        return d.map_batches(lambda df: df.assign(split=split), batch_format="pandas")
 
-    import ray.data as rd  # noqa: F401
-
-    both = count_by_source(train, "train").union(count_by_source(holdout, "holdout"))
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["split", "source"], as_index=False).agg(n=("n", "sum"))
-
-    from docprocai_service_ray.state.groupby import partition_reduce
-
-    return partition_reduce(both, ["split", "source"], final, num_partitions=4)
+    both = tagged(train, "train").union(tagged(holdout, "holdout"))
+    return group_agg(both, ["split", "source"], {"n": ("doc_id", "size")},
+                     num_partitions=4)
 
 
 @register("stratified_docs_sample",
@@ -430,26 +416,13 @@ def _blocked_host_doc_counts(sf_dir: str):
     exact-or-subdomain host match drops blocked docs before any expensive
     stage; survivors counted per source (partial pre-agg, source-keyed
     int exchange only)."""
-    import numpy as np
-    import pandas as pd
-
     from docprocai_service_ray.stages.urltools import host_blocklist_filter
 
     ds = _pq(sf_dir, "documents", ["doc_id", "source"])
     planted = ds.map_batches(_plant_urls, batch_format="pandas")
     kept = host_blocklist_filter(planted, _URL_BLOCKLIST, url_col="url")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("source", as_index=False).agg(n=("doc_id", "size"))
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "source": [g["source"].iloc[0]],
-            "n_docs": [np.int64(g["n"].sum())],
-        })
-
-    return (kept.map_batches(partial, batch_format="pandas")
-            .groupby("source").map_groups(final, batch_format="pandas"))
+    return group_agg(kept, ["source"], {"n_docs": ("doc_id", "size")},
+                     num_partitions=4)
 
 
 def _domain_scorecard_sql() -> str:
@@ -516,33 +489,31 @@ def _domain_scorecard(sf_dir: str):
     from docprocai_service_ray.stages.domains import add_registrable_domain
     from docprocai_service_ray.stages.lexgate import _hit_mask
     from docprocai_service_ray.stages.textstats import quality_score
-    from docprocai_service_ray.state.groupby import partition_reduce
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
     planted = ds.map_batches(_plant_urls, batch_format="pandas")
     withdom = add_registrable_domain(planted, "url", "domain")
     blocked = frozenset(_BLOCKWORDS)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def scores(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "domain": df["domain"],
             "q": quality_score(df["text"]),
             "h": _hit_mask(df["text"], blocked).astype("int64"),
-        }).groupby("domain", as_index=False).agg(
-            n=("q", "size"), qs=("q", "sum"), f=("h", "sum"))
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("domain", as_index=False).agg(
-            n=("n", "sum"), qs=("qs", "sum"), f=("f", "sum"))
-        return pd.DataFrame({
-            "domain": g["domain"],
-            "n_docs": g["n"].astype("int64"),
-            "avg_quality": (g["qs"] / g["n"]).round(4),
-            "flagged_docs": g["f"].astype("int64"),
         })
 
-    return partition_reduce(withdom.map_batches(partial, batch_format="pandas"),
-                            ["domain"], final, num_partitions=8)
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "domain": g["domain"],
+            "n_docs": g["n_docs"],
+            "avg_quality": (g["qs"] / g["n_docs"]).round(4),
+            "flagged_docs": g["flagged_docs"],
+        })
+
+    return group_agg(
+        withdom.map_batches(scores, batch_format="pandas"), ["domain"],
+        {"n_docs": ("q", "size"), "qs": ("q", "sum"), "flagged_docs": ("h", "sum")},
+        finish=finish, num_partitions=8)
 
 
 def _corpus_datasheet_sql() -> str:
@@ -865,7 +836,6 @@ def _classifier_scored_by_source(sf_dir: str):
         classifier_score,
         train_quality_classifier,
     )
-    from docprocai_service_ray.state.groupby import partition_reduce
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text", "source"])
 
@@ -882,27 +852,21 @@ def _classifier_scored_by_source(sf_dir: str):
                                     dim=256, iters=20, lr=2.0)
     scored = classifier_score(planted, "text", w)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("source", as_index=False).agg(
-            n_docs=("quality_prob", "size"),
-            p_sum=("quality_prob", "sum"),
-            n_kept=("quality_prob", lambda s: int((s >= 0.5).sum())))
-        return g
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("source", as_index=False).agg(
-            n_docs=("n_docs", "sum"), p_sum=("p_sum", "sum"),
-            n_kept=("n_kept", "sum"))
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "source": g["source"],
-            "n_docs": g["n_docs"].astype("int64"),
+            "n_docs": g["n_docs"],
             "avg_prob": (g["p_sum"] / g["n_docs"]).round(6),
-            "n_kept": g["n_kept"].astype("int64"),
+            "n_kept": g["n_kept"],
         })
 
-    return partition_reduce(
-        scored.map_batches(partial, batch_format="pandas"),
-        ["source"], final, num_partitions=4)
+    return group_agg(
+        scored.map_batches(lambda df: df.assign(
+            kept=(df["quality_prob"] >= 0.5).astype("int64")), batch_format="pandas"),
+        ["source"],
+        {"n_docs": ("quality_prob", "size"), "p_sum": ("quality_prob", "sum"),
+         "n_kept": ("kept", "sum")},
+        finish=finish, num_partitions=4)
 
 
 @register("taxonomy_by_source",

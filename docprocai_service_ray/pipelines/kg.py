@@ -36,6 +36,12 @@ from ..stages.segment import build_sentences
 from ..stages.triple_extract import build_triples_raw
 from ..state.manifest import checkpointed, write_stage
 
+# input-bytes estimate above which STREAMING-mode fused link extraction
+# refuses to materialize the docs-sized fused table in the object store (it
+# would spill at scale) and raises pointing at out_dir — the checkpointed
+# mode writes Parquet instead
+STREAMING_FUSED_MAX_BYTES = 32 << 30
+
 
 def read_web_pages(path: str | list[str]):
     """Prune at the read: the `text` hint column never leaves storage.
@@ -326,12 +332,12 @@ def run_kg(
             from ..state.joins import _meta_size_bytes
 
             est = _meta_size_bytes(pages)
-            if est is not None and est > cfg.streaming_fused_max_bytes:
+            if est is not None and est > STREAMING_FUSED_MAX_BYTES:
                 raise ValueError(
                     f"streaming-mode fused link graph would materialize a "
                     f"~{est >> 30} GiB docs-sized table in the object store "
-                    f"(> cfg.streaming_fused_max_bytes="
-                    f"{cfg.streaming_fused_max_bytes >> 30} GiB) and spill; "
+                    f"(> STREAMING_FUSED_MAX_BYTES="
+                    f"{STREAMING_FUSED_MAX_BYTES >> 30} GiB) and spill; "
                     f"pass out_dir=... to run the checkpointed mode, which "
                     f"tees the fused table through Parquet instead"
                 )
@@ -391,9 +397,12 @@ def run_kg(
 
         pending = get_inflight(out_dir, "reprocess")
         if pending:
+            # current markers list urls per source group; legacy ones flat
+            urls = set(pending.get("urls", [])).union(
+                *(g.get("urls", []) for g in pending.get("sources") or []))
             raise RuntimeError(
                 f"out_dir {out_dir} has an interrupted reprocess cascade "
-                f"({len(pending.get('urls', []))} urls) — stage checkpoints "
+                f"({len(urls)} urls) — stage checkpoints "
                 "may be mutually inconsistent. Re-drive it with "
                 "reprocess_urls(..., urls=[]) or pass resume=False."
             )

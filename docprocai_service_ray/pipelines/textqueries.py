@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pandas as pd
 
 from ..stages.chunking import chunk_spans_sql
@@ -26,6 +25,7 @@ from ..stages.textnorm import normalize_text_sql
 from ..stages.textstats import repetition_sql, unigram_logprob_sql
 from ..stages.tfidf import tfidf_sql
 from ..stages.zipf import zipf_law_sql
+from ..state.groupby import group_agg
 from .benchqueries import _pq
 from .registry import register
 
@@ -70,21 +70,10 @@ def _lang_id_docs(sf_dir: str):
     from docprocai_service_ray.stages.textstats import lang_id
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-
-    def per_lang(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "lang_guess": [g["lang_guess"].iloc[0]],
-            "n": [np.int64(len(g))],
-        })
-
-    return (
-        ds.map_batches(
-            lambda df: pd.DataFrame({"lang_guess": lang_id(df["text"])}),
-            batch_format="pandas",
-        )
-        .groupby("lang_guess")
-        .map_groups(per_lang, batch_format="pandas")
-    )
+    return group_agg(
+        ds.map_batches(lambda df: pd.DataFrame({"lang_guess": lang_id(df["text"])}),
+                       batch_format="pandas"),
+        ["lang_guess"], {"n": ("lang_guess", "size")}, num_partitions=4)
 
 
 def _quality_sql() -> str:
@@ -126,29 +115,25 @@ def _quality_by_source(sf_dir: str):
 
     ds = _pq(sf_dir, "documents", ["source", "text"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def scores(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "source": df["source"],
             "q": quality_score(df["text"]),
             "tok": token_counts(df["text"]),
-        }).groupby("source", as_index=False).agg(
-            n=("q", "size"), qs=("q", "sum"), toks=("tok", "sum")
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        n = int(g["n"].sum())
-        return pd.DataFrame({
-            "source": [g["source"].iloc[0]],
-            "n_docs": [np.int64(n)],
-            "avg_quality": [round(float(g["qs"].sum()) / n, 4)],
-            "total_tokens": [np.int64(g["toks"].sum())],
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("source")
-        .map_groups(final, batch_format="pandas")
-    )
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "source": g["source"],
+            "n_docs": g["n_docs"],
+            "avg_quality": (g["qs"] / g["n_docs"]).round(4),
+            "total_tokens": g["total_tokens"],
+        })
+
+    return group_agg(
+        ds.map_batches(scores, batch_format="pandas"), ["source"],
+        {"n_docs": ("q", "size"), "qs": ("q", "sum"), "total_tokens": ("tok", "sum")},
+        finish=finish, num_partitions=4)
 
 
 _ROLLING_SQL = """

@@ -97,20 +97,14 @@ def _word_syms(word: str) -> tuple[str, ...]:
 def word_counts(ds, text_col: str, *, num_partitions: int = 16):
     """Corpus → (word, n) over the repo tokenizer — the single
     corpus-scale exchange of BPE training."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def words(df: pd.DataFrame) -> pd.DataFrame:
         toks = df[text_col].fillna("").str.lower().str.findall(_TOKEN_RE)
-        e = pd.DataFrame({"word": toks}).explode("word").dropna()
-        return e.groupby("word", as_index=False).agg(n=("word", "size"))
+        return pd.DataFrame({"word": toks}).explode("word").dropna()
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("word", as_index=False).agg(n=("n", "sum"))
-        g["n"] = g["n"].astype("int64")
-        return g
-
-    return partition_reduce(ds.map_batches(partial, batch_format="pandas"),
-                            ["word"], final, num_partitions=num_partitions)
+    return group_agg(ds.map_batches(words, batch_format="pandas"), ["word"],
+                     {"n": ("word", "size")}, num_partitions=num_partitions)
 
 
 # ----------------------------------------------------------- driver tier

@@ -162,7 +162,7 @@ def _components_distributed(edges_ds, surfaces_ds, cfg: KGConfig):
 
     labels(node → label) starts as identity; each round (a) joins neighbour
     labels in via a partitioned hash join and takes the vectorized min per
-    node (state/groupby.partition_reduce — ONE pandas groupby.min per hash
+    node (state/groupby.group_agg — ONE pandas groupby.min per hash
     partition, never one Python call per key), then (b) pointer-jumps:
     label ← label_of(label), valid because every label is itself a node and
     labels only decrease. (a) alone converges in O(diameter) rounds; with
@@ -172,7 +172,7 @@ def _components_distributed(edges_ds, surfaces_ds, cfg: KGConfig):
     (silent partial merges would split entity clusters downstream).
     Returns a materialized Dataset (node, label).
     """
-    from ..state.groupby import distinct_rows, partition_reduce
+    from ..state.groupby import distinct_rows, group_agg
 
     adj = edges_ds.map_batches(
         lambda t: pa.Table.from_pydict(
@@ -210,9 +210,6 @@ def _components_distributed(edges_ds, surfaces_ds, cfg: KGConfig):
         parts = collect_pandas(lds.map_batches(h, batch_format="pandas"), ["h"])
         return sum(parts["h"].tolist()) % (1 << 63)
 
-    def _min_label(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby("node", as_index=False).agg(label=("label", "min"))
-
     logger = logging.getLogger(__name__)
     sig = _sig(labels)
     for rnd in range(cfg.max_unionfind_rounds):
@@ -226,8 +223,9 @@ def _components_distributed(edges_ds, surfaces_ds, cfg: KGConfig):
             ),
             batch_format="pandas",
         )
-        stepped = partition_reduce(
-            _to_arrow(labels.union(_to_arrow(msgs))), ["node"], _min_label,
+        stepped = group_agg(
+            _to_arrow(labels.union(_to_arrow(msgs))), ["node"],
+            {"label": ("label", "min")},
             num_partitions=None,  # auto-size: node table is corpus-sized
         )
         # pointer jump: label ← label_of(label). Labels are monotone

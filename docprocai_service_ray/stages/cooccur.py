@@ -53,25 +53,19 @@ def cooccurrence_pmi(ds, id_col: str, text_col: str, *,
     Returns a Dataset with w1 < w2 lexicographically."""
     import ray
 
-    from ..state.groupby import collect_pandas, partition_reduce
+    from ..state.groupby import collect_pandas, group_agg
     from ..state.joins import hash_join
 
     n_total = ds.count()  # metadata-only
 
-    def df_partials(df: pd.DataFrame) -> pd.DataFrame:
+    def doc_words(df: pd.DataFrame) -> pd.DataFrame:
         toks = _doc_token_lists(df[text_col])
-        e = (df[[id_col]].assign(w=toks).explode("w").dropna(subset=["w"])
-             .drop_duplicates([id_col, "w"]))
-        return e.groupby("w", as_index=False).agg(dfc=(id_col, "size"))
+        return (df[[id_col]].assign(w=toks).explode("w").dropna(subset=["w"])
+                .drop_duplicates([id_col, "w"]))
 
-    def df_reduce(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("w", as_index=False).agg(dfc=("dfc", "sum"))
-        g["dfc"] = g["dfc"].astype("int64")
-        return g
-
-    df_table = partition_reduce(
-        ds.map_batches(df_partials, batch_format="pandas"), ["w"],
-        df_reduce, num_partitions=num_partitions)
+    df_table = group_agg(
+        ds.map_batches(doc_words, batch_format="pandas"), ["w"],
+        {"dfc": (id_col, "size")}, num_partitions=num_partitions)
 
     hot_ref = None
     if max_df is not None:
@@ -84,7 +78,7 @@ def cooccurrence_pmi(ds, id_col: str, text_col: str, *,
             collect_pandas(hot, ["w"])["w"].to_numpy(dtype=str))
         hot_ref = ray.put(hot_arr)
 
-    def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
+    def doc_pairs(df: pd.DataFrame) -> pd.DataFrame:
         stop = ray.get(hot_ref) if hot_ref is not None else None
         w1s, w2s = [], []
         for tokens in _doc_token_lists(df[text_col]):
@@ -100,24 +94,15 @@ def cooccurrence_pmi(ds, id_col: str, text_col: str, *,
             w1s.append(arr[i])
             w2s.append(arr[j])
         if not w1s:
-            return pd.DataFrame({"w1": pd.Series(dtype="object"),
-                                 "w2": pd.Series(dtype="object"),
-                                 "c": pd.Series(dtype="int64")})
-        out = pd.DataFrame({"w1": np.concatenate(w1s),
-                            "w2": np.concatenate(w2s)})
-        return out.groupby(["w1", "w2"], as_index=False).agg(
-            c=("w1", "size"))
+            return pd.DataFrame(columns=["w1", "w2"])
+        return pd.DataFrame({"w1": np.concatenate(w1s),
+                             "w2": np.concatenate(w2s)})
 
-    def pair_reduce(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(["w1", "w2"], as_index=False).agg(
-            pair_n=("c", "sum"))
-        g = g.loc[g["pair_n"] >= min_pair_count]
-        g["pair_n"] = g["pair_n"].astype("int64")
-        return g
-
-    pairs = partition_reduce(
-        ds.map_batches(pair_partials, batch_format="pandas"),
-        ["w1", "w2"], pair_reduce, num_partitions=num_partitions)
+    pairs = group_agg(
+        ds.map_batches(doc_pairs, batch_format="pandas"), ["w1", "w2"],
+        {"pair_n": ("w1", "size")},
+        finish=lambda g: g[g["pair_n"] >= min_pair_count],
+        num_partitions=num_partitions)
 
     join_kw = {}
     if broadcast_max_bytes is not None:

@@ -86,22 +86,30 @@ def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
     The tier gates on the benchmark's per-batch-distinct gram count, an
     upper bound of its distinct grams.
     """
-    from ..state.groupby import collect_pandas, partition_reduce
+    from ..state.groupby import collect_pandas, group_agg, partition_reduce
     from ..state.tier import choose_tier
 
     tier, bench_partials = choose_tier(
         _bench_gram_partials(bench_ds, text_col, n), BENCH_BROADCAST_MAX,
         what="ngram_decontaminate")
 
-    def finalize(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(group_col, as_index=False).agg(
-            n_docs=("nd", "sum"), c_docs=("cd", "sum"), fr=("fr", "sum"))
-        return pd.DataFrame({
-            group_col: out[group_col],
-            "n_docs": out["n_docs"].astype("int64"),
-            "contaminated_docs": out["c_docs"].astype("int64"),
-            "avg_contam_frac": (out["fr"] / out["n_docs"]).round(round_to),
-        })
+    def per_group(docs):
+        """(group, frac) rows, one per doc → the per-group stats."""
+        def finish(out: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({
+                group_col: out[group_col],
+                "n_docs": out["n_docs"],
+                "contaminated_docs": out["c_docs"],
+                "avg_contam_frac": (out["fr"] / out["n_docs"]).round(round_to),
+            })
+
+        return group_agg(
+            docs.map_batches(lambda df: df.assign(
+                hit=(df["frac"] > 0).astype("int64")), batch_format="pandas"),
+            [group_col],
+            {"n_docs": ("frac", "size"), "c_docs": ("hit", "sum"),
+             "fr": ("frac", "sum")},
+            finish=finish, num_partitions=num_partitions)
 
     if tier == "driver":
         bench_df = collect_pandas(bench_partials, ["gh"])
@@ -117,19 +125,12 @@ def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
                 [int(np.isin(h, bs, assume_unique=True).sum()) for h in hs],
                 dtype="int64")
             keep = ng > 0
-            g = pd.DataFrame({
+            return pd.DataFrame({
                 group_col: df[group_col].to_numpy()[keep],
                 "frac": nc[keep] / ng[keep],
             })
-            return g.groupby(group_col, as_index=False).agg(
-                nd=("frac", "size"),
-                cd=("frac", lambda s: int((s > 0).sum())),
-                fr=("frac", "sum"),
-            )
 
-        partials = docs_ds.map_batches(score, batch_format="pandas")
-        return partition_reduce(partials, [group_col], finalize,
-                                num_partitions=num_partitions)
+        return per_group(docs_ds.map_batches(score, batch_format="pandas"))
 
     # ---- distributed tier: gram-hash exchange, then doc-keyed rollup ----
     def explode_docs(df: pd.DataFrame) -> pd.DataFrame:
@@ -180,21 +181,14 @@ def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
     per_doc_partials = partition_reduce(union, ["gh"], mark,
                                         num_partitions=num_partitions)
 
-    def rollup(part: pd.DataFrame) -> pd.DataFrame:
-        d = part.groupby("doc", as_index=False).agg(
-            grp=("grp", "first"), ng=("ng", "first"), nc=("nc", "sum"))
-        frac = d["nc"].to_numpy() / d["ng"].to_numpy()
-        g = pd.DataFrame({group_col: d["grp"], "frac": frac})
-        return g.groupby(group_col, as_index=False).agg(
-            nd=("frac", "size"),
-            cd=("frac", lambda s: int((s > 0).sum())),
-            fr=("frac", "sum"),
-        )
-
-    grouped = partition_reduce(per_doc_partials, ["doc"], rollup,
-                               num_partitions=num_partitions)
-    return partition_reduce(grouped, [group_col], finalize,
-                            num_partitions=num_partitions)
+    # a doc fixes its group and gram total, so they ride in the key
+    docs = group_agg(
+        per_doc_partials, ["doc", "grp", "ng"], {"nc": ("nc", "sum")},
+        finish=lambda d: pd.DataFrame({
+            group_col: d["grp"],
+            "frac": d["nc"].to_numpy() / d["ng"].to_numpy()}),
+        num_partitions=num_partitions)
+    return per_group(docs)
 
 
 def decontam_sql(docs_sel: str, bench_sel: str, id_col: str, text_col: str,

@@ -51,16 +51,12 @@ def exact_dedup(ds, id_col: str, text_col: str):
             }
         )
 
-    def keep(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("h", as_index=False).agg(**{
-            id_col: (id_col, "min"), "n_copies": (id_col, "size")
-        })
-        return g[[id_col, "n_copies"]].astype({"n_copies": "int64"})
+    from ..state.groupby import group_agg
 
-    from ..state.groupby import partition_reduce
-
-    return partition_reduce(
-        ds.map_batches(hash_batch, batch_format="pandas"), ["h"], keep
+    return group_agg(
+        ds.map_batches(hash_batch, batch_format="pandas"), ["h"],
+        {id_col: (id_col, "min"), "n_copies": (id_col, "size")},
+        finish=lambda g: g[[id_col, "n_copies"]],
     )
 
 

@@ -51,7 +51,7 @@ def distinct_ngram_stats(ds, text_col: str, group_col: str, *, n: int = 3,
     n-grams. distinct_ratio = n_distinct / n_grams (6dp); sources whose
     every doc has < n words have no grams and are excluded (matching
     the SQL twin's grouping over an empty gram set)."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg, partition_reduce
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):  # column-less empty blocks carry no text col
@@ -76,18 +76,19 @@ def distinct_ngram_stats(ds, text_col: str, group_col: str, *, n: int = 3,
         ds.map_batches(explode, batch_format="pandas"),
         ["gh"], reduce_grams, num_partitions=num_partitions)
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("s", as_index=False).agg(
-            n_grams=("n_grams", "sum"), n_distinct=("n_distinct", "sum"))
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             group_col: g["s"],
-            "n_grams": g["n_grams"].astype("int64"),
-            "n_distinct": g["n_distinct"].astype("int64"),
+            "n_grams": g["n_grams"],
+            "n_distinct": g["n_distinct"],
             "distinct_ratio": (g["n_distinct"] / g["n_grams"]).round(
                 round_to),
         })
 
-    return partition_reduce(partials, ["s"], final, num_partitions=4)
+    return group_agg(partials, ["s"],
+                     {"n_grams": ("n_grams", "sum"),
+                      "n_distinct": ("n_distinct", "sum")},
+                     finish=finish, num_partitions=4)
 
 
 def distinct_ngram_sql(table: str, text_col: str, group_col: str, *,

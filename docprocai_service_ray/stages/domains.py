@@ -75,20 +75,11 @@ def domain_rollup(ds, url_col: str = "url", *, num_partitions: int | None = None
     """Docs-per-registrable-domain — the table domain-level filters and
     mix weights key on. Partial pre-agg inside each batch, then one
     domain-keyed int exchange."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
 
     withdom = add_registrable_domain(ds, url_col, "domain", ml_suffixes)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("domain", as_index=False).agg(n=("domain", "size"))
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("domain", as_index=False).agg(n_docs=("n", "sum"))
-        g["n_docs"] = g["n_docs"].astype("int64")
-        return g
-
-    return partition_reduce(withdom.map_batches(partial, batch_format="pandas"),
-                            ["domain"], final, num_partitions=num_partitions)
+    return group_agg(withdom, ["domain"], {"n_docs": ("domain", "size")},
+                     num_partitions=num_partitions)
 
 
 def registrable_domain_sql(host_expr: str,

@@ -82,21 +82,15 @@ def hashed_ngram_profile(ds, text_col: str, *, buckets: int = 10_000,
     bucket-keyed grouped sum; the driver collects a ≤ ``buckets``-row
     table. ``num_partitions`` defaults small because the exchange is
     bounded by ``buckets``, not the corpus."""
-    from ..state.groupby import collect_pandas, partition_reduce
+    from ..state.groupby import collect_pandas, group_agg
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        f = _feature_frame(df.reset_index(drop=True), text_col, buckets, seed)
-        cnt = np.bincount(f["bucket"].to_numpy(), minlength=0)
-        nz = np.nonzero(cnt)[0]
-        return pd.DataFrame({"bucket": nz.astype("int64"),
-                             "cnt": cnt[nz].astype("int64")})
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby("bucket", as_index=False).agg(cnt=("cnt", "sum"))
+    def features(df: pd.DataFrame) -> pd.DataFrame:
+        return _feature_frame(df.reset_index(drop=True), text_col, buckets,
+                              seed)[["bucket"]]
 
     out = collect_pandas(
-        partition_reduce(ds.map_batches(partial, batch_format="pandas"),
-                         ["bucket"], final, num_partitions=num_partitions),
+        group_agg(ds.map_batches(features, batch_format="pandas"), ["bucket"],
+                  {"cnt": ("bucket", "size")}, num_partitions=num_partitions),
         ["bucket", "cnt"],
     )
     return out.sort_values("bucket").reset_index(drop=True)

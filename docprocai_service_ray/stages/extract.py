@@ -39,6 +39,9 @@ from ..state.tier import choose_tier
 # left hash join instead of a broadcast winners map (the driver never
 # holds the winners)
 WINNERS_BROADCAST_MAX = 2_000_000
+# html/docs rows per batch of the per-page maps here, in segment and in
+# triple_extract (rows are KB..MB: keep batches small)
+EXTRACT_BATCH_SIZE = 256
 
 DOCS_SCHEMA = pa.schema(
     [
@@ -440,7 +443,7 @@ def extract_docs(pages_ds, cfg: KGConfig, *, emit_links: bool = False):
     return pages_ds.map_batches(
         extract_batch_links if emit_links else extract_batch,
         batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
+        batch_size=EXTRACT_BATCH_SIZE,
         zero_copy_batch=True,
     )
 

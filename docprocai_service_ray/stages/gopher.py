@@ -72,29 +72,23 @@ def gopher_filter(ds, text_col: str, **rule_kwargs):
 def gopher_rules_stats(ds, text_col: str, group_col: str, *,
                        num_partitions: int | None = None, **rule_kwargs):
     """Per group: n_docs, fail_rN per rule, n_pass_all."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
 
-    rules = [f"r{i}" for i in range(1, 8)]
+    fails = [f"fail_r{i}" for i in range(1, 8)]
 
-    def partial2(df: pd.DataFrame) -> pd.DataFrame:
+    def flags(df: pd.DataFrame) -> pd.DataFrame:
         f = gopher_rule_flags(df[text_col], **rule_kwargs)
-        agg = pd.DataFrame({group_col: df[group_col].to_numpy(), "n": 1})
-        for r in rules:
-            agg[f"fail_{r}"] = (~f[r]).astype("int64").to_numpy()
-        agg["p"] = f["pass_all"].astype("int64").to_numpy()
-        return agg.groupby(group_col, as_index=False).sum()
+        out = pd.DataFrame({group_col: df[group_col].to_numpy()})
+        for c in fails:
+            out[c] = (~f[c[5:]]).astype("int64").to_numpy()
+        out["p"] = f["pass_all"].astype("int64").to_numpy()
+        return out
 
-    def final2(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(group_col, as_index=False).sum()
-        cols = {group_col: g[group_col], "n_docs": g["n"].astype("int64")}
-        for r in rules:
-            cols[f"fail_{r}"] = g[f"fail_{r}"].astype("int64")
-        cols["n_pass_all"] = g["p"].astype("int64")
-        return pd.DataFrame(cols)
-
-    return partition_reduce(ds.map_batches(partial2, batch_format="pandas"),
-                            [group_col], final2,
-                            num_partitions=num_partitions)
+    return group_agg(
+        ds.map_batches(flags, batch_format="pandas"), [group_col],
+        {"n_docs": ("p", "size"), **{c: (c, "sum") for c in fails},
+         "n_pass_all": ("p", "sum")},
+        num_partitions=num_partitions)
 
 
 def gopher_rules_sql(table: str, text_col: str, group_col: str, *,

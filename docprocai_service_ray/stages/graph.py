@@ -8,7 +8,7 @@ a Parquet-backed Dataset, so the same questions become Ray Data
 aggregations and iterative joins:
 
 - :func:`entity_degree` — in/out/total degree per entity. One per-batch
-  partial count + one grouped sum (partition_reduce): a single all-to-all
+  partial count + one grouped sum (group_agg): a single all-to-all
   over (entity, partial_count) rows, never raw triples.
 - :func:`pagerank` — damped power iteration. Each iteration is ONE join
   of the (src, dst, out_deg)-edge table against the current O(V) rank
@@ -38,7 +38,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ..state.groupby import collect_pandas, distinct_rows, key_hash, partition_reduce
+from ..state.groupby import (collect_pandas, distinct_rows, group_agg, key_hash,
+                             partition_reduce)
 from ..state.joins import hash_join
 from ..state.tier import choose_tier
 from .canonicalize import DRIVER_EDGES_MAX
@@ -88,34 +89,28 @@ def entity_degree(triples, *, src: str = "subject_id", dst: str = "object_id",
                   num_partitions: int | None = None):
     """Per-entity out/in/total triple counts.
 
-    Phase 0 counts each batch's subjects and objects locally (two pandas
-    value_counts), so the shuffle moves one (entity, out_n, in_n) row per
-    distinct entity per batch — head entities (the KG's skew axis) never
-    concentrate raw rows in one partition.
+    Each triple becomes an out-row for its subject and an in-row for its
+    object; group_agg's phase 0 sums them per batch, so the shuffle moves
+    one (entity, out_n, in_n) row per distinct entity per batch — head
+    entities (the KG's skew axis) never concentrate raw rows in one
+    partition.
     """
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        o = df[src].value_counts()
-        i = df[dst].value_counts()
-        ent = o.index.union(i.index)
-        return pd.DataFrame(
-            {
-                "entity": ent,
-                "out_deg": o.reindex(ent, fill_value=0).astype("int64").values,
-                "in_deg": i.reindex(ent, fill_value=0).astype("int64").values,
-            }
-        )
+    def ends(df: pd.DataFrame) -> pd.DataFrame:
+        n = len(df)
+        one, zero = np.ones(n, np.int64), np.zeros(n, np.int64)
+        return pd.DataFrame({
+            "entity": pd.concat([df[src], df[dst]], ignore_index=True),
+            "out_deg": np.concatenate([one, zero]),
+            "in_deg": np.concatenate([zero, one]),
+        })
 
-    def reduce(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby("entity", as_index=False).agg(
-            out_deg=("out_deg", "sum"), in_deg=("in_deg", "sum")
-        )
-        out["degree"] = out["out_deg"] + out["in_deg"]
-        return out
-
-    partials = triples.map_batches(partial, batch_format="pandas")
-    return partition_reduce(partials, ["entity"], reduce,
-                            num_partitions=num_partitions)
+    return group_agg(
+        triples.map_batches(ends, batch_format="pandas"), ["entity"],
+        {"out_deg": ("out_deg", "sum"), "in_deg": ("in_deg", "sum")},
+        finish=lambda g: g.assign(degree=g["out_deg"] + g["in_deg"]),
+        num_partitions=num_partitions,
+    )
 
 
 def _ranks_init(nodes, n: int):
@@ -250,16 +245,13 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
         return _pagerank_driver(collect_pandas(edges, cols),
                                 damping, iters, round_to)
 
-    def _deg_partial(df: pd.DataFrame) -> pd.DataFrame:
+    def _out_weight(df: pd.DataFrame) -> pd.DataFrame:
         w = df["w"] if "w" in df.columns else 1.0
-        return pd.DataFrame({"entity": df["src"], "out_deg": w}).groupby(
-            "entity", as_index=False).sum()
+        return pd.DataFrame({"entity": df["src"], "out_deg": w})
 
-    out_deg = partition_reduce(
-        edges.map_batches(_deg_partial, batch_format="pandas"),
-        ["entity"],
-        lambda p: p.groupby("entity", as_index=False)["out_deg"].sum(),
-        num_partitions=num_partitions,
+    out_deg = group_agg(
+        edges.map_batches(_out_weight, batch_format="pandas"), ["entity"],
+        {"out_deg": ("out_deg", "sum")}, num_partitions=num_partitions,
     )
 
     def _rename(t: pa.Table) -> pa.Table:
@@ -303,18 +295,13 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
             def _contrib(df: pd.DataFrame) -> pd.DataFrame:
                 w = df["w"] if "w" in df.columns else 1.0
                 return pd.DataFrame(
-                    {"entity": df["dst"], "s": df["rank"] * w / df["out_deg"]}
-                ).groupby("entity", as_index=False)["s"].sum()
+                    {"entity": df["dst"], "s": df["rank"] * w / df["out_deg"]})
 
             joined = hash_join(edges_deg, ranks, on="entity").map_batches(
                 _contrib, batch_format="pandas",
             )
-        contribs = partition_reduce(
-            joined,
-            ["entity"],
-            lambda p: p.groupby("entity", as_index=False)["s"].sum(),
-            num_partitions=num_partitions,
-        ).materialize()
+        contribs = group_agg(joined, ["entity"], {"s": ("s", "sum")},
+                             num_partitions=num_partitions).materialize()
         # ranks sum to 1, so mass not re-emitted through an out-edge is
         # exactly the dangling ranks — no dangling-node join needed.
         sent = contribs.sum("s") if contribs.count() else 0.0
@@ -383,17 +370,9 @@ def connected_components(triples, cfg=None, *, num_partitions: int | None = None
         lambda t: pa.table({"entity": t["node"], "component_id": t["label"]}),
         batch_format="pyarrow",
     )
-    sizes = partition_reduce(
-        labels.map_batches(
-            lambda df: df["component_id"].value_counts().rename_axis(
-                "component_id").reset_index(name="component_size"),
-            batch_format="pandas",
-        ),
-        ["component_id"],
-        lambda p: p.groupby("component_id", as_index=False)[
-            "component_size"].sum(),
-        num_partitions=num_partitions,
-    )
+    sizes = group_agg(labels, ["component_id"],
+                      {"component_size": ("component_id", "size")},
+                      num_partitions=num_partitions)
     return hash_join(labels, sizes, on="component_id")
 
 
@@ -534,19 +513,15 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
     hubs = init("hub", 1.0 / float(np.sqrt(n))).materialize()
     auths = init("authority", 0.0)
 
-    def _sum_to(joined, out_key: str, score: str):
-        # joined rows: (out_key node, score, [w]) — emit grouped weighted sum
-        def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def push(joined, out_key: str, score: str):
+        # joined rows: (out_key node, score, [w]) — grouped weighted sum
+        def weighted(df: pd.DataFrame) -> pd.DataFrame:
             w = df["w"] if "w" in df.columns else 1.0
-            return pd.DataFrame({"entity": df[out_key], "s": df[score] * w}
-                                ).groupby("entity", as_index=False)["s"].sum()
+            return pd.DataFrame({"entity": df[out_key], "s": df[score] * w})
 
-        return partition_reduce(
-            joined.map_batches(partial, batch_format="pandas"),
-            ["entity"],
-            lambda p: p.groupby("entity", as_index=False)["s"].sum(),
-            num_partitions=num_partitions,
-        ).materialize()
+        return group_agg(joined.map_batches(weighted, batch_format="pandas"),
+                         ["entity"], {"s": ("s", "sum")},
+                         num_partitions=num_partitions).materialize()
 
     for _ in range(iters):
         # authority step: edges keyed by src join the hub table
@@ -555,7 +530,7 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
                 ["entity", "dst"] + (["w"] if weight_col is not None else [])),
             batch_format="pyarrow",
         )
-        a_raw = _sum_to(hash_join(e_src, hubs, on="entity"), "dst", "hub")
+        a_raw = push(hash_join(e_src, hubs, on="entity"), "dst", "hub")
         auths = _l2_normalize(
             a_raw.map_batches(
                 lambda t: t.rename_columns(["entity", "authority"]),
@@ -568,7 +543,7 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
                 ["src", "entity"] + (["w"] if weight_col is not None else [])),
             batch_format="pyarrow",
         )
-        h_raw = _sum_to(hash_join(e_dst, auths, on="entity"), "src", "authority")
+        h_raw = push(hash_join(e_dst, auths, on="entity"), "src", "authority")
         hubs = _l2_normalize(
             h_raw.map_batches(
                 lambda t: t.rename_columns(["entity", "hub"]),
@@ -641,16 +616,13 @@ def triangle_counts(triples, *, num_partitions: int | None = None):
     the work, not the result)."""
     e0 = _undirected_edges(triples, num_partitions).materialize()
 
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        n = pd.concat([df["a"], df["b"]], ignore_index=True)
-        return n.value_counts().rename_axis("node").reset_index(name="d")
+    def ends(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"node": pd.concat([df["a"], df["b"]],
+                                               ignore_index=True)})
 
-    deg = partition_reduce(
-        e0.map_batches(deg_partial, batch_format="pandas"),
-        ["node"],
-        lambda p: p.groupby("node", as_index=False)["d"].sum(),
-        num_partitions=num_partitions,
-    ).materialize()
+    deg = group_agg(e0.map_batches(ends, batch_format="pandas"), ["node"],
+                    {"d": ("node", "size")},
+                    num_partitions=num_partitions).materialize()
 
     # orient each edge lower-(d, id) → higher-(d, id); keep head degree
     # for the wedge-order sort
@@ -699,16 +671,13 @@ def triangle_counts(triples, *, num_partitions: int | None = None):
         lambda t: t.select(["u", "v"]), batch_format="pyarrow"),
         on=["u", "v"])
 
-    def credit(df: pd.DataFrame) -> pd.DataFrame:
-        n = pd.concat([df["apex"], df["u"], df["v"]], ignore_index=True)
-        return n.value_counts().rename_axis("node").reset_index(name="t")
+    def corners(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"node": pd.concat([df["apex"], df["u"], df["v"]],
+                                               ignore_index=True)})
 
-    tc = partition_reduce(
-        tri.map_batches(credit, batch_format="pandas"),
-        ["node"],
-        lambda p: p.groupby("node", as_index=False)["t"].sum(),
-        num_partitions=num_partitions,
-    ).materialize()
+    tc = group_agg(tri.map_batches(corners, batch_format="pandas"), ["node"],
+                   {"t": ("node", "size")},
+                   num_partitions=num_partitions).materialize()
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         d = df["d"].astype("int64")
@@ -824,15 +793,9 @@ def core_numbers(triples, *, num_partitions: int | None = None,
     # symmetric view: one row per (node, neighbor) direction
     sym = _symmetric(e0)
 
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df["node"].value_counts().rename_axis("entity").reset_index(
-            name="c")
-
-    scores = partition_reduce(
-        sym.map_batches(deg_partial, batch_format="pandas"),
-        ["entity"],
-        lambda p: p.groupby("entity", as_index=False)["c"].sum(),
-        num_partitions=num_partitions,
+    scores = group_agg(
+        sym, ["node"], {"c": ("node", "size")}, num_partitions=num_partitions,
+        finish=lambda g: g.rename(columns={"node": "entity"}),
     ).materialize()
     if not scores.count():  # no nodes: the driver tier's typed empty table
         return out_table({})

@@ -50,24 +50,17 @@ def blockword_stats(ds, text_col: str, group_col: str,
                     blockwords: list[str], *, num_partitions: int | None = None):
     """Per group: doc count and flagged-doc count — the release-gate
     report beside pii_stats."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
 
     blocked = frozenset(w.lower() for w in blockwords)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        hit = _hit_mask(df[text_col], blocked)
+    def hits(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({group_col: df[group_col],
-                             "h": hit.astype("int64")}).groupby(
-            group_col, as_index=False).agg(n=("h", "size"), f=("h", "sum"))
+                             "h": _hit_mask(df[text_col], blocked).astype("int64")})
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(group_col, as_index=False).agg(
-            n_docs=("n", "sum"), flagged_docs=("f", "sum"))
-        return g.astype({"n_docs": "int64", "flagged_docs": "int64"})
-
-    return partition_reduce(ds.map_batches(partial, batch_format="pandas"),
-                            [group_col], final,
-                            num_partitions=num_partitions)
+    return group_agg(ds.map_batches(hits, batch_format="pandas"), [group_col],
+                     {"n_docs": ("h", "size"), "flagged_docs": ("h", "sum")},
+                     num_partitions=num_partitions)
 
 
 def blockword_stats_sql(table: str, text_col: str, group_col: str,
@@ -95,7 +88,7 @@ def oov_rate(ds, text_col: str, group_col: str, *, vocab_size: int = 1000,
              num_partitions: int | None = None, round_to: int = 6):
     """Per group: token occurrences and the share outside the corpus
     top-``vocab_size`` vocabulary."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
     from .bpe import word_counts
 
     wc = word_counts(ds, text_col, num_partitions=num_partitions)
@@ -109,22 +102,17 @@ def oov_rate(ds, text_col: str, group_col: str, *, vocab_size: int = 1000,
         cand.sort_values(["n", "word"], ascending=[False, True],
                          kind="stable").head(vocab_size)["word"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def tokens(df: pd.DataFrame) -> pd.DataFrame:
         toks = df[text_col].fillna("").str.lower().str.findall(_TOKEN_RE)
         e = df[[group_col]].assign(w=toks).explode("w").dropna(subset=["w"])
-        e["oov"] = (~e["w"].isin(vocab)).astype("int64")
-        return e.groupby(group_col, as_index=False).agg(
-            n=("oov", "size"), o=("oov", "sum"))
+        return e.assign(oov=(~e["w"].isin(vocab)).astype("int64"))
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(group_col, as_index=False).agg(
-            total_tokens=("n", "sum"), oov_tokens=("o", "sum"))
-        g["oov_share"] = (g["oov_tokens"] / g["total_tokens"]).round(round_to)
-        return g.astype({"total_tokens": "int64", "oov_tokens": "int64"})
-
-    return partition_reduce(ds.map_batches(partial, batch_format="pandas"),
-                            [group_col], final,
-                            num_partitions=num_partitions)
+    return group_agg(
+        ds.map_batches(tokens, batch_format="pandas"), [group_col],
+        {"total_tokens": ("oov", "size"), "oov_tokens": ("oov", "sum")},
+        finish=lambda g: g.assign(
+            oov_share=(g["oov_tokens"] / g["total_tokens"]).round(round_to)),
+        num_partitions=num_partitions)
 
 
 def oov_rate_sql(table: str, text_col: str, group_col: str, *,

@@ -42,7 +42,7 @@ import re
 import numpy as np
 import pandas as pd
 
-from ..state.groupby import partition_reduce
+from ..state.groupby import group_agg
 
 # one compiled regex, shared by every batch; single- or double-quoted
 # hrefs with PAIRED quotes (backreference), mirroring the SQL oracle's
@@ -230,25 +230,8 @@ def url_host_links(pages, *, url_col: str = "url", html_col: str = "html"):
 def host_edges_from_url_links(url_links, *, num_partitions: int | None = None):
     """(src_host, dst_host, n_links) from the per-url partials — one
     grouped sum (hub hosts concentrate counts, never rows)."""
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["src_host", "dst_host"], as_index=False).agg(
-            n=("n", "sum")
-        )
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(["src_host", "dst_host"], as_index=False).agg(
-            n_links=("n", "sum")
-        )
-        out["n_links"] = out["n_links"].astype("int64")
-        return out
-
-    return partition_reduce(
-        url_links.map_batches(partial, batch_format="pandas"),
-        ["src_host", "dst_host"],
-        final,
-        num_partitions=num_partitions,
-    )
+    return group_agg(url_links, ["src_host", "dst_host"],
+                     {"n_links": ("n", "sum")}, num_partitions=num_partitions)
 
 
 def host_link_edges(pages, *, url_col: str = "url", html_col: str = "html",
@@ -266,32 +249,13 @@ def top_linked_hosts(pages, k: int = 10, **kwargs):
     graph): per-block partial top-k is unnecessary — the edge table is
     already vocab-sized, so one grouped sum + tiny sort suffices."""
     edges = host_link_edges(pages, **kwargs)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("dst_host", as_index=False).agg(
-            in_hosts=("src_host", "nunique"), in_links=("n_links", "sum")
-        )
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby("dst_host", as_index=False).agg(
-            in_hosts=("in_hosts", "sum"), in_links=("in_links", "sum")
-        )
-
-    ranked = partition_reduce(
-        edges.map_batches(partial, batch_format="pandas"),
-        ["dst_host"], final, num_partitions=None,  # auto: host-cardinality key
+    # edges hold one row per (src_host, dst_host): distinct sources = rows
+    ranked = group_agg(
+        edges, ["dst_host"],
+        {"in_hosts": ("src_host", "size"), "in_links": ("n_links", "sum")},
+        num_partitions=None,  # auto: host-cardinality key
     )
-    return (
-        ranked.sort(["in_links", "dst_host"], descending=[True, False])
-        .limit(k)
-        .map_batches(
-            lambda df: df.assign(
-                in_hosts=df["in_hosts"].astype("int64"),
-                in_links=df["in_links"].astype("int64"),
-            ),
-            batch_format="pandas",
-        )
-    )
+    return ranked.sort(["in_links", "dst_host"], descending=[True, False]).limit(k)
 
 
 def host_pagerank(pages=None, *, edges=None, iters: int = 20,
@@ -446,21 +410,11 @@ def anchor_text_terms(pages, *, url_col: str = "url", html_col: str = "html",
                 for t in _TERM_RE.findall(anchor.lower()):
                     hosts.append(dst)
                     terms.append(t)
-        out = pd.DataFrame({"dst_host": hosts, "term": terms})
-        return out.groupby(["dst_host", "term"], as_index=False).agg(
-            n=("term", "size")
-        )
+        return pd.DataFrame({"dst_host": hosts, "term": terms})
 
-    from ..state.groupby import partition_reduce
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(["dst_host", "term"], as_index=False).agg(n=("n", "sum"))
-        return out.astype({"n": "int64"})
-
-    return partition_reduce(
-        pages.map_batches(per_batch, batch_format="pandas"),
-        ["dst_host", "term"], final, num_partitions=num_partitions,
-    )
+    return group_agg(pages.map_batches(per_batch, batch_format="pandas"),
+                     ["dst_host", "term"], {"n": ("term", "size")},
+                     num_partitions=num_partitions)
 
 
 def anchor_terms_sql(pages_glob: str) -> str:

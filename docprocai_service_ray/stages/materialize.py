@@ -45,6 +45,10 @@ from ..config import KGConfig
 from ..functions.hashing import stable_u64
 from ..state.groupby import key_hash
 
+# triple rows per phase-0 partial-agg batch: compression grows with batch
+# size (distinct keys saturate), and a batch is only ~6 MB
+AGG_BATCH_SIZE = 32768
+
 PROV_STRUCT = pa.struct(
     [
         pa.field("url", pa.string()),
@@ -242,7 +246,7 @@ def build_triples(triples_raw_ds, emap_ref: ray.ObjectRef, cfg: KGConfig):
         _partial_agg,
         fn_kwargs={"emap_ref": emap_ref, "cfg": cfg, "num_parts": num_parts},
         batch_format="pyarrow",
-        batch_size=cfg.agg_batch_size,
+        batch_size=AGG_BATCH_SIZE,
     )
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))

@@ -21,6 +21,8 @@ from .common import pool_size
 from ..functions.hashing import hash_embedding
 from ..functions.linking import best_candidate, build_alias_index
 
+EMBED_BATCH_SIZE = 2048  # triple rows per mention-linking batch
+
 
 def mentions_schema(dim: int) -> pa.Schema:
     return pa.schema(
@@ -105,7 +107,7 @@ def build_mentions(triples_raw_ds, alias_ref: ray.ObjectRef, cfg: KGConfig):
         MentionLinker,
         fn_constructor_kwargs={"alias_ref": alias_ref, "cfg": cfg},
         batch_format="pyarrow",
-        batch_size=cfg.embed_batch_size,
+        batch_size=EMBED_BATCH_SIZE,
         concurrency=pool_size(cfg.actor_pool_size),
         num_cpus=1,
     )

@@ -31,6 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..state.groupby import group_agg
+
 _TOKEN_RE = r"[a-z]+"
 
 
@@ -49,6 +51,26 @@ def _doc_bigrams(ds, id_col: str, text_col: str, group_col: str):
             cnt=("r", "size"))
 
     return ds.map_batches(fn, batch_format="pandas")
+
+
+def _doc_bits(rows, id_col: str, group_col: str, num_partitions, finish=None):
+    """Scored bigram rows ``(id, group, b = bits·cnt, n = cnt)`` → one row
+    per doc with its mean ``bits = Σb / Σn`` (or ``finish`` of the sums)."""
+    return group_agg(rows, [id_col, group_col],
+                     {"b": ("b", "sum"), "n": ("n", "sum")},
+                     finish=finish or (lambda d: d.assign(bits=d["b"] / d["n"])),
+                     num_partitions=num_partitions)
+
+
+def _group_avg_bits(rows, id_col: str, group_col: str, num_partitions):
+    """Per-group ``(n_docs, avg_bits)`` over :func:`_doc_bits`' docs."""
+    docs = _doc_bits(rows, id_col, group_col, num_partitions)
+    return group_agg(
+        docs, [group_col], {"n_docs": ("bits", "size"), "bs": ("bits", "sum")},
+        finish=lambda g: pd.DataFrame({
+            group_col: g[group_col], "n_docs": g["n_docs"],
+            "avg_bits": (g["bs"] / g["n_docs"]).round(4)}),
+        num_partitions=4)
 
 
 def _vocab_size(ds, text_col: str, num_partitions: int) -> int:
@@ -95,35 +117,15 @@ def bigram_lm_bits(ds, id_col: str, text_col: str, group_col: str, *,
 
     scored = hash_join(grams, stats, on=["l", "r"])
 
-    def doc_partial(df: pd.DataFrame, vocab=vocab) -> pd.DataFrame:
+    def doc_rows(df: pd.DataFrame, vocab=vocab) -> pd.DataFrame:
         bits = -np.log2((df["c"] + k) / (df["cl"] + k * vocab))
         return pd.DataFrame({
             id_col: df[id_col], group_col: df[group_col],
             "b": bits * df["cnt"], "n": df["cnt"],
-        }).groupby([id_col, group_col], as_index=False).sum()
-
-    def per_doc(part: pd.DataFrame) -> pd.DataFrame:
-        d = part.groupby([id_col, group_col], as_index=False).agg(
-            b=("b", "sum"), n=("n", "sum"))
-        d["bits"] = d["b"] / d["n"]
-        return d.groupby(group_col, as_index=False).agg(
-            n_docs=("bits", "size"), bs=("bits", "sum"))
-
-    group_partials = partition_reduce(
-        scored.map_batches(doc_partial, batch_format="pandas"),
-        [id_col], per_doc, num_partitions=num_partitions)
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(group_col, as_index=False).agg(
-            n_docs=("n_docs", "sum"), bs=("bs", "sum"))
-        return pd.DataFrame({
-            group_col: g[group_col],
-            "n_docs": g["n_docs"].astype("int64"),
-            "avg_bits": (g["bs"] / g["n_docs"]).round(4),
         })
 
-    return partition_reduce(group_partials, [group_col], final,
-                            num_partitions=4)
+    return _group_avg_bits(scored.map_batches(doc_rows, batch_format="pandas"),
+                           id_col, group_col, num_partitions)
 
 
 def bigram_lm_sql(table: str, id_col: str, text_col: str, group_col: str,
@@ -190,31 +192,18 @@ def doc_bigram_bits(ds, id_col: str, text_col: str, group_col: str, *,
     vocab = _vocab_size(ds, text_col, num_partitions)
     scored = hash_join(grams, stats, on=["l", "r"])
 
-    def doc_partial(df: pd.DataFrame, vocab=vocab) -> pd.DataFrame:
-        if not len(df):  # post-join blocks can arrive column-less empty
-            dt = df[id_col].dtype if id_col in df.columns else "int64"
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype=dt),
-                group_col: pd.Series([], dtype=object),
-                "b": pd.Series([], dtype="float64"),
-                "n": pd.Series([], dtype="int64")})
+    def doc_rows(df: pd.DataFrame, vocab=vocab) -> pd.DataFrame:
         bits = -np.log2((df["c"] + k) / (df["cl"] + k * vocab))
         return pd.DataFrame({
             id_col: df[id_col], group_col: df[group_col],
             "b": bits * df["cnt"], "n": df["cnt"],
-        }).groupby([id_col, group_col], as_index=False).sum()
-
-    def per_doc(part: pd.DataFrame) -> pd.DataFrame:
-        d = part.groupby([id_col, group_col], as_index=False).agg(
-            b=("b", "sum"), n=("n", "sum"))
-        return pd.DataFrame({
-            id_col: d[id_col], group_col: d[group_col],
-            "bits": np.round(d["b"] / d["n"], round_to),
         })
 
-    return partition_reduce(
-        scored.map_batches(doc_partial, batch_format="pandas"),
-        [id_col], per_doc, num_partitions=num_partitions)
+    return _doc_bits(
+        scored.map_batches(doc_rows, batch_format="pandas"), id_col, group_col,
+        num_partitions, finish=lambda d: pd.DataFrame({
+            id_col: d[id_col], group_col: d[group_col],
+            "bits": np.round(d["b"] / d["n"], round_to)}))
 
 
 def perplexity_buckets(ds, id_col: str, text_col: str, group_col: str, *,
@@ -236,7 +225,7 @@ def perplexity_buckets(ds, id_col: str, text_col: str, group_col: str, *,
     approximate, bucketing logic unchanged). The exact tier here keeps
     the op REAL-SQL-oracled. Cutoffs collect to #groups rows, ship back
     in the assign closure."""
-    from ..state.groupby import collect_pandas, partition_reduce
+    from ..state.groupby import collect_pandas
     from ..stages.quantiles import grouped_quantiles_disc
 
     docbits = doc_bigram_bits(ds, id_col, text_col, group_col, k=k,
@@ -250,12 +239,6 @@ def perplexity_buckets(ds, id_col: str, text_col: str, group_col: str, *,
     c2 = dict(zip(cuts[group_col], cuts["qd_67"]))
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):  # materialized docbits can carry empty blocks
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype="int64"),
-                group_col: pd.Series([], dtype=object),
-                "bits": pd.Series([], dtype="float64"),
-                "bucket": pd.Series([], dtype=object)})
         lo = df[group_col].map(c1).to_numpy(dtype=np.float64)
         hi = df[group_col].map(c2).to_numpy(dtype=np.float64)
         b = df["bits"].to_numpy(dtype=np.float64)
@@ -263,18 +246,11 @@ def perplexity_buckets(ds, id_col: str, text_col: str, group_col: str, *,
                           np.where(b <= hi, "middle", "tail"))
         return df.assign(bucket=bucket)
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby([group_col, "bucket"], as_index=False).agg(
-            n_docs=("bits", "size"), bs=("bits", "sum"))
-        return pd.DataFrame({
-            group_col: g[group_col], "bucket": g["bucket"],
-            "n_docs": g["n_docs"].astype("int64"),
-            "avg_bits": np.round(g["bs"] / g["n_docs"], 4),
-        })
-
-    return partition_reduce(
-        docbits.map_batches(assign, batch_format="pandas"),
-        [group_col, "bucket"], final, num_partitions=num_partitions)
+    return group_agg(
+        docbits.map_batches(assign, batch_format="pandas"), [group_col, "bucket"],
+        {"n_docs": ("bits", "size"), "bs": ("bits", "sum")},
+        finish=lambda g: g.assign(avg_bits=np.round(g.pop("bs") / g["n_docs"], 4)),
+        num_partitions=num_partitions)
 
 
 def perplexity_buckets_sql(table: str, id_col: str, text_col: str,
@@ -365,29 +341,14 @@ def kneser_ney_bits(ds, id_col: str, text_col: str, group_col: str, *,
         grams.map_batches(pair_partial, batch_format="pandas"),
         ["l"], pair_final, num_partitions=num_partitions).materialize()
 
-    def cont_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df[["l", "r"]]
-
-    def cont_final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("r", as_index=False).agg(nr=("l", "size"))
-        return g.astype({"nr": "int64"})
-
-    cont = partition_reduce(
-        stats.map_batches(cont_partial, batch_format="pandas"),
-        ["r"], cont_final, num_partitions=num_partitions).materialize()
+    cont = group_agg(stats, ["r"], {"nr": ("l", "size")},
+                     num_partitions=num_partitions).materialize()
     n_types = int(cont.sum("nr"))
 
     scored = hash_join(hash_join(grams, stats, on=["l", "r"]),
                        cont, on=["r"])
 
-    def doc_partial(df: pd.DataFrame, t=n_types) -> pd.DataFrame:
-        if not len(df):  # post-join blocks can arrive column-less empty
-            dt = df[id_col].dtype if id_col in df.columns else "int64"
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype=dt),
-                group_col: pd.Series([], dtype=object),
-                "b": pd.Series([], dtype="float64"),
-                "n": pd.Series([], dtype="int64")})
+    def doc_rows(df: pd.DataFrame, t=n_types) -> pd.DataFrame:
         c = df["c"].to_numpy(dtype=np.float64)
         p = (np.maximum(c - discount, 0.0)
              + discount * df["nl"].to_numpy(np.float64)
@@ -397,30 +358,10 @@ def kneser_ney_bits(ds, id_col: str, text_col: str, group_col: str, *,
         return pd.DataFrame({
             id_col: df[id_col], group_col: df[group_col],
             "b": bits * df["cnt"], "n": df["cnt"],
-        }).groupby([id_col, group_col], as_index=False).sum()
-
-    def per_doc(part: pd.DataFrame) -> pd.DataFrame:
-        d = part.groupby([id_col, group_col], as_index=False).agg(
-            b=("b", "sum"), n=("n", "sum"))
-        d["bits"] = d["b"] / d["n"]
-        return d.groupby(group_col, as_index=False).agg(
-            n_docs=("bits", "size"), bs=("bits", "sum"))
-
-    group_partials = partition_reduce(
-        scored.map_batches(doc_partial, batch_format="pandas"),
-        [id_col], per_doc, num_partitions=num_partitions)
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(group_col, as_index=False).agg(
-            n_docs=("n_docs", "sum"), bs=("bs", "sum"))
-        return pd.DataFrame({
-            group_col: g[group_col],
-            "n_docs": g["n_docs"].astype("int64"),
-            "avg_bits": (g["bs"] / g["n_docs"]).round(4),
         })
 
-    return partition_reduce(group_partials, [group_col], final,
-                            num_partitions=4)
+    return _group_avg_bits(scored.map_batches(doc_rows, batch_format="pandas"),
+                           id_col, group_col, num_partitions)
 
 
 def kneser_ney_sql(table: str, id_col: str, text_col: str, group_col: str,

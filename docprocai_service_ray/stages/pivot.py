@@ -10,7 +10,7 @@ Distributed shape: the category set is vocab-sized BY CONTRACT (a pivot
 with 10^6 columns is a modeling bug, and Arrow tables are column-bounded)
 — discovered with one column-pruned distinct pass (or passed explicitly
 via ``categories`` to skip that pass), then every batch emits a partial
-WIDE row per index key (vectorized crosstab) and one partition_reduce
+WIDE row per index key (vectorized crosstab) and one group_agg
 sums the partials. The exchange moves one wide row per (key, batch): a
 hot index key never concentrates raw rows.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from ..state.groupby import collect_pandas, distinct_rows, partition_reduce
+from ..state.groupby import collect_pandas, distinct_rows, group_agg
 
 
 def pivot_table(ds, index_cols: list[str], pivot_col: str,
@@ -45,7 +45,7 @@ def pivot_table(ds, index_cols: list[str], pivot_col: str,
         categories = sorted(cats_df[pivot_col])
     cols = [f"{col_prefix}{c}" for c in categories]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def wide_rows(df: pd.DataFrame) -> pd.DataFrame:
         vals = df[val_col] if agg == "sum" else None
         wide = pd.crosstab(
             index=[df[c] for c in index_cols],
@@ -57,17 +57,12 @@ def pivot_table(ds, index_cols: list[str], pivot_col: str,
         wide.index.names = index_cols
         return wide.reset_index()
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(index_cols, as_index=False)[cols].sum()
-        if agg == "count":
-            out[cols] = out[cols].astype("int64")
-        elif round_to is not None:
-            out[cols] = out[cols].round(round_to)
-        return out
-
-    return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"),
-        index_cols, final, num_partitions=num_partitions,
+    rounded = agg == "sum" and round_to is not None
+    return group_agg(
+        ds.map_batches(wide_rows, batch_format="pandas"), index_cols,
+        {c: (c, "sum") for c in cols},
+        finish=(lambda g: g.round({c: round_to for c in cols})) if rounded else None,
+        num_partitions=num_partitions,
     )
 
 

@@ -58,7 +58,7 @@ def build_postings(ds, id_col: str, text_col: str, *, min_df: int = 1,
     """
     import ray
 
-    from ..state.groupby import collect_pandas, partition_reduce
+    from ..state.groupby import collect_pandas, group_agg, partition_reduce
 
     hot_ref = None
     if max_df is not None:
@@ -66,17 +66,12 @@ def build_postings(ds, id_col: str, text_col: str, *, min_df: int = 1,
             raise ValueError(f"max_df ({max_df}) must be >= min_df "
                              f"({min_df})")
 
-        def count_partials(df: pd.DataFrame) -> pd.DataFrame:
-            e = _doc_tokens(df, id_col, text_col)
-            return e.groupby("w", as_index=False).agg(c=("doc", "size"))
-
-        def reduce_hot(part: pd.DataFrame) -> pd.DataFrame:
-            g = part.groupby("w", as_index=False).agg(c=("c", "sum"))
-            return g.loc[g["c"] > max_df, ["w"]]
-
-        hot = partition_reduce(
-            ds.map_batches(count_partials, batch_format="pandas"),
-            ["w"], reduce_hot, num_partitions=num_partitions)
+        hot = group_agg(
+            ds.map_batches(lambda df: _doc_tokens(df, id_col, text_col),
+                           batch_format="pandas"),
+            ["w"], {"c": ("doc", "size")},
+            finish=lambda g: g.loc[g["c"] > max_df, ["w"]],
+            num_partitions=num_partitions)
         hot_arr = np.sort(collect_pandas(hot, ["w"])["w"].to_numpy(dtype=object))
         hot_ref = ray.put(hot_arr.astype(str))
 

@@ -205,35 +205,23 @@ def fixed_histogram(ds, value_col: str, lo: float, hi: float, bins: int, *,
     Output: (bin, lo_edge, n) [+ by]."""
     import pandas as pd
 
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
 
     width = (hi - lo) / bins
     keys = ([by] if by else []) + ["bin"]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def binned(df: pd.DataFrame) -> pd.DataFrame:
         # NULL/NaN rows are excluded (matches the SQL twin's WHERE ... IS
         # NOT NULL); bucketing NaN through astype(int64) is undefined and
         # would silently land in bin 0
         df = df[df[value_col].notna()]
         v = df[value_col].to_numpy(dtype=np.float64)
         b = np.clip(((v - lo) / width).astype(np.int64), 0, bins - 1)
-        if by:
-            out = pd.DataFrame({by: df[by], "bin": b})
-            out = out.groupby([by, "bin"], as_index=False).agg(n=("bin", "size"))
-        else:
-            c = np.bincount(b, minlength=bins)
-            nz = np.flatnonzero(c)
-            out = pd.DataFrame({"bin": nz.astype("int64"), "n": c[nz]})
-        return out
+        return df[keys[:-1]].assign(bin=b)
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(keys, as_index=False).agg(n=("n", "sum"))
-        out["n"] = out["n"].astype("int64")
-        out["lo_edge"] = (lo + out["bin"] * width).round(6)
-        return out
-
-    return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"), keys, final,
+    return group_agg(
+        ds.map_batches(binned, batch_format="pandas"), keys, {"n": ("bin", "size")},
+        finish=lambda g: g.assign(lo_edge=(lo + g["bin"] * width).round(6)),
         num_partitions=num_partitions,
     )
 

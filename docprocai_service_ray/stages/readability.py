@@ -39,14 +39,9 @@ def flesch_by_group(ds, text_col: str, group_col: str, *,
     """Per-group (n_docs, avg_words, avg_flesch): doc-level Flesch
     reading ease averaged per group (``round_to`` dp, matching the SQL
     twin's ROUND)."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):  # column-less empty blocks carry no text col
-            return pd.DataFrame({"g": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64"),
-                                 "w": pd.Series([], dtype="float64"),
-                                 "fl": pd.Series([], dtype="float64")})
+    def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         t = df[text_col].fillna("")
         w = t.str.count(_WORD_RE).to_numpy(dtype=np.float64)
         s = np.maximum(t.str.count(_SENT_RE).to_numpy(dtype=np.float64),
@@ -55,26 +50,21 @@ def flesch_by_group(ds, text_col: str, group_col: str, *,
         keep = w > 0
         fl = 206.835 - 1.015 * (w[keep] / s[keep]) \
             - 84.6 * (syl[keep] / w[keep])
-        out = pd.DataFrame({
-            "g": df[group_col].to_numpy()[keep],
-            "n": np.int64(1), "w": w[keep], "fl": fl,
-        })
-        return out.groupby("g", as_index=False).agg(
-            n=("n", "sum"), w=("w", "sum"), fl=("fl", "sum"))
+        return pd.DataFrame({"g": df[group_col].to_numpy()[keep],
+                             "w": w[keep], "fl": fl})
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("g", as_index=False).agg(
-            n=("n", "sum"), w=("w", "sum"), fl=("fl", "sum"))
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             group_col: g["g"],
-            "n_docs": g["n"].astype("int64"),
+            "n_docs": g["n"],
             "avg_words": (g["w"] / g["n"]).round(round_to),
             "avg_flesch": (g["fl"] / g["n"]).round(round_to),
         })
 
-    return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["g"], final, num_partitions=num_partitions)
+    return group_agg(
+        ds.map_batches(per_doc, batch_format="pandas"), ["g"],
+        {"n": ("w", "size"), "w": ("w", "sum"), "fl": ("fl", "sum")},
+        finish=finish, num_partitions=num_partitions)
 
 
 def flesch_sql(table: str, text_col: str, group_col: str, *,

@@ -12,6 +12,7 @@ import pyarrow as pa
 
 from ..config import KGConfig
 from ..functions.sentences import split_sentences
+from .extract import EXTRACT_BATCH_SIZE
 
 SENTENCES_SCHEMA = pa.schema(
     [
@@ -55,6 +56,6 @@ def build_sentences(docs_ds, cfg: KGConfig):
     return docs_ds.select_columns(["url", "warc_ts", "text"]).map_batches(
         segment_batch,
         batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
+        batch_size=EXTRACT_BATCH_SIZE,
         zero_copy_batch=True,
     )

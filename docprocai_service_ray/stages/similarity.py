@@ -443,7 +443,7 @@ def centroid_distance_stats(ds, label_col: str, vec_col: str, dim: int, *,
     partials (n, Σ dist, max dist); a label-keyed exchange merges them.
     Raw vectors never shuffle.
     """
-    from ..state.groupby import collect_pandas, partition_reduce
+    from ..state.groupby import collect_pandas, group_agg
 
     cent_long = label_centroids(ds, label_col, vec_col, dim,
                                 num_partitions=num_partitions,
@@ -461,34 +461,26 @@ def centroid_distance_stats(ds, label_col: str, vec_col: str, dim: int, *,
     index = {lab: i for i, lab in enumerate(labels)}
     cent_ref = ray.put((index, cmat))
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({label_col: pd.Series(dtype="object"),
-                                 "n": pd.Series(dtype="int64"),
-                                 "s": pd.Series(dtype="float64"),
-                                 "m": pd.Series(dtype="float64")})
+    def distances(df: pd.DataFrame) -> pd.DataFrame:
         idx, cm = ray.get(cent_ref)
         vecs = np.vstack(df[vec_col].to_numpy()).astype(np.float64)
         # vectorized label → centroid-row codes (no per-row dict lookups)
         rows = pd.Categorical(df[label_col], categories=list(idx)).codes
         dist = np.sqrt(((vecs - cm[rows]) ** 2).sum(axis=1))
-        g = pd.DataFrame({label_col: df[label_col], "d": dist})
-        return (g.groupby(label_col, as_index=False)
-                .agg(n=("d", "size"), s=("d", "sum"), m=("d", "max")))
+        return pd.DataFrame({label_col: df[label_col], "d": dist})
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(label_col, as_index=False).agg(
-            n=("n", "sum"), s=("s", "sum"), m=("m", "max"))
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             label_col: g[label_col],
-            "n_vecs": g["n"].astype("int64"),
-            "avg_dist": np.round(g["s"] / g["n"], round_to),
+            "n_vecs": g["n_vecs"],
+            "avg_dist": np.round(g["s"] / g["n_vecs"], round_to),
             "max_dist": np.round(g["m"], round_to),
         })
 
-    return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"), [label_col], final,
-        num_partitions=4)
+    return group_agg(
+        ds.map_batches(distances, batch_format="pandas"), [label_col],
+        {"n_vecs": ("d", "size"), "s": ("d", "sum"), "m": ("d", "max")},
+        finish=finish, num_partitions=4)
 
 
 def centroid_distance_sql(table: str, label_col: str, vec_col: str,
@@ -701,26 +693,13 @@ def kmeans_cluster_sizes(ds, id_col: str, vec_col: str, dim: int, k: int, *,
                          iters: int = 10, seed: int = 42, round_to: int = 6):
     """k-means driver query shape: (cluster, size, centroid_norm) — small,
     deterministic, golden-freezable."""
-    import pandas as pd
-
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
 
     centroids, assign_fn = kmeans(ds, id_col, vec_col, dim, k,
                                   iters=iters, seed=seed)
-    labeled = assign_fn(ds)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("cluster", as_index=False).agg(n=(id_col, "size"))
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby("cluster", as_index=False).agg(n=("n", "sum"))
-
-    sizes = partition_reduce(
-        labeled.map_batches(partial, batch_format="pandas"),
-        ["cluster"], final, num_partitions=4,
-    ).to_pandas()
+    sizes = group_agg(assign_fn(ds), ["cluster"], {"size": (id_col, "size")},
+                      num_partitions=4).to_pandas()
     norms = np.sqrt((centroids * centroids).sum(axis=1)).round(round_to)
-    sizes["size"] = sizes["n"].astype("int64")
     sizes["centroid_norm"] = sizes["cluster"].map(
         lambda c: float(norms[int(c)]))
     return sizes[["cluster", "size", "centroid_norm"]].sort_values(

@@ -50,21 +50,13 @@ def exact_dup_cluster_sizes(ds, text_col: str, *, id_col: str | None = None,
                             num_partitions: int | None = None):
     """→ Dataset(h, n): global exact-dup cluster size per text hash.
     Per-batch partial counts, one hash-keyed grouped-sum exchange."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"h": pd.Series([], dtype="uint64"),
-                                 "n": pd.Series([], dtype="int64")})
-        h = _text_hash(df[text_col])
-        out = pd.DataFrame({"h": h}).groupby("h", as_index=False).size()
-        return out.rename(columns={"size": "n"}).astype({"n": "int64"})
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby("h", as_index=False).agg(n=("n", "sum"))
-
-    return partition_reduce(ds.map_batches(partial, batch_format="pandas"),
-                            ["h"], final, num_partitions=num_partitions)
+    hashes = ds.map_batches(
+        lambda df: pd.DataFrame({"h": _text_hash(df[text_col])}),
+        batch_format="pandas")
+    return group_agg(hashes, ["h"], {"n": ("h", "size")},
+                     num_partitions=num_partitions)
 
 
 def soft_dedup_weights(ds, id_col: str, text_col: str, *, beta: float = 1.0,
@@ -122,7 +114,7 @@ def soft_dedup_stats(ds, group_col: str, text_col: str, *, beta: float = 1.0,
     :func:`soft_dedup_weights` effectively trains on. One hash-keyed
     exchange of (h, group, cnt) partials; each hash resolves its global
     size inside its partition, then a |groups|-row final sum."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg, partition_reduce
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -152,19 +144,15 @@ def soft_dedup_stats(ds, group_col: str, text_col: str, *, beta: float = 1.0,
             n=("n", "sum"), d=("d", "sum"), dup=("dup", "sum"),
             e=("e", "sum"))
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(group_col, as_index=False).agg(
-            n_docs=("n", "sum"), n_distinct=("d", "sum"),
-            dup_docs=("dup", "sum"), e=("e", "sum"))
-        out["effective_docs"] = out["e"].round(round_to)
-        out = out.drop(columns="e")
-        return out.astype({"n_docs": "int64", "n_distinct": "int64",
-                           "dup_docs": "int64"})
-
     partials = ds.map_batches(partial, batch_format="pandas")
     reduced = partition_reduce(partials, ["h"], per_partition,
                                num_partitions=num_partitions)
-    return partition_reduce(reduced, [group_col], final, num_partitions=4)
+    return group_agg(
+        reduced, [group_col],
+        {"n_docs": ("n", "sum"), "n_distinct": ("d", "sum"),
+         "dup_docs": ("dup", "sum"), "e": ("e", "sum")},
+        finish=lambda g: g.assign(effective_docs=g.pop("e").round(round_to)),
+        num_partitions=4)
 
 
 def soft_dedup_sql(planted_view: str, group_col: str, text_col: str, *,

@@ -62,7 +62,7 @@ def dup_gram_stats(docs_ds, id_col: str, text_col: str, group_col: str, *,
     extra streaming pass for the count phase."""
     import ray
 
-    from ..state.groupby import collect_pandas, partition_reduce
+    from ..state.groupby import collect_pandas, group_agg, partition_reduce
 
     hot_ref = None
     if hot_gram_ceiling is not None:
@@ -75,20 +75,16 @@ def dup_gram_stats(docs_ds, id_col: str, text_col: str, group_col: str, *,
             raise ValueError("hot_gram_ceiling requires min_docs >= 2 "
                              "(the per-doc sentinel rows have count 1)")
 
-        def count_partials(df: pd.DataFrame) -> pd.DataFrame:
+        def grams(df: pd.DataFrame) -> pd.DataFrame:
             hs = _gram_hashes(df[text_col], n)
-            flat = (np.concatenate(hs) if hs
-                    else np.empty(0, dtype="uint64"))
-            u, c = np.unique(flat, return_counts=True)
-            return pd.DataFrame({"gh": u, "c": c.astype("int64")})
+            return pd.DataFrame({"gh": np.concatenate(hs) if hs
+                                 else np.empty(0, dtype="uint64")})
 
-        def reduce_hot(part: pd.DataFrame) -> pd.DataFrame:
-            g = part.groupby("gh", as_index=False).agg(c=("c", "sum"))
-            return g.loc[g["c"] >= hot_gram_ceiling, ["gh"]]
-
-        hot = partition_reduce(
-            docs_ds.map_batches(count_partials, batch_format="pandas"),
-            ["gh"], reduce_hot, num_partitions=num_partitions)
+        hot = group_agg(
+            docs_ds.map_batches(grams, batch_format="pandas"), ["gh"],
+            {"c": ("gh", "size")},
+            finish=lambda g: g.loc[g["c"] >= hot_gram_ceiling, ["gh"]],
+            num_partitions=num_partitions)
         hot_arr = np.sort(
             collect_pandas(hot, ["gh"])["gh"].to_numpy(dtype="uint64"))
         hot_ref = ray.put(hot_arr)
@@ -162,32 +158,29 @@ def dup_gram_stats(docs_ds, id_col: str, text_col: str, group_col: str, *,
     per_doc_partials = partition_reduce(exploded, ["gh"], mark,
                                         num_partitions=num_partitions)
 
-    def rollup(part: pd.DataFrame) -> pd.DataFrame:
-        d = part.groupby("doc", as_index=False).agg(
-            grp=("grp", "first"), ng=("ng", "first"), nc=("nc", "sum"))
+    # a doc fixes its group and gram total, so they ride in the key
+    def per_doc(d: pd.DataFrame) -> pd.DataFrame:
         frac = d["nc"].to_numpy() / d["ng"].to_numpy()
-        g = pd.DataFrame({group_col: d["grp"], "frac": frac})
-        return g.groupby(group_col, as_index=False).agg(
-            nd=("frac", "size"),
-            cd=("frac", lambda s: int((s > 0).sum())),
-            fr=("frac", "sum"),
-        )
+        return pd.DataFrame({group_col: d["grp"], "frac": frac,
+                             "dup": (frac > 0).astype("int64")})
 
-    grouped = partition_reduce(per_doc_partials, ["doc"], rollup,
-                               num_partitions=num_partitions)
+    docs = group_agg(per_doc_partials, ["doc", "grp", "ng"],
+                     {"nc": ("nc", "sum")}, finish=per_doc,
+                     num_partitions=num_partitions)
 
-    def finalize(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(group_col, as_index=False).agg(
-            n_docs=("nd", "sum"), c_docs=("cd", "sum"), fr=("fr", "sum"))
+    def finish(out: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             group_col: out[group_col],
-            "n_docs": out["n_docs"].astype("int64"),
-            "dup_docs": out["c_docs"].astype("int64"),
+            "n_docs": out["n_docs"],
+            "dup_docs": out["dup_docs"],
             "avg_dup_frac": (out["fr"] / out["n_docs"]).round(round_to),
         })
 
-    return partition_reduce(grouped, [group_col], finalize,
-                            num_partitions=num_partitions)
+    return group_agg(
+        docs, [group_col],
+        {"n_docs": ("frac", "size"), "dup_docs": ("dup", "sum"),
+         "fr": ("frac", "sum")},
+        finish=finish, num_partitions=num_partitions)
 
 
 def dup_gram_sql(docs_sel: str, id_col: str, text_col: str, group_col: str,

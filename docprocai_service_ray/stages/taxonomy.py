@@ -94,27 +94,16 @@ def taxonomy_stats(ds, group_col: str, text_col: str, *,
     """→ Dataset(group, topic, n_docs, n_hits): corpus composition by
     dominant topic — per-batch partials (≤ groups×topics rows/task), one
     small grouped-sum exchange."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({group_col: pd.Series([], dtype=object),
-                                 "topic": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64"),
-                                 "h": pd.Series([], dtype="int64")})
-        r = route_topics(df[text_col], rules)
-        r[group_col] = df[group_col].to_numpy()
-        return r.groupby([group_col, "topic"], as_index=False).agg(
-            n=("hits", "size"), h=("hits", "sum"))
+    def routed(df: pd.DataFrame) -> pd.DataFrame:
+        return route_topics(df[text_col], rules).assign(
+            **{group_col: df[group_col].to_numpy()})
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby([group_col, "topic"], as_index=False).agg(
-            n_docs=("n", "sum"), n_hits=("h", "sum"))
-        return out.astype({"n_docs": "int64", "n_hits": "int64"})
-
-    return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"),
-        [group_col, "topic"], final, num_partitions=num_partitions)
+    return group_agg(
+        ds.map_batches(routed, batch_format="pandas"), [group_col, "topic"],
+        {"n_docs": ("hits", "size"), "n_hits": ("hits", "sum")},
+        num_partitions=num_partitions)
 
 
 def _sql_scores_and_case(text_col: str, rules) -> tuple[str, str, str]:

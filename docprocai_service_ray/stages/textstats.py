@@ -16,6 +16,8 @@ import re
 import numpy as np
 import pandas as pd
 
+from ..state.groupby import collect_pandas, group_agg, partition_reduce
+
 _STOPWORDS = {
     "en": {"the", "and", "of", "a", "to", "in", "is", "was", "for", "on", "with", "that", "it"},
     "de": {"der", "die", "das", "und", "ist", "von", "mit", "für", "auf", "ein", "eine", "zu"},
@@ -135,25 +137,19 @@ def token_doc_frequency(ds, id_col: str, text_col: str, *, min_df: int = 1,
     Per batch: vectorized pandas ``str.findall`` → explode → within-doc
     dedup (a doc is ONE row, so its tokens stay in one batch) → per-batch
     partial counts; one hash exchange merges partials per token
-    (state/groupby.partition_reduce). Tokenization is ``[a-z]+`` over
+    (state/groupby.group_agg). Tokenization is ``[a-z]+`` over
     ``lower()`` — byte-identical to the DuckDB oracle's
     ``regexp_extract_all(lower(text), '[a-z]+')``."""
-    from ..state.groupby import partition_reduce
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def doc_tokens(df: pd.DataFrame) -> pd.DataFrame:
         toks = df[text_col].fillna("").str.lower().str.findall(r"[a-z]+")
         e = df[[id_col]].assign(token=toks).explode("token").dropna(subset=["token"])
-        e = e.drop_duplicates([id_col, "token"])
-        return e.groupby("token", as_index=False).agg(df_part=(id_col, "size"))
+        return e.drop_duplicates([id_col, "token"])
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("token", as_index=False).agg(df=("df_part", "sum"))
-        g["df"] = g["df"].astype("int64")
-        return g[g["df"] >= min_df]
-
-    return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["token"], final, num_partitions=num_partitions,
+    return group_agg(
+        ds.map_batches(doc_tokens, batch_format="pandas"), ["token"],
+        {"df": (id_col, "size")}, finish=lambda g: g[g["df"] >= min_df],
+        num_partitions=num_partitions,
     )
 
 
@@ -175,7 +171,6 @@ def boilerplate_stats(ds, id_col: str, text_col: str, group_col: str, *,
     exchange sums per-doc totals → tiny per-group final. Docs with no
     qualifying sentence (< ``min_chars`` after the split) are excluded,
     exactly like the SQL twin's inner join."""
-    from ..state.groupby import partition_reduce
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         ids, grps, hs = [], [], []
@@ -206,31 +201,23 @@ def boilerplate_stats(ds, id_col: str, text_col: str, group_col: str, *,
         exploded, ["h"], per_sentence, num_partitions=num_partitions,
     )
 
-    def per_doc(part: pd.DataFrame) -> pd.DataFrame:
-        d = part.groupby([id_col, group_col], as_index=False).agg(
-            n_sents=("n_sents", "sum"), n_dup=("n_dup", "sum")
-        )
-        d["ratio"] = d["n_dup"] / d["n_sents"]
-        return d.groupby(group_col, as_index=False).agg(
-            n_docs=("ratio", "size"), ratio_sum=("ratio", "sum")
-        )
-
-    per_group_partials = partition_reduce(
-        per_doc_partials, [id_col], per_doc, num_partitions=num_partitions,
+    docs = group_agg(
+        per_doc_partials, [id_col, group_col],
+        {"n_sents": ("n_sents", "sum"), "n_dup": ("n_dup", "sum")},
+        finish=lambda d: d.assign(ratio=d["n_dup"] / d["n_sents"]),
+        num_partitions=num_partitions,
     )
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(group_col, as_index=False).agg(
-            n_docs=("n_docs", "sum"), ratio_sum=("ratio_sum", "sum")
-        )
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            group_col: out[group_col],
-            "n_docs": out["n_docs"].astype("int64"),
-            "avg_dup_ratio": (out["ratio_sum"] / out["n_docs"]).round(4),
+            group_col: g[group_col],
+            "n_docs": g["n_docs"],
+            "avg_dup_ratio": (g["ratio_sum"] / g["n_docs"]).round(4),
         })
 
-    return partition_reduce(per_group_partials, [group_col], final,
-                            num_partitions=4)
+    return group_agg(docs, [group_col],
+                     {"n_docs": ("ratio", "size"), "ratio_sum": ("ratio", "sum")},
+                     finish=finish, num_partitions=4)
 
 
 def boilerplate_sql(table: str, id_col: str, text_col: str, group_col: str,
@@ -267,19 +254,18 @@ def grouped_corr(ds, by: str, x_col: str, y_col: str, *,
     numbers per (group, batch) cross the exchange, never rows. The
     textbook mergeable-aggregate shape for per-stratum feature/label
     diagnostics over a corpus."""
-    from ..state.groupby import partition_reduce
+    stats = ["n", "sx", "sy", "sxx", "syy", "sxy"]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def moments(df: pd.DataFrame) -> pd.DataFrame:
         # SQL CORR/REGR_SLOPE ignore rows where either side is NULL
         df = df.dropna(subset=[x_col, y_col])
         x, y = df[x_col].astype("float64"), df[y_col].astype("float64")
         return pd.DataFrame({
             by: df[by], "n": 1.0, "sx": x, "sy": y,
             "sxx": x * x, "syy": y * y, "sxy": x * y,
-        }).groupby(by, as_index=False).sum()
+        })
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(by, as_index=False).sum()
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
         n = g["n"]
         cov = g["sxy"] - g["sx"] * g["sy"] / n
         vx = g["sxx"] - g["sx"] ** 2 / n
@@ -291,10 +277,9 @@ def grouped_corr(ds, by: str, x_col: str, y_col: str, *,
             "slope": (cov / vx).round(round_to),
         })
 
-    return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"), [by], final,
-        num_partitions=num_partitions,
-    )
+    return group_agg(ds.map_batches(moments, batch_format="pandas"), [by],
+                     {c: (c, "sum") for c in stats}, finish=finish,
+                     num_partitions=num_partitions)
 
 
 def corr_sql(table: str, by: str, x_col: str, y_col: str,
@@ -318,7 +303,6 @@ def profile_table(ds, columns: list[str], *, num_partitions: int | None = None):
     dedup sets as rows, so the exchange is bounded by local distincts —
     for high-cardinality columns compose with grouped_distinct_sketch's
     HLL instead."""
-    from ..state.groupby import partition_reduce
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         frames = []
@@ -409,8 +393,6 @@ def repetition_stats(ds, id_col: str, text_col: str, group_col: str, *,
     """
     from collections import Counter
 
-    from ..state.groupby import partition_reduce
-
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         toks = df[text_col].fillna("").str.split(" ")
         nw = toks.str.len().astype("float64")
@@ -418,31 +400,25 @@ def repetition_stats(ds, id_col: str, text_col: str, group_col: str, *,
         tc = toks.map(lambda ws: max(Counter(ws).values())).astype("float64")
         dup = 1.0 - nd / nw
         top = tc / nw
-        g = pd.DataFrame({
+        return pd.DataFrame({
             group_col: df[group_col], "dup": dup, "top": top,
             "fl": (dup > flag_threshold).astype("int64"),
         })
-        return g.groupby(group_col, as_index=False).agg(
-            n=("dup", "size"), dup_sum=("dup", "sum"),
-            top_sum=("top", "sum"), n_flagged=("fl", "sum"),
-        )
 
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(group_col, as_index=False).agg(
-            n_docs=("n", "sum"), dup_sum=("dup_sum", "sum"),
-            top_sum=("top_sum", "sum"), n_flagged=("n_flagged", "sum"),
-        )
+    def finish(out: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             group_col: out[group_col],
-            "n_docs": out["n_docs"].astype("int64"),
+            "n_docs": out["n_docs"],
             "avg_dup_word_frac": (out["dup_sum"] / out["n_docs"]).round(round_to),
             "avg_top_word_frac": (out["top_sum"] / out["n_docs"]).round(round_to),
-            "n_flagged": out["n_flagged"].astype("int64"),
+            "n_flagged": out["n_flagged"],
         })
 
-    return partition_reduce(
-        ds.map_batches(per_doc, batch_format="pandas"),
-        [group_col], final, num_partitions=num_partitions,
+    return group_agg(
+        ds.map_batches(per_doc, batch_format="pandas"), [group_col],
+        {"n_docs": ("dup", "size"), "dup_sum": ("dup", "sum"),
+         "top_sum": ("top", "sum"), "n_flagged": ("fl", "sum")},
+        finish=finish, num_partitions=num_partitions,
     )
 
 
@@ -493,8 +469,8 @@ def unigram_logprob_stats(ds, id_col: str, text_col: str, group_col: str, *,
       2. token-keyed ``partition_reduce``: all rows of token w co-locate,
          so the global c(w) is a per-partition transform('sum'); emits
          per-(doc, partition) partials (id, group, Σ c·log2 c(w), Σ c);
-      3. doc-keyed reduce: per-doc mean, re-partialed per group;
-      4. group-keyed reduce + driver final on the #groups-row result,
+      3. doc-keyed ``group_agg``: per-doc mean;
+      4. group-keyed ``group_agg`` + driver final on the #groups-row result,
          where T = Σ tokens shifts the mean by log2 T.
 
     Docs with zero ``[a-z]+`` tokens are excluded (the SQL twin's inner
@@ -502,10 +478,6 @@ def unigram_logprob_stats(ds, id_col: str, text_col: str, group_col: str, *,
     ``[a-z]+`` over ``lower()``. Returns pandas (group, n_docs, n_tokens,
     avg_bits_per_token).
     """
-    import numpy as np
-
-    from ..state.groupby import collect_pandas, partition_reduce
-
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         toks = df[text_col].fillna("").str.lower().str.findall(r"[a-z]+")
         e = (df[[id_col, group_col]].assign(w=toks).explode("w")
@@ -522,31 +494,17 @@ def unigram_logprob_stats(ds, id_col: str, text_col: str, group_col: str, *,
         return contrib.groupby([id_col, group_col], as_index=False).agg(
             wlog=("wlog", "sum"), n=("n", "sum"))
 
-    def per_doc(part: pd.DataFrame) -> pd.DataFrame:
-        d = part.groupby([id_col, group_col], as_index=False).agg(
-            wlog=("wlog", "sum"), n=("n", "sum"))
-        d["ratio"] = d["wlog"] / d["n"]
-        return d.groupby(group_col, as_index=False).agg(
-            n_docs=("ratio", "size"), ratio_sum=("ratio", "sum"),
-            n_tokens=("n", "sum"))
-
-    def merge(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby(group_col, as_index=False).agg(
-            n_docs=("n_docs", "sum"), ratio_sum=("ratio_sum", "sum"),
-            n_tokens=("n_tokens", "sum"))
-
     token_partials = partition_reduce(
         ds.map_batches(explode, batch_format="pandas"), ["w"], per_token,
         num_partitions=num_partitions)
-    group_partials = partition_reduce(
-        token_partials, [id_col], per_doc, num_partitions=num_partitions)
-    grouped = partition_reduce(group_partials, [group_col], merge,
-                               num_partitions=4)
-    df = collect_pandas(grouped, [group_col, "n_docs", "ratio_sum",
-                                  "n_tokens"])
-    df = (df.groupby(group_col, as_index=False)
-          .agg(n_docs=("n_docs", "sum"), ratio_sum=("ratio_sum", "sum"),
-               n_tokens=("n_tokens", "sum"))
+    docs = group_agg(token_partials, [id_col, group_col],
+                     {"wlog": ("wlog", "sum"), "n": ("n", "sum")},
+                     finish=lambda d: d.assign(ratio=d["wlog"] / d["n"]),
+                     num_partitions=num_partitions)
+    grouped = group_agg(docs, [group_col],
+                        {"n_docs": ("ratio", "size"), "ratio_sum": ("ratio", "sum"),
+                         "n_tokens": ("n", "sum")}, num_partitions=4)
+    df = (collect_pandas(grouped, [group_col, "n_docs", "ratio_sum", "n_tokens"])
           .sort_values(group_col).reset_index(drop=True))
     t = float(df["n_tokens"].sum())
     bits = np.log2(max(t, 1.0)) - df["ratio_sum"] / df["n_docs"]
@@ -604,26 +562,7 @@ def lang_mix_weights(ds, lang_col: str, text_col: str, *,
     result — driver-sized by definition, like the grouped-sketch
     finishers. Returns a pandas DataFrame sorted by language.
     """
-    import numpy as np
-
-    from ..state.groupby import collect_pandas, partition_reduce
-
-    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.assign(tok=token_counts(df[text_col]))
-                .groupby(lang_col, as_index=False)
-                .agg(s=("tok", "sum"), n=("tok", "size")))
-
-    def merge(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby(lang_col, as_index=False).agg(
-            s=("s", "sum"), n=("n", "sum"))
-
-    grouped = partition_reduce(
-        ds.map_batches(per_batch, batch_format="pandas"),
-        [lang_col], merge, num_partitions=num_partitions)
-    df = collect_pandas(grouped, [lang_col, "s", "n"])
-    df = (df.groupby(lang_col, as_index=False).agg(s=("s", "sum"),
-                                                   n=("n", "sum"))
-          .sort_values(lang_col).reset_index(drop=True))
+    df = _lang_token_table(ds, lang_col, text_col, num_partitions)
     total = float(df["s"].sum())
     uniform = total / max(len(df), 1)
     tok = df["s"].to_numpy(dtype="float64")
@@ -675,26 +614,7 @@ def lang_mix_alpha_weights(ds, lang_col: str, text_col: str, *,
 
     Same exchange shape as :func:`lang_mix_weights` (one lang-keyed int
     exchange, finisher on the #languages-row result)."""
-    import numpy as np
-
-    from ..state.groupby import collect_pandas, partition_reduce
-
-    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.assign(tok=token_counts(df[text_col]))
-                .groupby(lang_col, as_index=False)
-                .agg(s=("tok", "sum"), n=("tok", "size")))
-
-    def merge(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby(lang_col, as_index=False).agg(
-            s=("s", "sum"), n=("n", "sum"))
-
-    grouped = partition_reduce(
-        ds.map_batches(per_batch, batch_format="pandas"),
-        [lang_col], merge, num_partitions=num_partitions)
-    df = collect_pandas(grouped, [lang_col, "s", "n"])
-    df = (df.groupby(lang_col, as_index=False).agg(s=("s", "sum"),
-                                                   n=("n", "sum"))
-          .sort_values(lang_col).reset_index(drop=True))
+    df = _lang_token_table(ds, lang_col, text_col, num_partitions)
     tok = df["s"].to_numpy(dtype="float64")
     p = tok / tok.sum()
     q = p ** alpha
@@ -735,24 +655,12 @@ def lang_mix_alpha_sql(table: str, lang_col: str, text_col: str, *,
 def _lang_token_table(ds, lang_col: str, text_col: str,
                       num_partitions: int | None) -> pd.DataFrame:
     """Shared lang-keyed (lang, n_tokens, n_docs) exchange used by the
-    mix/allocation finishers (lang_mix_weights' shape, factored out)."""
-    from ..state.groupby import collect_pandas, partition_reduce
-
-    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.assign(tok=token_counts(df[text_col]))
-                .groupby(lang_col, as_index=False)
-                .agg(s=("tok", "sum"), n=("tok", "size")))
-
-    def merge(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby(lang_col, as_index=False).agg(
-            s=("s", "sum"), n=("n", "sum"))
-
-    grouped = partition_reduce(
-        ds.map_batches(per_batch, batch_format="pandas"),
-        [lang_col], merge, num_partitions=num_partitions)
-    df = collect_pandas(grouped, [lang_col, "s", "n"])
-    return (df.groupby(lang_col, as_index=False)
-            .agg(s=("s", "sum"), n=("n", "sum"))
+    mix/allocation finishers: per language, s = tokens, n = docs."""
+    toks = ds.map_batches(
+        lambda df: df.assign(tok=token_counts(df[text_col])), batch_format="pandas")
+    grouped = group_agg(toks, [lang_col], {"s": ("tok", "sum"), "n": ("tok", "size")},
+                        num_partitions=num_partitions)
+    return (collect_pandas(grouped, [lang_col, "s", "n"])
             .sort_values(lang_col).reset_index(drop=True))
 
 
@@ -874,41 +782,30 @@ def compression_ratio_stats(ds, group_col: str, text_col: str, *,
     """
     import zlib
 
-    from ..state.groupby import partition_reduce
-
     _FP = 10 ** 9
 
-    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
+    def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         raw = df[text_col].fillna("").str.encode("utf-8")
         n = raw.str.len().to_numpy(dtype="int64")
         keep = n > 0
-        if not keep.any():
-            return pd.DataFrame({group_col: df[group_col].iloc[:0],
-                                 "n_docs": pd.Series(dtype="int64"),
-                                 "s": pd.Series(dtype="int64"),
-                                 "lo": pd.Series(dtype="int64"),
-                                 "hi": pd.Series(dtype="int64")})
         comp = np.fromiter((len(zlib.compress(b, level)) for b in raw[keep]),
                            dtype=np.int64, count=int(keep.sum()))
         r_fp = (comp * _FP) // n[keep]  # fixed-point 1e-9 ratio, exact
-        part = pd.DataFrame({group_col: df[group_col].to_numpy()[keep],
+        return pd.DataFrame({group_col: df[group_col].to_numpy()[keep],
                              "r": r_fp})
-        return part.groupby(group_col, as_index=False).agg(
-            n_docs=("r", "size"), s=("r", "sum"), lo=("r", "min"),
-            hi=("r", "max"))
 
-    def merge(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(group_col, as_index=False).agg(
-            n_docs=("n_docs", "sum"), s=("s", "sum"), lo=("lo", "min"),
-            hi=("hi", "max"))
+    def finish(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             group_col: g[group_col],
-            "n_docs": g["n_docs"].astype("int64"),
+            "n_docs": g["n_docs"],
             "mean_ratio": np.round(g["s"] / g["n_docs"] / _FP, round_to),
             "min_ratio": np.round(g["lo"] / _FP, round_to),
             "max_ratio": np.round(g["hi"] / _FP, round_to),
         })
 
-    return partition_reduce(ds.map_batches(per_batch, batch_format="pandas"),
-                            [group_col], merge,
-                            num_partitions=num_partitions)
+    return group_agg(
+        ds.map_batches(per_doc, batch_format="pandas"), [group_col],
+        {"n_docs": ("r", "size"), "s": ("r", "sum"), "lo": ("r", "min"),
+         "hi": ("r", "max")},
+        finish=finish, num_partitions=num_partitions,
+    )

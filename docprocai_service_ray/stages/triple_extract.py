@@ -18,6 +18,9 @@ import pyarrow.compute as pc
 from ..config import KGConfig
 from ..functions.sentences import split_sentences
 from ..functions.triples import _PHRASES, PREDICATES, extract_triples
+from .extract import EXTRACT_BATCH_SIZE
+
+TRIPLE_BATCH_SIZE = 1024  # sentence rows per extraction batch
 
 TRIPLES_RAW_SCHEMA = pa.schema(
     [
@@ -65,7 +68,7 @@ def build_triples_raw(sentences_ds, cfg: KGConfig):
     return sentences_ds.map_batches(
         triples_from_sentences,
         batch_format="pyarrow",
-        batch_size=cfg.triple_batch_size,
+        batch_size=TRIPLE_BATCH_SIZE,
     )
 
 
@@ -93,5 +96,5 @@ def build_triples_raw_fused(docs_ds, cfg: KGConfig):
     return docs_ds.select_columns(["url", "warc_ts", "text"]).map_batches(
         triples_from_docs,
         batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
+        batch_size=EXTRACT_BATCH_SIZE,
     )

@@ -127,13 +127,11 @@ def unigram_train(ds, text_col: str, *, vocab_size: int = 512,
             c = _seed_counts(df["word"], df["n"].to_numpy())
             return pd.DataFrame({"piece": list(c), "n": list(c.values())})
 
-        from ..state.groupby import partition_reduce
+        from ..state.groupby import group_agg
 
-        seed_df = partition_reduce(
+        seed_df = group_agg(
             wc_ds.map_batches(seed_partial, batch_format="pandas"),
-            ["piece"],
-            lambda p: p.groupby("piece", as_index=False)["n"].sum(),
-            num_partitions=num_partitions,
+            ["piece"], {"n": ("n", "sum")}, num_partitions=num_partitions,
         ).to_pandas()  # vocab-sized collect
         seed = dict(zip(seed_df["piece"], seed_df["n"].astype(int)))
 
@@ -160,13 +158,11 @@ def unigram_train(ds, text_col: str, *, vocab_size: int = 512,
                         c[p] = c.get(p, 0) + int(n)
                 return pd.DataFrame({"piece": list(c), "n": list(c.values())})
 
-            from ..state.groupby import partition_reduce
+            from ..state.groupby import group_agg
 
-            agg = partition_reduce(
+            agg = group_agg(
                 wc_ds.map_batches(e_partial, batch_format="pandas"),
-                ["piece"],
-                lambda p: p.groupby("piece", as_index=False)["n"].sum(),
-                num_partitions=num_partitions,
+                ["piece"], {"n": ("n", "sum")}, num_partitions=num_partitions,
             ).to_pandas()
             new = dict(zip(agg["piece"], agg["n"].astype(int)))
         return _prune(new, keep, chars)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..state.groupby import partition_reduce
+from ..state.groupby import group_agg, partition_reduce
 
 
 def session_stats(events_ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -65,20 +65,13 @@ def sliding_counts(events_ds, *, ts_col: str = "ts", key_col: str = "event_type"
                 "window_start": start.dt.strftime("%Y-%m-%d %H:%M:%S"),
                 "key": df[key_col].values,
             }))
-        out = pd.concat(frames, ignore_index=True)
-        return out.groupby(["window_start", "key"], as_index=False).agg(
-            n=("key", "size")
-        )
+        return pd.concat(frames, ignore_index=True)
 
-    def merge(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(["window_start", "key"], as_index=False).agg(n=("n", "sum"))
-        return out.astype({"n": "int64"})
-
-    partials = events_ds.select_columns([ts_col, key_col]).map_batches(
+    slots = events_ds.select_columns([ts_col, key_col]).map_batches(
         explode, batch_format="pandas"
     )
-    return partition_reduce(partials, ["window_start", "key"], merge,
-                            num_partitions=None)  # auto-size
+    return group_agg(slots, ["window_start", "key"], {"n": ("key", "size")},
+                     num_partitions=None)  # auto-size
 
 
 # --------------------- SQL window-function / rollup analogs -----------------
@@ -145,6 +138,29 @@ def running_group_agg(ds, key_cols: list[str], order_cols: list[str],
     return partition_reduce(ds, key_cols, reduce, num_partitions=num_partitions)
 
 
+def _grouping_sets(ds, keys: list[str], val_col: str, rolled: list[list[str]],
+                   total_label: str, num_partitions: int | None, sum_col: str,
+                   count_col: str, round_to: int | None):
+    """Grouped sum+count per grouping set in one pass: each entry of
+    ``rolled`` names the key columns that set shows as ``total_label``.
+    Each batch's finest partial is copied once per set, so every set's
+    rows combine in the same ``group_agg``."""
+
+    def expand(df: pd.DataFrame) -> pd.DataFrame:
+        finest = df.groupby(keys, as_index=False).agg(
+            **{sum_col: (val_col, "sum"), count_col: (val_col, "size")})
+        return pd.concat([finest.assign(**dict.fromkeys(cols, total_label))
+                          for cols in rolled], ignore_index=True)
+
+    return group_agg(
+        ds.map_batches(expand, batch_format="pandas"), keys,
+        {sum_col: (sum_col, "sum"), count_col: (count_col, "sum")},
+        finish=None if round_to is None else (
+            lambda g: g.round({sum_col: round_to})),
+        num_partitions=num_partitions,
+    )
+
+
 def rollup_aggregate(ds, keys: list[str], val_col: str, *,
                      total_label: str = "ALL", num_partitions: int | None = None,
                      sum_col: str = "total", count_col: str = "n",
@@ -154,35 +170,10 @@ def rollup_aggregate(ds, keys: list[str], val_col: str, *,
     key columns shown as ``total_label``. Input key columns must not
     contain ``total_label`` themselves (SQL ROLLUP has the same NULL
     ambiguity)."""
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        finest = df.groupby(keys, as_index=False).agg(
-            __s=(val_col, "sum"), __n=(val_col, "size")
-        )
-        levels = [finest]
-        for lvl in range(len(keys) - 1, -1, -1):
-            rolled = finest.copy()
-            for c in keys[lvl:]:
-                rolled[c] = total_label
-            levels.append(rolled)
-        out = pd.concat(levels, ignore_index=True)
-        return out.groupby(keys, as_index=False).agg(
-            __s=("__s", "sum"), __n=("__n", "sum")
-        )
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(keys, as_index=False).agg(
-            **{sum_col: ("__s", "sum"), count_col: ("__n", "sum")}
-        )
-        if round_to is not None:
-            out[sum_col] = out[sum_col].round(round_to)
-        out[count_col] = out[count_col].astype("int64")
-        return out
-
-    return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"), keys, final,
-        num_partitions=num_partitions,
-    )
+    return _grouping_sets(ds, keys, val_col,
+                          [keys[i:] for i in range(len(keys), -1, -1)],
+                          total_label, num_partitions, sum_col, count_col,
+                          round_to)
 
 
 def sessionize(events_ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -222,37 +213,10 @@ def cube_aggregate(ds, keys: list[str], val_col: str, *,
     one pass — same finest-partial expansion as :func:`rollup_aggregate`
     but over all 2^k masks instead of the k+1 prefixes. ``keys`` is
     small by contract (2^k output families)."""
-    n_keys = len(keys)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        finest = df.groupby(keys, as_index=False).agg(
-            __s=(val_col, "sum"), __n=(val_col, "size")
-        )
-        levels = []
-        for mask in range(1 << n_keys):
-            rolled = finest.copy()
-            for i, c in enumerate(keys):
-                if mask & (1 << i):
-                    rolled[c] = total_label
-            levels.append(rolled)
-        out = pd.concat(levels, ignore_index=True)
-        return out.groupby(keys, as_index=False).agg(
-            __s=("__s", "sum"), __n=("__n", "sum")
-        )
-
-    def final(part: pd.DataFrame) -> pd.DataFrame:
-        out = part.groupby(keys, as_index=False).agg(
-            **{sum_col: ("__s", "sum"), count_col: ("__n", "sum")}
-        )
-        if round_to is not None:
-            out[sum_col] = out[sum_col].round(round_to)
-        out[count_col] = out[count_col].astype("int64")
-        return out
-
-    return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"), keys, final,
-        num_partitions=num_partitions,
-    )
+    masks = [[c for i, c in enumerate(keys) if m & (1 << i)]
+             for m in range(1 << len(keys))]
+    return _grouping_sets(ds, keys, val_col, masks, total_label,
+                          num_partitions, sum_col, count_col, round_to)
 
 
 def grouped_ntile(ds, keys: list[str], order_col: str, n_tiles: int, *,

@@ -114,7 +114,7 @@ def winnow_overlap_pairs(ds, id_col: str = "doc_id",
     pathological boilerplate fps and is LOGGED when it engages; the SQL
     twin is exact while no posting exceeds the cap), then a pair-keyed
     partial-sum exchange. Nothing text-sized moves."""
-    from ..state.groupby import partition_reduce
+    from ..state.groupby import group_agg, partition_reduce
     from .dedup import _pairs_in_bucket
 
     fps = winnow_fingerprints(ds, id_col, text_col, k=k, w=w)
@@ -131,25 +131,15 @@ def winnow_overlap_pairs(ds, id_col: str = "doc_id",
                 rows_a.append(a)
                 rows_b.append(b)
         dt = part[id_col].dtype  # id dtype rides through (string or int ids)
-        pairs = pd.DataFrame({"doc_a": pd.Series(rows_a, dtype=dt),
-                              "doc_b": pd.Series(rows_b, dtype=dt)})
-        if not len(pairs):
-            pairs["n"] = pd.Series([], dtype="int64")
-            return pairs
-        return pairs.groupby(["doc_a", "doc_b"], as_index=False
-                             ).size().rename(columns={"size": "n"})
+        return pd.DataFrame({"doc_a": pd.Series(rows_a, dtype=dt),
+                             "doc_b": pd.Series(rows_b, dtype=dt)})
 
-    pair_counts = partition_reduce(fps, ["fp"], emit_pairs,
-                                   num_partitions=num_partitions)
-
-    def fold(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(["doc_a", "doc_b"], as_index=False)["n"].sum()
-        g = g[g["n"] >= min_shared]
-        return g.rename(columns={"n": "n_shared"}).astype(
-            {"n_shared": "int64"})
-
-    return partition_reduce(pair_counts, ["doc_a", "doc_b"], fold,
-                            num_partitions=num_partitions)
+    # one row per shared fingerprint: the pair's count is its row count
+    pairs = partition_reduce(fps, ["fp"], emit_pairs,
+                             num_partitions=num_partitions)
+    return group_agg(pairs, ["doc_a", "doc_b"], {"n_shared": ("doc_a", "size")},
+                     finish=lambda g: g[g["n_shared"] >= min_shared],
+                     num_partitions=num_partitions)
 
 
 def winnow_sql(table: str, id_col: str, text_col: str, *, k: int = 8,

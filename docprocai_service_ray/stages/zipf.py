@@ -25,25 +25,14 @@ from .ngramlm import _TOKEN_RE
 
 
 def _word_counts(ds, text_col: str, num_partitions: int | None):
-    from ..state.groupby import partition_reduce
-
-    def _empty() -> pd.DataFrame:
-        return pd.DataFrame({"w": pd.Series([], dtype=object),
-                             "c": pd.Series([], dtype="int64")})
+    from ..state.groupby import group_agg
 
     def toks(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):  # column-less empty blocks carry no text col
-            return _empty()
         t = df[text_col].fillna("").str.lower().str.findall(_TOKEN_RE)
-        e = pd.DataFrame({"w": t}).explode("w").dropna()
-        return e.groupby("w", as_index=False).agg(c=("w", "size"))
+        return pd.DataFrame({"w": t}).explode("w").dropna()
 
-    def merge(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("w", as_index=False).agg(c=("c", "sum"))
-        return g.astype({"c": "int64"})
-
-    return partition_reduce(ds.map_batches(toks, batch_format="pandas"),
-                            ["w"], merge, num_partitions=num_partitions)
+    return group_agg(ds.map_batches(toks, batch_format="pandas"), ["w"],
+                     {"c": ("w", "size")}, num_partitions=num_partitions)
 
 
 def zipf_law_stats(ds, text_col: str, *, top_k: int = 1000,

@@ -11,9 +11,13 @@ prefilter, the triple aggregation's partials and PageRank's edge buckets
 all place keys this way. Outputs depend only on the keys, never on the
 partition a key lands in.
 
-Skew note: a head key's rows land in one partition, so callers must
-pre-aggregate per batch first (phase 0) so no single key's row count is
-proportional to the corpus — the standard partial+final pattern.
+Skew note: a head key's rows land in one partition, so a grouped
+aggregate must pre-aggregate per batch first (phase 0) so no single key's
+row count is proportional to the corpus — the standard partial+final
+pattern. :func:`group_agg` does phase 0 and the final combine from one
+spec; :func:`partition_reduce` is for per-partition work that is not a
+regroup over its own partition key (dedup, top-k, ``nunique``, joins of
+partials, grouping by a finer key than the partition key).
 """
 
 from __future__ import annotations
@@ -88,6 +92,44 @@ def partition_reduce(
 
     return _group_parts(ds.map_batches(tag, batch_format="pandas"),
                         reduce_partition)
+
+
+# how each phase-0 partial combines in the final phase
+_COMBINE = {"sum": "sum", "size": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def group_agg(ds, keys: list[str], aggs: dict[str, tuple[str, str]], *,
+              finish: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
+              num_partitions: int | None = None):
+    """Grouped aggregate ``GROUP BY keys`` as pandas named aggregation:
+    ``aggs`` maps ``out -> (col, fn)`` with ``fn`` in sum/size/count/min/
+    max. Phase 0 runs ``groupby(keys).agg(**aggs)`` once per batch (so the
+    exchange carries O(groups × batches) rows, never O(rows)); the final
+    phase combines the partials per hash partition (:func:`partition_reduce`):
+    ``size``/``count`` by sum, ``sum`` by sum, ``min``/``max`` by min/max.
+    Counts and integer sums come out int64. ``finish(df)`` (rounding,
+    ratios, filters) runs on each partition's combined frame. Null keys
+    drop out, as in pandas and in both phases."""
+    keys = list(keys)
+    for out, (_, fn) in aggs.items():
+        if fn not in _COMBINE:
+            raise ValueError(f"group_agg: {out!r} uses {fn!r}; "
+                             f"supported: {sorted(_COMBINE)}")
+    final = {out: (out, _COMBINE[fn]) for out, (_, fn) in aggs.items()}
+    counts = [out for out, (_, fn) in aggs.items() if fn in ("size", "count")]
+    sums = [out for out, (_, fn) in aggs.items() if fn == "sum"]
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(keys, as_index=False, sort=False).agg(**aggs)
+
+    def combine(part: pd.DataFrame) -> pd.DataFrame:
+        out = part.groupby(keys, as_index=False).agg(**final)
+        ints = counts + [c for c in sums if out[c].dtype.kind in "iub"]
+        out = out.astype({c: "int64" for c in ints})
+        return finish(out) if finish else out
+
+    return partition_reduce(ds.map_batches(partial, batch_format="pandas"),
+                            keys, combine, num_partitions)
 
 
 def distinct_rows(ds, key_cols: list[str], num_partitions: int | None = None):

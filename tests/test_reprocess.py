@@ -90,6 +90,24 @@ def test_reprocess_is_idempotent(corpus_path, tmp_path):
     assert _table_rows(res["docs"], STAGES["docs"]) == baseline_docs
 
 
+@pytest.mark.parametrize("marker", [
+    {"sources": [{"pages_path": "a", "urls": ["u1", "u2"]},
+                 {"pages_path": "b", "urls": ["u2", "u3"]}]},
+    {"urls": ["u1", "u2", "u3"]},
+], ids=["sources", "legacy_urls"])
+def test_resume_refusal_counts_pending_urls(corpus_path, tmp_path, marker):
+    """The refusal names how many urls the pending cascade holds, for the
+    per-source marker reprocess_urls writes and for the legacy flat one."""
+    from docprocai_service_ray.state.manifest import begin_inflight
+
+    cfg = KGConfig()
+    out_dir = str(tmp_path / "kg")
+    begin_inflight(out_dir, "reprocess", marker)
+    with pytest.raises(RuntimeError, match=r"cascade \(3 urls\)"):
+        run_kg(corpus_path, alias_dict_table(42, cfg.embedding_dim), cfg,
+               out_dir=out_dir, resume=True)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_interrupted_cascade_detected_and_redriven(corpus_path, tmp_path):
     """ADVICE r2: a crash mid-cascade leaves an in-flight marker; resume

@@ -66,14 +66,14 @@ class TestAutoFanIn:
 
 
 class TestStreamingFusedGate:
-    def test_oversized_streaming_fused_raises(self, corpus_path):
-        import dataclasses
-
+    def test_oversized_streaming_fused_raises(self, corpus_path, monkeypatch):
         from docprocai_service_ray.config import KGConfig
+        from docprocai_service_ray.pipelines import kg
         from docprocai_service_ray.pipelines.kg import run_kg
         from docprocai_service_ray.sources.webgen import alias_dict_table
 
-        cfg = dataclasses.replace(KGConfig(), streaming_fused_max_bytes=1)
+        cfg = KGConfig()
+        monkeypatch.setattr(kg, "STREAMING_FUSED_MAX_BYTES", 1)
         with pytest.raises(ValueError, match="out_dir"):
             run_kg(corpus_path, alias_dict_table(42, cfg.embedding_dim),
                    cfg, with_link_graph=True)  # streaming (out_dir=None)
