@@ -41,18 +41,20 @@ def surface_bands(surface: str, a: np.ndarray, b: np.ndarray, k: int, bands: int
     return band_keys(sig, bands)
 
 
-def bucket_candidate_pairs(surfaces: list[str], pair_cap: int = PAIR_CAP) -> list[tuple[str, str]]:
-    """Candidate pairs within one band bucket. Deterministic: surfaces are
-    sorted; small buckets emit all pairs, large buckets a STAR on the min
-    member (same pre-verification connectivity at O(n) pairs, but component
-    diameter stays 2 so distributed min-label propagation converges in O(1)
-    rounds — a consecutive chain would need O(bucket size) rounds)."""
-    ss = sorted(set(surfaces))
+def bucket_candidate_pairs(members: list, pair_cap: int = PAIR_CAP) -> list[tuple]:
+    """Candidate pairs within one bucket (an LSH band of surfaces or doc
+    ids, a shared winnow fingerprint). Deterministic: members are sorted
+    and distinct; small buckets emit all pairs, large buckets a STAR on the
+    min member (same pre-verification connectivity at O(n) pairs, but
+    component diameter stays 2 so distributed min-label propagation
+    converges in O(1) rounds — a consecutive chain would need O(bucket
+    size) rounds). The cap event is logged."""
+    ss = sorted(set(members))
     if len(ss) < 2:
         return []
     if len(ss) <= pair_cap:
         return [(ss[i], ss[j]) for i in range(len(ss)) for j in range(i + 1, len(ss))]
-    _log.warning("bucket pair cap engaged: %d surfaces > cap %d, star-capped", len(ss), pair_cap)
+    _log.warning("bucket pair cap engaged: %d members > cap %d, star-capped", len(ss), pair_cap)
     return [(ss[0], ss[i]) for i in range(1, len(ss))]
 
 

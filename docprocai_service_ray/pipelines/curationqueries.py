@@ -483,7 +483,6 @@ def _domain_scorecard(sf_dir: str):
     stages/domains + stages/textstats.quality_score + stages/lexgate
     over planted urls). Partial pre-agg per batch; one domain-keyed
     exchange. REAL-SQL-oracled end to end."""
-    import numpy as np
     import pandas as pd
 
     from docprocai_service_ray.stages.domains import add_registrable_domain
@@ -590,8 +589,6 @@ def _corpus_datasheet(sf_dir: str):
     source-keyed partition_reduce; fp rows are 16-byte hashes (the
     exact_dedup discipline — dup detection inherently co-locates a
     source's fingerprints). REAL-SQL-oracled end to end."""
-    import re as _re
-
     import pandas as pd
 
     from docprocai_service_ray.stages.lexgate import _hit_mask

@@ -60,6 +60,17 @@ def read_web_pages(path: str | list[str]):
     )
 
 
+def _fused_docs(pages, cfg: KGConfig):
+    """Fused link extraction front end: ``(docs_all, docs)``. Every capture
+    is parsed ONCE with its link partials (``docs_all``, materialized: the
+    tee point the link graph reads); ``docs`` is url-deduped and
+    empty-dropped from it without re-extraction."""
+    docs_all = extract_docs(pages, cfg, emit_links=True).materialize()
+    docs = drop_empty(
+        dedup_urls(docs_all.select_columns(list(DOCS_SCHEMA.names)), cfg))
+    return docs_all, docs
+
+
 def _page_files(pages_path: str) -> list[str]:
     import glob
     import os
@@ -165,10 +176,8 @@ def reprocess_urls(
     # derives from the same pass instead of re-scanning the slice's html.
     link_mode = is_stage_done(out_dir, "url_links") and not cfg.filter_langs
     if link_mode:
-        docs_all_new = extract_docs(pages, cfg, emit_links=True).materialize()
-        docs_new = drop_empty(
-            dedup_urls(docs_all_new.select_columns(list(DOCS_SCHEMA.names)), cfg)
-        ).materialize()
+        docs_all_new, docs_new = _fused_docs(pages, cfg)
+        docs_new = docs_new.materialize()
     else:
         docs_new = build_docs(pages, cfg).materialize()
     sentences_new = build_sentences(docs_new, cfg).materialize()
@@ -341,10 +350,7 @@ def run_kg(
                     f"pass out_dir=... to run the checkpointed mode, which "
                     f"tees the fused table through Parquet instead"
                 )
-            docs_all = extract_docs(pages, cfg, emit_links=True).materialize()
-            docs = drop_empty(
-                dedup_urls(docs_all.select_columns(list(DOCS_SCHEMA.names)), cfg)
-            )
+            docs_all, docs = _fused_docs(pages, cfg)
         else:
             docs = build_docs(read_web_pages(pages_path), cfg)
         # fused segment+extract: the sentences table is derived lazily for

@@ -305,7 +305,6 @@ def _bpe_token_stats(sf_dir: str):
     subword tokens + distinct token types — the fertility check run after
     tokenizer training. Pure map over the corpus (merge table ships in
     the closure, per-word memoized) + lang-keyed partial reduce."""
-    import numpy as np
     import pandas as pd
 
     from docprocai_service_ray.stages.bpe import bpe_apply, bpe_train

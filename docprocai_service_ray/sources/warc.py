@@ -201,8 +201,6 @@ def export_warc(ds, out_dir: str, *, gzip_records: bool = True) -> "object":
     import os
     import uuid
 
-    import pandas as pd
-
     os.makedirs(out_dir, exist_ok=True)
     ext = ".warc.gz" if gzip_records else ".warc"
 

@@ -19,7 +19,6 @@ chunk.
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 _TOKEN_RE = r"\S+"  # whitespace tokens — chunking must not drop bytes

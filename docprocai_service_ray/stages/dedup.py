@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.canon import bucket_candidate_pairs
 from ..functions.hashing import jaccard, minhash_params, minhash_signature, simhash64
 from ..state.tier import choose_tier
 from .common import pool_size
@@ -65,18 +66,6 @@ def word_shingles(text: str, k: int) -> set[str]:
     if len(ws) <= k:
         return {" ".join(ws)} if ws else set()
     return {" ".join(ws[i : i + k]) for i in range(len(ws) - k + 1)}
-
-
-def _pairs_in_bucket(ids: list, cap: int) -> list[tuple]:
-    """All pairs for small buckets; a star on the min id above ``cap``
-    (O(n) pairs, connectivity preserved, component diameter 2)."""
-    ids = sorted(set(ids))
-    if len(ids) < 2:
-        return []
-    if len(ids) <= cap:
-        return [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
-    _log.warning("dedup pair cap engaged: bucket of %d ids > cap %d, star-capped", len(ids), cap)
-    return [(ids[0], ids[i]) for i in range(1, len(ids))]
 
 
 class _MinhashSig:
@@ -173,7 +162,7 @@ def minhash_lsh_pairs(
         part = part[part.duplicated("band", keep=False)]
         out_a, out_b = [], []
         for _, g in part.groupby("band", sort=False):
-            for p in _pairs_in_bucket(g["id"].tolist(), DEDUP_PAIR_CAP):
+            for p in bucket_candidate_pairs(g["id"].tolist(), DEDUP_PAIR_CAP):
                 out_a.append(p[0])
                 out_b.append(p[1])
         return pd.DataFrame({"id_a": out_a, "id_b": out_b})
@@ -667,7 +656,7 @@ def minhash_threshold_profile(ds, id_col: str, text_col: str, *,
             part = part[part.duplicated("band", keep=False)]
             out_a, out_b = [], []
             for _, g in part.groupby("band", sort=False):
-                for p in _pairs_in_bucket(g["id"].tolist(), DEDUP_PAIR_CAP):
+                for p in bucket_candidate_pairs(g["id"].tolist(), DEDUP_PAIR_CAP):
                     out_a.append(p[0])
                     out_b.append(p[1])
             return pd.DataFrame({"id_a": out_a, "id_b": out_b})

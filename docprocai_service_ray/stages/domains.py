@@ -20,7 +20,6 @@ domain-keyed reduce (hub domains concentrate counts, never rows).
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 # common 2-label public suffixes (PSL excerpt — enough to make the rule

@@ -21,7 +21,6 @@ one group-keyed int exchange.
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 _WORD_RE = r"\S+"

@@ -20,7 +20,6 @@ group-keyed int exchange.
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 _TOKEN_RE = r"[a-z]+"

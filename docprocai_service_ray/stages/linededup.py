@@ -35,7 +35,6 @@ boilerplate_stats (detection) — this is the removal.
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from ..state.groupby import partition_reduce

@@ -267,8 +267,6 @@ def host_pagerank(pages=None, *, edges=None, iters: int = 20,
     host's rank over its out-links proportional to LINK COUNTS (n_links)
     instead of uniformly over distinct target hosts — the classic
     multiplicity-aware web PageRank."""
-    import pyarrow as pa
-
     from .graph import pagerank
 
     if edges is None:

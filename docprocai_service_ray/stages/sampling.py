@@ -89,8 +89,6 @@ def split_train_holdout(ds, key_col: str, holdout_rate: float, *, seed: int = 42
 
 def stratified_rates_check(sampled_ds, full_counts: dict, by: str) -> pa.Table:
     """Diagnostic: per-stratum achieved rate vs corpus counts (tiny)."""
-    import pyarrow.compute as pc  # noqa: F401  (vectorized count path)
-
     counts = (
         sampled_ds.groupby(by)
         .count()

@@ -31,7 +31,7 @@ Scale shape:
 - the emitted table is the DISTINCT fingerprint set (consecutive windows
   repeat their min; dedup happens in-batch before anything moves);
 - overlap pairs group the (fp → docs) postings with the same star-cap
-  discipline as MinHash buckets (stages/dedup._pairs_in_bucket): a
+  discipline as MinHash buckets (functions/canon.bucket_candidate_pairs): a
   boilerplate fingerprint shared by thousands of docs emits O(n) star
   edges, not O(n²), and the cap event is logged. Pair counting is a
   (doc_a, doc_b)-keyed partial-sum exchange — ids and hashes move, never
@@ -41,11 +41,8 @@ Scale shape:
 from __future__ import annotations
 
 import hashlib
-import logging
 
 import pandas as pd
-
-_log = logging.getLogger(__name__)
 
 WINNOW_PAIR_CAP = 200  # per-fingerprint posting cap (star keeps connectivity)
 
@@ -114,20 +111,15 @@ def winnow_overlap_pairs(ds, id_col: str = "doc_id",
     pathological boilerplate fps and is LOGGED when it engages; the SQL
     twin is exact while no posting exceeds the cap), then a pair-keyed
     partial-sum exchange. Nothing text-sized moves."""
+    from ..functions.canon import bucket_candidate_pairs
     from ..state.groupby import group_agg, partition_reduce
-    from .dedup import _pairs_in_bucket
 
     fps = winnow_fingerprints(ds, id_col, text_col, k=k, w=w)
 
     def emit_pairs(part: pd.DataFrame) -> pd.DataFrame:
         rows_a, rows_b = [], []
         for _, g in part.groupby("fp"):
-            ids = sorted(g[id_col].tolist())
-            if len(ids) > pair_cap:
-                _log.warning(
-                    "winnow pair cap engaged: fp shared by %d docs > cap %d,"
-                    " star-capped", len(ids), pair_cap)
-            for a, b in _pairs_in_bucket(ids, pair_cap):
+            for a, b in bucket_candidate_pairs(g[id_col].tolist(), pair_cap):
                 rows_a.append(a)
                 rows_b.append(b)
         dt = part[id_col].dtype  # id dtype rides through (string or int ids)

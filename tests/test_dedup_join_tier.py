@@ -1,10 +1,13 @@
 """Winners-too-large-to-broadcast url-dedup tier (VERDICT r2 #2): when the
 winner set exceeds extract.WINNERS_BROADCAST_MAX, both dedup paths must
 switch to the distributed hash-join filter and produce IDENTICAL output to
-the broadcast path — forced here via ``state.tier.forced``."""
+the broadcast path — forced here via ``state.tier.forced``. The middle
+tier (distributed winners, broadcast filter) is reached by lowering
+``driver_dedup_max`` instead."""
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 
 import pyarrow as pa
@@ -17,7 +20,6 @@ from docprocai_service_ray.stages.extract import (
     DOCS_SCHEMA,
     build_docs,
     dedup_urls,
-    dedup_urls_meta,
     drop_empty,
     extract_docs,
 )
@@ -88,10 +90,30 @@ def test_docs_join_tier_matches_broadcast(ray_session):
     assert got == base and len(base) == 30 + 5 + 3 + 20
 
 
+def _from_pages(pages, cfg):
+    return build_docs(pages, cfg)
+
+
+def _from_docs(pages, cfg):
+    return drop_empty(dedup_urls(extract_docs(pages, cfg).materialize(), cfg))
+
+
+@pytest.mark.parametrize("path", [_from_pages, _from_docs],
+                         ids=["build_docs", "dedup_urls"])
+def test_broadcast_winners_tier_matches_driver(ray_session, path):
+    """``driver_dedup_max=0``: winners come from the distributed
+    ``partition_reduce`` and are broadcast, not collected from the
+    projection on the driver."""
+    base = _docs_key(path(_pages_ds(), KGConfig()))
+    cfg = dataclasses.replace(KGConfig(), driver_dedup_max=0)
+    got = _docs_key(path(_pages_ds().repartition(7), cfg))
+    assert got == base and len(base) == 30 + 5 + 3 + 20
+
+
 @pytest.mark.parametrize("tier", ["driver", "distributed"])
 @pytest.mark.parametrize("dedup, schema", [(dedup_urls, DOCS_SCHEMA),
-                                           (dedup_urls_meta, WEB_PAGES_SCHEMA)],
-                         ids=["dedup_urls", "dedup_urls_meta"])
+                                           (build_docs, WEB_PAGES_SCHEMA)],
+                         ids=["dedup_urls", "build_docs"])
 def test_empty_input_keeps_docs_schema(ray_session, tier, dedup, schema):
     """No rows in → no rows out, typed like any docs table, on both tiers."""
     with forced(tier):
