@@ -49,7 +49,7 @@ DEFAULT_SAMPLE_RATE = 0.5
 def curate_documents(sf_dir: str, *, langs=DEFAULT_LANGS,
                      min_quality: float = DEFAULT_MIN_QUALITY,
                      sample_rate: float = DEFAULT_SAMPLE_RATE,
-                     seed: int = 42, num_partitions: int | None = None):
+                     seed: int = 42):
     """→ Dataset(doc_id, lang, tok, quality): the curated keep-set."""
     from ..state.groupby import partition_reduce
 
@@ -84,8 +84,7 @@ def curate_documents(sf_dir: str, *, langs=DEFAULT_LANGS,
             .drop(columns="h")
         )
 
-    deduped = partition_reduce(hashed, ["h"], keep_min_id,
-                               num_partitions=num_partitions)
+    deduped = partition_reduce(hashed, ["h"], keep_min_id)
     return hash_sample(deduped, "doc_id", sample_rate, seed=seed)
 
 
@@ -158,7 +157,7 @@ def release_documents(sf_dir: str | None, *, docs=None,
                       nd_threshold: float = 0.9,
                       residual_min_words: int = 5,
                       holdout_rate: float = 0.2, seed: int = 42,
-                      cfg=None, num_partitions: int | None = None,
+                      cfg=None,
                       stage_counts: dict | None = None):
     """The end-to-end curation RELEASE flow over the documents table —
     the chain an open-data corpus release actually runs (C4 §2.2 /
@@ -215,8 +214,7 @@ def release_documents(sf_dir: str | None, *, docs=None,
                                  stop_min=stop_min), "gopher_gate")
     clean = _count(blockword_filter(gated, "text", list(blockwords)),
                    "blockword_gate")
-    deduped_lines = line_dedup(clean, "doc_id", "text",
-                               num_partitions=num_partitions).drop_columns(
+    deduped_lines = line_dedup(clean, "doc_id", "text").drop_columns(
         ["n_lines", "n_kept"])
 
     # residual gate: a doc whose text line dedup mostly emptied (e.g. the
@@ -235,8 +233,7 @@ def release_documents(sf_dir: str | None, *, docs=None,
         stage_counts["line_dedup_residual"] = rewritten.count()
     kbs = keep_best_and_split(
         rewritten, "doc_id", "text", threshold=nd_threshold,
-        holdout_rate=holdout_rate, seed=seed, cfg=cfg,
-        num_partitions=num_partitions)
+        holdout_rate=holdout_rate, seed=seed, cfg=cfg)
 
     def keepers(df: pd.DataFrame) -> pd.DataFrame:
         k = df[df["keep"]] if len(df) else df
@@ -344,7 +341,6 @@ def publish_training_shards(sf_dir: str | None, *, docs=None,
                             seq_len: int = 512, n_shards: int = 8,
                             split: str = "train", seed: int = 42,
                             out_dir: str | None = None,
-                            num_partitions: int | None = None,
                             **release_kwargs):
     """Released corpus → trainer-ready shard streams:
 
@@ -372,15 +368,13 @@ def publish_training_shards(sf_dir: str | None, *, docs=None,
     from ..state.joins import hash_join
 
     released = release_documents(sf_dir, docs=docs, seed=seed,
-                                 num_partitions=num_partitions,
                                  **release_kwargs)
 
     def side(df: pd.DataFrame) -> pd.DataFrame:
         return df[df["split"] == split] if len(df) else df
 
     part = released.map_batches(side, batch_format="pandas").materialize()
-    shards = shard_shuffle(part, "doc_id", n_shards, seed=seed,
-                           num_partitions=num_partitions)
+    shards = shard_shuffle(part, "doc_id", n_shards, seed=seed)
 
     def meta(df: pd.DataFrame) -> pd.DataFrame:
         cols = ["doc_id", "lang", "source", "n_tokens"]
@@ -413,8 +407,7 @@ def publish_training_shards(sf_dir: str | None, *, docs=None,
                 else grp.assign(start_seq=pd.Series([], dtype="int64"),
                                 end_seq=pd.Series([], dtype="int64")))
 
-    packed = partition_reduce(tagged, ["shard"], pack_shard,
-                              num_partitions=num_partitions)
+    packed = partition_reduce(tagged, ["shard"], pack_shard)
 
     if out_dir is not None:
         from ..sources.export import export_jsonl

@@ -91,8 +91,7 @@ def build_bpe_vocab(ds, text_col: str, merges: pd.DataFrame) -> pd.DataFrame:
 
 def export_token_shards(ds, out_dir: str, id_col: str, text_col: str,
                         merges: pd.DataFrame, vocab: pd.DataFrame, *,
-                        n_shards: int = 8, seed: int = 42,
-                        num_partitions: int | None = None) -> pd.DataFrame:
+                        n_shards: int = 8, seed: int = 42) -> pd.DataFrame:
     """Encode, shuffle and publish the corpus as tokenized binary shards.
     Returns the manifest DataFrame(shard, file, n_docs, n_tokens, n_bytes,
     sha256) and writes ``manifest.json`` (sources/export.verify_export
@@ -127,7 +126,7 @@ def export_token_shards(ds, out_dir: str, id_col: str, text_col: str,
 
     with_ids = encoded.map_batches(to_ids, batch_format="pandas")
     shards = shard_shuffle(ds.select_columns([id_col]), id_col, n_shards,
-                           seed=seed, num_partitions=num_partitions)
+                           seed=seed)
     tagged = hash_join(with_ids, shards, on=id_col)
 
     def write_shard(part: pd.DataFrame) -> pd.DataFrame:
@@ -174,8 +173,7 @@ def export_token_shards(ds, out_dir: str, id_col: str, text_col: str,
         return pd.DataFrame(rows)
 
     manifest = collect_pandas(
-        partition_reduce(tagged, ["shard"], write_shard,
-                         num_partitions=num_partitions),
+        partition_reduce(tagged, ["shard"], write_shard),
         ["shard", "file", "n_docs", "n_tokens", "n_bytes", "sha256"]
     ).sort_values("shard").reset_index(drop=True)
     manifest = manifest.astype({"shard": "int64", "n_docs": "int64",

@@ -58,8 +58,7 @@ def _unit(mat: np.ndarray) -> np.ndarray:
 def bitext_margin_pairs(src, tgt, *, id_col: str = "vec_id",
                         emb_col: str = "embedding", k: int = 4,
                         margin_threshold: float = 1.0, round_to: int = 6,
-                        mutual: bool = False,
-                        num_partitions: int | None = None):
+                        mutual: bool = False):
     """Mined (src_id, tgt_id, cos, margin) pairs: each target's best
     source by micro-unit cosine (id ASC tie-break), kept when the ratio
     margin ≥ ``margin_threshold``; ``mutual=True`` additionally requires
@@ -148,7 +147,7 @@ def bitext_margin_pairs(src, tgt, *, id_col: str = "vec_id",
         passes.map_batches(
             lambda df: _kind(df, "b", ["src_id", "tgt_id", "ci"]),
             batch_format="pandas"),
-        ["src_id"], back_fold, num_partitions=num_partitions)
+        ["src_id"], back_fold)
 
     joined = hash_join(fwd, back, on="src_id")
 

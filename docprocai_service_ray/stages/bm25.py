@@ -34,7 +34,7 @@ _TOKEN_RE = r"[a-z]+"
 
 def bm25_topk(ds, id_col: str, text_col: str, query_terms: list[str], *,
               k: int = 10, k1: float = 1.2, b: float = 0.75,
-              num_partitions: int | None = None, round_to: int = 6):
+              round_to: int = 6):
     """Top-k (id, score) rows for a bag-of-words query."""
     terms = sorted(set(t.lower() for t in query_terms))
 
@@ -108,7 +108,7 @@ def bm25_topk(ds, id_col: str, text_col: str, query_terms: list[str], *,
 
     scored = partition_reduce(
         cand.map_batches(contrib, batch_format="pandas"),
-        [id_col], per_doc, num_partitions=num_partitions)
+        [id_col], per_doc)
     return scored.sort(["score", id_col], descending=[True, False]).limit(k)
 
 

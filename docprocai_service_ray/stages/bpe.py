@@ -94,17 +94,22 @@ def _word_syms(word: str) -> tuple[str, ...]:
 
 # ------------------------------------------------------------ word counts
 
-def word_counts(ds, text_col: str, *, num_partitions: int = 16):
-    """Corpus → (word, n) over the repo tokenizer — the single
-    corpus-scale exchange of BPE training."""
-    from ..state.groupby import group_agg
-
+def word_rows(ds, text_col: str):
+    """One ``word`` row per token occurrence, over the repo tokenizer."""
     def words(df: pd.DataFrame) -> pd.DataFrame:
         toks = df[text_col].fillna("").str.lower().str.findall(_TOKEN_RE)
         return pd.DataFrame({"word": toks}).explode("word").dropna()
 
-    return group_agg(ds.map_batches(words, batch_format="pandas"), ["word"],
-                     {"n": ("word", "size")}, num_partitions=num_partitions)
+    return ds.map_batches(words, batch_format="pandas")
+
+
+def word_counts(ds, text_col: str):
+    """Corpus → (word, n) over the repo tokenizer — the single
+    corpus-scale exchange of BPE training."""
+    from ..state.groupby import group_agg
+
+    return group_agg(word_rows(ds, text_col), ["word"],
+                     {"n": ("word", "size")}, num_partitions=16)
 
 
 # ----------------------------------------------------------- driver tier
@@ -151,8 +156,8 @@ def _train_driver(wc: pd.DataFrame, num_merges: int,
 
 # ------------------------------------------------------- distributed tier
 
-def _train_distributed(wc_ds, num_merges: int, min_pair_count: int,
-                       num_partitions: int) -> pd.DataFrame:
+def _train_distributed(wc_ds, num_merges: int,
+                       min_pair_count: int) -> pd.DataFrame:
     """Per merge: pair-count partials → one pair-keyed exchange →
     per-block top-1 (≤ one row per block reaches the driver) → winner
     broadcast into the word-rewrite map. Word table materialized
@@ -189,8 +194,8 @@ def _train_distributed(wc_ds, num_merges: int, min_pair_count: int,
 
         cands = partition_reduce(
             words.map_batches(partial, batch_format="pandas"),
-            ["left", "right"], reduce_top1, num_partitions=num_partitions,
-        ).to_pandas()  # ≤ num_partitions rows by construction
+            ["left", "right"], reduce_top1, num_partitions=16,
+        ).to_pandas()  # ≤ 16 rows by construction
         if cands.empty:
             break
         cands = cands.sort_values(["c", "left", "right"],
@@ -216,19 +221,18 @@ def _train_distributed(wc_ds, num_merges: int, min_pair_count: int,
 # ---------------------------------------------------------------- public
 
 def bpe_train(ds, text_col: str, *, num_merges: int = 64,
-              min_pair_count: int = 2,
-              num_partitions: int = 16) -> pd.DataFrame:
+              min_pair_count: int = 2) -> pd.DataFrame:
     """Learn a BPE merge table from a corpus. Returns (rank, left, right,
     count) — ``count`` is the pair's corpus frequency when it won.
     Tier picked by the DISTINCT-WORD count (a metadata count on the
     reduced word table, never the corpus) against ``DRIVER_VOCAB_MAX``."""
-    tier, wc = choose_tier(word_counts(ds, text_col, num_partitions=num_partitions),
+    tier, wc = choose_tier(word_counts(ds, text_col),
                            DRIVER_VOCAB_MAX, what="bpe_train")
     if tier == "driver":
         return _train_driver(
             wc.to_pandas().sort_values("word").reset_index(drop=True),
             num_merges, min_pair_count)
-    return _train_distributed(wc, num_merges, min_pair_count, num_partitions)
+    return _train_distributed(wc, num_merges, min_pair_count)
 
 
 def bpe_encode_word(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:

@@ -78,7 +78,6 @@ def distinct_surfaces(triples_raw_ds, cfg: KGConfig):
             partial, batch_format="pyarrow", zero_copy_batch=True
         ),
         ["surface"],
-        num_partitions=None,  # auto-size: corpus-proportional surface set
     )
 
 
@@ -134,9 +133,8 @@ def lsh_edges(surfaces_ds, cfg: KGConfig):
 
     # a pair found in several bands is deduped here (normalized src<dst key)
     return distinct_rows(
-        partition_reduce(banded, ["band_key"], pairs_partition, num_partitions=None),
+        partition_reduce(banded, ["band_key"], pairs_partition),
         ["src", "dst"],
-        num_partitions=None,  # auto-size
     )
 
 
@@ -192,7 +190,6 @@ def _components_distributed(edges_ds, surfaces_ds, cfg: KGConfig):
         )
         .union(adj.select_columns(["node"])),
         ["node"],
-        num_partitions=None,  # auto-size
     )
     labels = _to_arrow(nodes).map_batches(
         lambda t: pa.Table.from_pydict({"node": t["node"], "label": t["node"]}),
@@ -226,7 +223,6 @@ def _components_distributed(edges_ds, surfaces_ds, cfg: KGConfig):
         stepped = group_agg(
             _to_arrow(labels.union(_to_arrow(msgs))), ["node"],
             {"label": ("label", "min")},
-            num_partitions=None,  # auto-size: node table is corpus-sized
         )
         # pointer jump: label ← label_of(label). Labels are monotone
         # decreasing and every label is a node, so the inner join is total.
@@ -336,4 +332,4 @@ def build_entity_map(triples_raw_ds, alias_ref: ray.ObjectRef, cfg: KGConfig):
 
     from ..state.groupby import partition_reduce
 
-    return partition_reduce(labels, ["label"], assign, num_partitions=None)
+    return partition_reduce(labels, ["label"], assign)

@@ -47,8 +47,7 @@ def _doc_token_lists(texts: pd.Series) -> pd.Series:
 
 def cooccurrence_pmi(ds, id_col: str, text_col: str, *,
                      min_pair_count: int = 2, max_df: int | None = None,
-                     num_partitions: int | None = None, round_to: int = 6,
-                     broadcast_max_bytes: int | None = None):
+                     round_to: int = 6):
     """Per-pair (w1, w2, pair_n, pmi) table over ``ds`` — see module doc.
     Returns a Dataset with w1 < w2 lexicographically."""
     import ray
@@ -65,7 +64,7 @@ def cooccurrence_pmi(ds, id_col: str, text_col: str, *,
 
     df_table = group_agg(
         ds.map_batches(doc_words, batch_format="pandas"), ["w"],
-        {"dfc": (id_col, "size")}, num_partitions=num_partitions)
+        {"dfc": (id_col, "size")})
 
     hot_ref = None
     if max_df is not None:
@@ -101,24 +100,20 @@ def cooccurrence_pmi(ds, id_col: str, text_col: str, *,
     pairs = group_agg(
         ds.map_batches(doc_pairs, batch_format="pandas"), ["w1", "w2"],
         {"pair_n": ("w1", "size")},
-        finish=lambda g: g[g["pair_n"] >= min_pair_count],
-        num_partitions=num_partitions)
+        finish=lambda g: g[g["pair_n"] >= min_pair_count])
 
-    join_kw = {}
-    if broadcast_max_bytes is not None:
-        join_kw["broadcast_max_bytes"] = broadcast_max_bytes
     j1 = hash_join(
         pairs,
         df_table.map_batches(
             lambda d: d.rename(columns={"w": "w1", "dfc": "df1"}),
             batch_format="pandas"),
-        "w1", **join_kw)
+        "w1")
     j2 = hash_join(
         j1,
         df_table.map_batches(
             lambda d: d.rename(columns={"w": "w2", "dfc": "df2"}),
             batch_format="pandas"),
-        "w2", **join_kw)
+        "w2")
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
         ratio = (df["pair_n"].to_numpy(dtype="float64") * float(n_total)

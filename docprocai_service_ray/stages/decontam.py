@@ -77,7 +77,7 @@ def _bench_gram_partials(bench_ds, text_col: str, n: int):
 
 def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
                         group_col: str, *, n: int = 5,
-                        num_partitions: int | None = None, round_to: int = 6):
+                        round_to: int = 6):
     """Per-``group_col`` contamination stats of ``docs_ds`` against
     ``bench_ds``: ``n_docs``, ``contaminated_docs`` (≥1 gram shared with
     the benchmark), ``avg_contam_frac`` (mean over docs of
@@ -109,7 +109,7 @@ def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
             [group_col],
             {"n_docs": ("frac", "size"), "c_docs": ("hit", "sum"),
              "fr": ("frac", "sum")},
-            finish=finish, num_partitions=num_partitions)
+            finish=finish)
 
     if tier == "driver":
         bench_df = collect_pandas(bench_partials, ["gh"])
@@ -178,16 +178,14 @@ def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
             grp=("grp", "first"), ng=("ng", "first"), nc=("hit", "sum"))
         return out
 
-    per_doc_partials = partition_reduce(union, ["gh"], mark,
-                                        num_partitions=num_partitions)
+    per_doc_partials = partition_reduce(union, ["gh"], mark)
 
     # a doc fixes its group and gram total, so they ride in the key
     docs = group_agg(
         per_doc_partials, ["doc", "grp", "ng"], {"nc": ("nc", "sum")},
         finish=lambda d: pd.DataFrame({
             group_col: d["grp"],
-            "frac": d["nc"].to_numpy() / d["ng"].to_numpy()}),
-        num_partitions=num_partitions)
+            "frac": d["nc"].to_numpy() / d["ng"].to_numpy()}))
     return per_group(docs)
 
 

@@ -170,7 +170,7 @@ def minhash_lsh_pairs(
     from ..state.groupby import distinct_rows, partition_reduce
 
     pairs = distinct_rows(
-        partition_reduce(banded, ["band"], pairs_partition, num_partitions=None),
+        partition_reduce(banded, ["band"], pairs_partition),
         ["id_a", "id_b"],
     ).materialize()
     n_pairs = pairs.count()  # metadata-only: materialized
@@ -384,7 +384,6 @@ def simhash_pairs(ds, id_col: str, text_col: str, *, max_hamming: int = 3):
             sigs.map_batches(explode, batch_format="pyarrow"),
             ["key"],
             pairs_partition,
-            num_partitions=None,  # auto-size
         ),
         ["id_a", "id_b"],
     )
@@ -408,7 +407,7 @@ def _lev_le1(a: str, b: str) -> int | None:
     return 1 if a[i:] == b[i + 1:] else None
 
 
-def fuzzy_pairs(ds, text_col: str, *, num_partitions: int | None = None):
+def fuzzy_pairs(ds, text_col: str):
     """Edit-distance-≤1 string pairs via deletion-neighborhood blocking
     (the SymSpell family — Garbe's symmetric-delete scheme): every string
     emits itself plus its ``len`` one-deletion variants as block keys. Two
@@ -448,9 +447,9 @@ def fuzzy_pairs(ds, text_col: str, *, num_partitions: int | None = None):
     cands = distinct_rows(
         partition_reduce(
             ds.map_batches(keys, batch_format="pandas"), ["key"],
-            bucket_pairs, num_partitions=num_partitions,
+            bucket_pairs,
         ),
-        ["s1", "s2"], num_partitions=num_partitions,
+        ["s1", "s2"],
     )
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
@@ -606,7 +605,7 @@ def probe_dedup_index(new_ds, index_dir: str, id_col: str, text_col: str, *,
 def minhash_threshold_profile(ds, id_col: str, text_col: str, *,
                               shingle_words: int = 5, num_perms: int = 64,
                               band_configs: tuple = (4, 8, 16, 32),
-                              seed: int = 42, num_partitions: int | None = None):
+                              seed: int = 42):
     """Dedup-threshold tuning profile — how many candidate pairs each LSH
     banding of the SAME signature set would enumerate. Signatures are the
     expensive part (full shingling pass over the corpus); this computes
@@ -664,7 +663,7 @@ def minhash_threshold_profile(ds, id_col: str, text_col: str, *,
         pairs = distinct_rows(
             partition_reduce(
                 sigs.map_batches(band_rows, batch_format="pyarrow"),
-                ["band"], pairs_partition, num_partitions=num_partitions),
+                ["band"], pairs_partition),
             ["id_a", "id_b"])
         out.append((b, r, round((1.0 / b) ** (1.0 / r), 4),
                     int(pairs.count())))

@@ -80,7 +80,7 @@ def _hll_estimate(regs: np.ndarray) -> int:
     return int(round(est))
 
 
-def grouped_distinct(ds, by: str, value_col: str, *, num_partitions: int | None = None):
+def grouped_distinct(ds, by: str, value_col: str):
     """→ (by, n_distinct) EXACT. Per-batch local dedup defuses in-batch
     repetition before the single hash exchange."""
     from ..state.groupby import partition_reduce
@@ -95,11 +95,11 @@ def grouped_distinct(ds, by: str, value_col: str, *, num_partitions: int | None 
         out.columns = [by, "n_distinct"]
         return out
 
-    return partition_reduce(deduped, [by], reduce, num_partitions=num_partitions)
+    return partition_reduce(deduped, [by], reduce)
 
 
-def grouped_distinct_sketch(ds, by: str, value_col: str, *, precision: int = 12,
-                            num_partitions: int | None = None):
+def grouped_distinct_sketch(ds, by: str, value_col: str, *,
+                            precision: int = 12):
     """→ (by, n_distinct) approximate (±1.04/√2^p). Registers shuffle,
     values never do."""
     from ..state.groupby import partition_reduce
@@ -132,18 +132,17 @@ def grouped_distinct_sketch(ds, by: str, value_col: str, *, precision: int = 12,
                                  "n_distinct": pd.Series(dtype="int64")})
         return pd.DataFrame(rows)
 
-    return partition_reduce(partials, [by], reduce, num_partitions=num_partitions)
+    return partition_reduce(partials, [by], reduce)
 
 
 def grouped_distinct_auto(ds, by: str, value_col: str, *,
                           exact_max_bytes: int = 512 << 20,
-                          precision: int = 12, num_partitions: int | None = None):
+                          precision: int = 12):
     """Exact while the metadata-only size estimate says groups co-locate
     comfortably; HLL above."""
     from ..state.joins import _meta_size_bytes
 
     sz = _meta_size_bytes(ds)
     if sz is not None and sz <= exact_max_bytes:
-        return grouped_distinct(ds, by, value_col, num_partitions=num_partitions)
-    return grouped_distinct_sketch(ds, by, value_col, precision=precision,
-                                   num_partitions=num_partitions)
+        return grouped_distinct(ds, by, value_col)
+    return grouped_distinct_sketch(ds, by, value_col, precision=precision)

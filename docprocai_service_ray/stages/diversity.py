@@ -45,8 +45,7 @@ def _gram_hash_counts(texts: pd.Series, n: int) -> tuple[np.ndarray,
 
 
 def distinct_ngram_stats(ds, text_col: str, group_col: str, *, n: int = 3,
-                         round_to: int = 6,
-                         num_partitions: int | None = None):
+                         round_to: int = 6):
     """Per-source (n_grams, n_distinct, distinct_ratio) over word
     n-grams. distinct_ratio = n_distinct / n_grams (6dp); sources whose
     every doc has < n words have no grams and are excluded (matching
@@ -74,7 +73,7 @@ def distinct_ngram_stats(ds, text_col: str, group_col: str, *, n: int = 3,
 
     partials = partition_reduce(
         ds.map_batches(explode, batch_format="pandas"),
-        ["gh"], reduce_grams, num_partitions=num_partitions)
+        ["gh"], reduce_grams)
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

@@ -69,7 +69,7 @@ def add_registrable_domain(ds, url_col: str = "url",
     return ds.map_batches(fn, batch_format="pandas")
 
 
-def domain_rollup(ds, url_col: str = "url", *, num_partitions: int | None = None,
+def domain_rollup(ds, url_col: str = "url", *,
                   ml_suffixes=DEFAULT_ML_SUFFIXES):
     """Docs-per-registrable-domain — the table domain-level filters and
     mix weights key on. Partial pre-agg inside each batch, then one
@@ -77,8 +77,7 @@ def domain_rollup(ds, url_col: str = "url", *, num_partitions: int | None = None
     from ..state.groupby import group_agg
 
     withdom = add_registrable_domain(ds, url_col, "domain", ml_suffixes)
-    return group_agg(withdom, ["domain"], {"n_docs": ("domain", "size")},
-                     num_partitions=num_partitions)
+    return group_agg(withdom, ["domain"], {"n_docs": ("domain", "size")})
 
 
 def registrable_domain_sql(host_expr: str,

@@ -74,14 +74,13 @@ def _feature_frame(df: pd.DataFrame, text_col: str, buckets: int,
 
 
 def hashed_ngram_profile(ds, text_col: str, *, buckets: int = 10_000,
-                         seed: int = 42,
-                         num_partitions: int | None = 8) -> pd.DataFrame:
+                         seed: int = 42) -> pd.DataFrame:
     """Corpus-level hashed n-gram bucket counts ``(bucket, cnt)`` —
     the DSIR feature distribution fit. Per-batch partials are bincounted
     before leaving the task (≤ ``buckets`` rows per block), then one
     bucket-keyed grouped sum; the driver collects a ≤ ``buckets``-row
-    table. ``num_partitions`` defaults small because the exchange is
-    bounded by ``buckets``, not the corpus."""
+    table. The exchange takes 8 partitions because it is bounded by
+    ``buckets``, not the corpus."""
     from ..state.groupby import collect_pandas, group_agg
 
     def features(df: pd.DataFrame) -> pd.DataFrame:
@@ -90,7 +89,7 @@ def hashed_ngram_profile(ds, text_col: str, *, buckets: int = 10_000,
 
     out = collect_pandas(
         group_agg(ds.map_batches(features, batch_format="pandas"), ["bucket"],
-                  {"cnt": ("bucket", "size")}, num_partitions=num_partitions),
+                  {"cnt": ("bucket", "size")}, num_partitions=8),
         ["bucket", "cnt"],
     )
     return out.sort_values("bucket").reset_index(drop=True)

@@ -56,7 +56,7 @@ def _gram_rows(df: pd.DataFrame, id_col: str, text_col: str,
 
 
 def dup_span_scrub(ds, id_col: str, text_col: str, *, span_tokens: int = 6,
-                   min_count: int = 2, num_partitions: int | None = None):
+                   min_count: int = 2):
     """Rewrite ``text_col`` with duplicated spans removed. Returns the
     input columns with ``text_col`` rewritten plus int64 ``n_tokens`` /
     ``n_removed``."""
@@ -71,16 +71,14 @@ def dup_span_scrub(ds, id_col: str, text_col: str, *, span_tokens: int = 6,
         nd = part.groupby("gh")["gh"].transform("size")
         return part.loc[nd >= min_count, [id_col, "pos"]]
 
-    anch = partition_reduce(exploded, ["gh"], anchors,
-                            num_partitions=num_partitions)
+    anch = partition_reduce(exploded, ["gh"], anchors)
 
     def per_doc(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values([id_col, "pos"])
         return part.assign(s=part["pos"].astype(str)).groupby(
             id_col, as_index=False).agg(**{_ANCH: ("s", ",".join)})
 
-    anch_lists = partition_reduce(anch, [id_col], per_doc,
-                                  num_partitions=num_partitions)
+    anch_lists = partition_reduce(anch, [id_col], per_doc)
 
     joined = hash_join(ds, anch_lists, on=id_col, how="left")
 
@@ -107,14 +105,13 @@ def dup_span_scrub(ds, id_col: str, text_col: str, *, span_tokens: int = 6,
 
 
 def dup_span_scrub_stats(ds, id_col: str, text_col: str, *,
-                         span_tokens: int = 6, min_count: int = 2,
-                         num_partitions: int | None = None):
+                         span_tokens: int = 6, min_count: int = 2):
     """Compact certificate: (id, n_tokens, n_removed, fp = md5 of the
     scrubbed text)."""
     from .textstats import fingerprint_md5
 
     out = dup_span_scrub(ds, id_col, text_col, span_tokens=span_tokens,
-                         min_count=min_count, num_partitions=num_partitions)
+                         min_count=min_count)
 
     def fp(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

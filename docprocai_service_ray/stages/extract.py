@@ -185,7 +185,7 @@ def _dedup_urls(ds, cfg: KGConfig, parse):
         win_df = _winners(collect_pandas(proj, ["url", "warc_ts"]))
     else:
         tier, dup_winners = choose_tier(
-            partition_reduce(proj, ["url"], _winners, num_partitions=None),
+            partition_reduce(proj, ["url"], _winners),
             WINNERS_BROADCAST_MAX, what="dedup_urls_winners")
         if tier == "distributed":
             return _dedup_join_tier(ds, dup_winners, parse)
@@ -239,36 +239,31 @@ def _best_hash(tied_docs):
             ["url", "content_hash"], ascending=[True, False]
         ).drop_duplicates("url", keep="first")
 
-    return partition_reduce(tied_docs, ["url"], best, num_partitions=None
+    return partition_reduce(tied_docs, ["url"], best
                             ).map_batches(_as_docs, batch_format="pandas")
 
 
 def _dedup_join_tier(ds, dup_winners, parse):
     """Winners-too-large-to-broadcast tier of :func:`_dedup_urls`: a
-    distributed left hash join pulls each row's max-ts winner (and its tie
-    count) onto the row — the driver never holds a winner row — and a
-    vectorized mask drops losers before ``parse``; the tied captures
-    (``n_at_max > 1``) take ``_best_hash``, selected by the joined column.
-    The trade at this tier: the input rows (pages: their html) shuffle
-    once by url bucket. Parity with the broadcast tier:
+    distributed left hash join pulls each row's max-ts winner onto the
+    row — the driver never holds a winner row — and a vectorized mask
+    drops losers before ``parse``. The join runs once: every surviving
+    capture goes through ``_best_hash``, which passes a url with a single
+    surviving capture through unchanged. The trade at this tier: the
+    input rows (pages: their html) shuffle once by url bucket, and the
+    parsed docs once more. Parity with the broadcast tier:
     tests/test_dedup_join_tier.py."""
     from ..state.joins import hash_join
 
-    win = dup_winners.map_batches(
+    win = dup_winners.select_columns(["url", "warc_ts"]).map_batches(
         lambda df: df.rename(columns={"warc_ts": "win_ts"}), batch_format="pandas")
-    joined = hash_join(ds, win, on="url", how="left")
 
-    def kept(tied: bool):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            keep = df["win_ts"].isna() | (df["warc_ts"] == df["win_ts"])
-            keep &= (df["n_at_max"].fillna(1) > 1) == tied
-            return df[keep].drop(columns=["win_ts", "n_at_max"])
-        return fn
+    def kept(df: pd.DataFrame) -> pd.DataFrame:
+        keep = df["win_ts"].isna() | (df["warc_ts"] == df["win_ts"])
+        return df[keep].drop(columns="win_ts")
 
-    base = parse(joined.map_batches(kept(False), batch_format="pandas"))
-    tied = parse(joined.map_batches(kept(True), batch_format="pandas"))
-    return base.map_batches(_as_docs, batch_format="pandas").union(
-        _best_hash(tied))
+    return _best_hash(parse(hash_join(ds, win, on="url", how="left")
+                            .map_batches(kept, batch_format="pandas")))
 
 
 def extract_docs(pages_ds, cfg: KGConfig, *, emit_links: bool = False):
@@ -278,7 +273,12 @@ def extract_docs(pages_ds, cfg: KGConfig, *, emit_links: bool = False):
     ``emit_links=True`` adds the per-row link-partial columns
     (``src_host``/``link_dst``/``link_n``, DOCS_LINKS_SCHEMA) so the host
     link graph derives from THIS pass instead of re-scanning raw html."""
-    pages_ds = filter_langs(pages_ds, cfg)
+    return _extract(filter_langs(pages_ds, cfg), emit_links)
+
+
+def _extract(pages_ds, emit_links: bool = False):
+    """The extraction map of :func:`extract_docs`, without the language
+    filter."""
     return pages_ds.map_batches(
         extract_batch_links if emit_links else extract_batch,
         batch_format="pyarrow",
@@ -308,4 +308,4 @@ def build_docs(pages_ds, cfg: KGConfig):
     (The checkpointed pipeline in pipelines/kg.py instead writes extraction
     to Parquet and runs ``dedup_urls`` over the stored docs.)"""
     pages_ds = filter_langs(pages_ds, cfg)  # dedup must see post-filter rows
-    return drop_empty(_dedup_urls(pages_ds, cfg, lambda p: extract_docs(p, cfg)))
+    return drop_empty(_dedup_urls(pages_ds, cfg, _extract))

@@ -68,8 +68,7 @@ def gopher_filter(ds, text_col: str, **rule_kwargs):
     return ds.map_batches(fn, batch_format="pandas")
 
 
-def gopher_rules_stats(ds, text_col: str, group_col: str, *,
-                       num_partitions: int | None = None, **rule_kwargs):
+def gopher_rules_stats(ds, text_col: str, group_col: str, **rule_kwargs):
     """Per group: n_docs, fail_rN per rule, n_pass_all."""
     from ..state.groupby import group_agg
 
@@ -86,8 +85,7 @@ def gopher_rules_stats(ds, text_col: str, group_col: str, *,
     return group_agg(
         ds.map_batches(flags, batch_format="pandas"), [group_col],
         {"n_docs": ("p", "size"), **{c: (c, "sum") for c in fails},
-         "n_pass_all": ("p", "sum")},
-        num_partitions=num_partitions)
+         "n_pass_all": ("p", "sum")})
 
 
 def gopher_rules_sql(table: str, text_col: str, group_col: str, *,

@@ -39,14 +39,13 @@ import pyarrow as pa
 import ray
 
 from ..state.groupby import (collect_pandas, distinct_rows, group_agg, key_hash,
-                             partition_reduce)
+                             partition_reduce, resolve_num_partitions)
 from ..state.joins import hash_join
 from ..state.tier import choose_tier
 from .canonicalize import DRIVER_EDGES_MAX
 
 
-def triple_edges(triples, *, src: str = "subject_id", dst: str = "object_id",
-                 num_partitions: int | None = None):
+def triple_edges(triples, *, src: str = "subject_id", dst: str = "object_id"):
     """Distinct directed (src, dst) edges from a triple Dataset (predicates
     collapsed — multigraph edges count once, the standard PageRank/BFS
     graph view)."""
@@ -54,20 +53,20 @@ def triple_edges(triples, *, src: str = "subject_id", dst: str = "object_id",
         lambda t: t.select([src, dst]).rename_columns(["src", "dst"]),
         batch_format="pyarrow",
     )
-    return distinct_rows(edges, ["src", "dst"], num_partitions=num_partitions)
+    return distinct_rows(edges, ["src", "dst"])
 
 
-def _node_set(ds, a: str, b: str, col: str, num_partitions: int | None):
+def _node_set(ds, a: str, b: str, col: str):
     """Distinct values of columns ``a`` and ``b``, as strings, in one
     column ``col``."""
     return distinct_rows(ds.map_batches(
         lambda t: pa.table({col: pa.concat_arrays(
             [t[a].cast(pa.string()).combine_chunks(),
              t[b].cast(pa.string()).combine_chunks()])}),
-        batch_format="pyarrow"), [col], num_partitions=num_partitions)
+        batch_format="pyarrow"), [col])
 
 
-def _gated_edges(triples, weight_col: str | None, num_partitions: int | None,
+def _gated_edges(triples, weight_col: str | None,
                  what: str):
     """``choose_tier`` over the edge view the rank kernels iterate: the
     distinct (src, dst) edges, or with ``weight_col`` every row as
@@ -75,7 +74,7 @@ def _gated_edges(triples, weight_col: str | None, num_partitions: int | None,
     out-degree becomes the per-source WEIGHT SUM (w=1 reduces to the
     unweighted math)."""
     if weight_col is None:
-        edges = triple_edges(triples, num_partitions=num_partitions)
+        edges = triple_edges(triples)
     else:
         edges = triples.map_batches(
             lambda t: t.select(["subject_id", "object_id", weight_col])
@@ -85,8 +84,7 @@ def _gated_edges(triples, weight_col: str | None, num_partitions: int | None,
     return choose_tier(edges, DRIVER_EDGES_MAX, what=what)
 
 
-def entity_degree(triples, *, src: str = "subject_id", dst: str = "object_id",
-                  num_partitions: int | None = None):
+def entity_degree(triples, *, src: str = "subject_id", dst: str = "object_id"):
     """Per-entity out/in/total triple counts.
 
     Each triple becomes an out-row for its subject and an in-row for its
@@ -109,7 +107,6 @@ def entity_degree(triples, *, src: str = "subject_id", dst: str = "object_id",
         triples.map_batches(ends, batch_format="pandas"), ["entity"],
         {"out_deg": ("out_deg", "sum"), "in_deg": ("in_deg", "sum")},
         finish=lambda g: g.assign(degree=g["out_deg"] + g["in_deg"]),
-        num_partitions=num_partitions,
     )
 
 
@@ -168,7 +165,7 @@ def _pagerank_driver(edges_df: pd.DataFrame, damping: float, iters: int,
     return _score_table(nodes, rank=r)
 
 
-def _copartition_edge_buckets(edges_deg, num_partitions: int, bucket_dir: str):
+def _copartition_edge_buckets(edges_deg, n_buckets: int, bucket_dir: str):
     """One-time co-partitioning of the static edge side (VERDICT r2 #6):
     bucket (entity=src, dst, out_deg) by the same ``key_hash`` the rank
     tagging uses and land one Parquet directory per bucket. Every PageRank
@@ -178,7 +175,7 @@ def _copartition_edge_buckets(edges_deg, num_partitions: int, bucket_dir: str):
     ``bucket_dir``), never re-bucketed per iteration."""
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__bucket=key_hash(df, ["entity"]) % num_partitions)
+        return df.assign(__bucket=key_hash(df, ["entity"]) % n_buckets)
 
     edges_deg.map_batches(tag, batch_format="pandas").write_parquet(
         bucket_dir, partition_cols=["__bucket"]
@@ -214,7 +211,7 @@ def _copart_contribs(ranks, tag, bucket_dir: str):
 
 
 def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
-             num_partitions: int | None = None, round_to: int | None = 8,
+             round_to: int | None = 8,
              copartition: bool | None = None, bucket_dir: str | None = None,
              weight_col: str | None = None):
     """Damped PageRank over the distinct-edge view of a triple Dataset.
@@ -239,7 +236,7 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
     iteration shuffles only the rank table to its bucket — never the edge
     table, 20×. Pass ``bucket_dir`` on a real cluster (shared storage).
     """
-    tier, edges = _gated_edges(triples, weight_col, num_partitions, "pagerank")
+    tier, edges = _gated_edges(triples, weight_col, "pagerank")
     if tier == "driver":
         cols = ["src", "dst"] + (["w"] if weight_col is not None else [])
         return _pagerank_driver(collect_pandas(edges, cols),
@@ -251,7 +248,7 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
 
     out_deg = group_agg(
         edges.map_batches(_out_weight, batch_format="pandas"), ["entity"],
-        {"out_deg": ("out_deg", "sum")}, num_partitions=num_partitions,
+        {"out_deg": ("out_deg", "sum")},
     )
 
     def _rename(t: pa.Table) -> pa.Table:
@@ -264,8 +261,8 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
         out_deg, on="entity",
     ).materialize()
 
-    nodes = _node_set(triples, "subject_id", "object_id", "entity",
-                      num_partitions).materialize()
+    nodes = _node_set(triples, "subject_id", "object_id",
+                      "entity").materialize()
     n = nodes.count()
     if n == 0:
         return _score_table([], rank=[])
@@ -281,12 +278,9 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
     if copartition:
         import tempfile
 
-        if num_partitions is None:  # bucket layout needs a concrete count
-            from ..state.joins import auto_buckets
-
-            num_partitions = auto_buckets(edges_deg, default=32)
+        n_buckets = resolve_num_partitions(edges_deg, None, default=32)
         bucket_dir = bucket_dir or tempfile.mkdtemp(prefix="raykg_pr_edges_")
-        tag = _copartition_edge_buckets(edges_deg, num_partitions, bucket_dir)
+        tag = _copartition_edge_buckets(edges_deg, n_buckets, bucket_dir)
 
     for _ in range(iters):
         if copartition:
@@ -300,8 +294,8 @@ def pagerank(triples, *, damping: float = 0.85, iters: int = 20,
             joined = hash_join(edges_deg, ranks, on="entity").map_batches(
                 _contrib, batch_format="pandas",
             )
-        contribs = group_agg(joined, ["entity"], {"s": ("s", "sum")},
-                             num_partitions=num_partitions).materialize()
+        contribs = group_agg(joined, ["entity"],
+                             {"s": ("s", "sum")}).materialize()
         # ranks sum to 1, so mass not re-emitted through an out-edge is
         # exactly the dangling ranks — no dangling-node join needed.
         sent = contribs.sum("s") if contribs.count() else 0.0
@@ -339,7 +333,7 @@ def _components_table(comp: dict[str, str]):
     }))
 
 
-def connected_components(triples, cfg=None, *, num_partitions: int | None = None):
+def connected_components(triples, cfg=None):
     """Weakly-connected components of the entity graph: (entity,
     component_id, component_size), component_id = lexicographic-min member.
 
@@ -355,9 +349,9 @@ def connected_components(triples, cfg=None, *, num_partitions: int | None = None
     from .canonicalize import _components_distributed, _components_driver
 
     cfg = cfg or KGConfig()
-    tier, edges = choose_tier(triple_edges(triples, num_partitions=num_partitions),
+    tier, edges = choose_tier(triple_edges(triples),
                               DRIVER_EDGES_MAX, what="connected_components")
-    surf = _node_set(triples, "subject_id", "object_id", "surface", num_partitions)
+    surf = _node_set(triples, "subject_id", "object_id", "surface")
     if tier == "driver":
         return _components_table(_components_driver(
             collect_pandas(edges, ["src", "dst"]),
@@ -371,8 +365,7 @@ def connected_components(triples, cfg=None, *, num_partitions: int | None = None
         batch_format="pyarrow",
     )
     sizes = group_agg(labels, ["component_id"],
-                      {"component_size": ("component_id", "size")},
-                      num_partitions=num_partitions)
+                      {"component_size": ("component_id", "size")})
     return hash_join(labels, sizes, on="component_id")
 
 
@@ -470,7 +463,7 @@ def _l2_normalize(scores, col: str):
     ).materialize()
 
 
-def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
+def hits(triples, *, iters: int = 20,
          round_to: int | None = 8, weight_col: str | None = None):
     """HITS hubs & authorities (Kleinberg 1999, public formulation) over
     the distinct-edge view of a triple Dataset: per iteration
@@ -496,12 +489,12 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
     (``round_to``), and both tiers are parity-tested against a dense
     numpy reference at 1e-9 (tests/test_graph.py::TestHITS).
     """
-    tier, edges = _gated_edges(triples, weight_col, num_partitions, "hits")
+    tier, edges = _gated_edges(triples, weight_col, "hits")
     if tier == "driver":
         cols = ["src", "dst"] + (["w"] if weight_col is not None else [])
         return _hits_driver(collect_pandas(edges, cols), iters, round_to)
 
-    nodes = _node_set(edges, "src", "dst", "entity", num_partitions).materialize()
+    nodes = _node_set(edges, "src", "dst", "entity").materialize()
     n = nodes.count()
     if n == 0:
         return _score_table([], hub=[], authority=[])
@@ -520,8 +513,7 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
             return pd.DataFrame({"entity": df[out_key], "s": df[score] * w})
 
         return group_agg(joined.map_batches(weighted, batch_format="pandas"),
-                         ["entity"], {"s": ("s", "sum")},
-                         num_partitions=num_partitions).materialize()
+                         ["entity"], {"s": ("s", "sum")}).materialize()
 
     for _ in range(iters):
         # authority step: edges keyed by src join the hub table
@@ -566,7 +558,7 @@ def hits(triples, *, iters: int = 20, num_partitions: int | None = None,
     return out.map_batches(finish, batch_format="pandas")
 
 
-def _undirected_edges(triples, num_partitions: int | None):
+def _undirected_edges(triples):
     """Distinct undirected (a, b) edges with a < b as strings; self-loops
     dropped."""
     import pyarrow.compute as pc
@@ -580,7 +572,7 @@ def _undirected_edges(triples, num_partitions: int | None):
                          "b": pc.max_element_wise(s, o)})
 
     return distinct_rows(triples.map_batches(undirect, batch_format="pyarrow"),
-                         ["a", "b"], num_partitions=num_partitions)
+                         ["a", "b"])
 
 
 def _symmetric(e0):
@@ -596,7 +588,7 @@ def _symmetric(e0):
     ).materialize()
 
 
-def triangle_counts(triples, *, num_partitions: int | None = None):
+def triangle_counts(triples):
     """Per-entity triangle counts and local clustering coefficients over
     the UNDIRECTED distinct-edge view (self-loops dropped) — the classic
     community-density signal the reference's Postgres KG would answer with
@@ -614,15 +606,14 @@ def triangle_counts(triples, *, num_partitions: int | None = None):
     ids and small ints move, never payloads. Exact integer counts ⇒
     REAL-SQL twin (id-ordered three-way self-join — orientation changes
     the work, not the result)."""
-    e0 = _undirected_edges(triples, num_partitions).materialize()
+    e0 = _undirected_edges(triples).materialize()
 
     def ends(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"node": pd.concat([df["a"], df["b"]],
                                                ignore_index=True)})
 
     deg = group_agg(e0.map_batches(ends, batch_format="pandas"), ["node"],
-                    {"d": ("node", "size")},
-                    num_partitions=num_partitions).materialize()
+                    {"d": ("node", "size")}).materialize()
 
     # orient each edge lower-(d, id) → higher-(d, id); keep head degree
     # for the wedge-order sort
@@ -662,8 +653,7 @@ def triangle_counts(triples, *, num_partitions: int | None = None):
                              "u": np.concatenate(lo),
                              "v": np.concatenate(hi)})
 
-    wedge_ds = partition_reduce(oe, ["u"], wedges,
-                                num_partitions=num_partitions)
+    wedge_ds = partition_reduce(oe, ["u"], wedges)
 
     # a wedge (apex; u, v) closes iff the oriented edge u→v exists — the
     # (d, id) wedge ordering makes the closing edge's orientation unique
@@ -676,8 +666,7 @@ def triangle_counts(triples, *, num_partitions: int | None = None):
                                                ignore_index=True)})
 
     tc = group_agg(tri.map_batches(corners, batch_format="pandas"), ["node"],
-                   {"t": ("node", "size")},
-                   num_partitions=num_partitions).materialize()
+                   {"t": ("node", "size")}).materialize()
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         d = df["d"].astype("int64")
@@ -761,7 +750,7 @@ def _h_index(vals: np.ndarray) -> int:
     return int(ok.sum())
 
 
-def core_numbers(triples, *, num_partitions: int | None = None,
+def core_numbers(triples, *,
                  max_iters: int = 200):
     """Coreness (k-core number) per entity over the undirected distinct-
     edge view — the density/spam-farm signal (a link-farm host cluster is
@@ -777,7 +766,7 @@ def core_numbers(triples, *, num_partitions: int | None = None,
     changed-count aggregate deciding convergence; O(V) score tables
     materialize per round, the edge table streams. Integer-exact ⇒ both
     tiers bit-equal (tests), golden-freezable."""
-    e0 = _undirected_edges(triples, num_partitions)
+    e0 = _undirected_edges(triples)
 
     def out_table(core: dict) -> "ray.data.Dataset":
         nodes = sorted(core)
@@ -794,7 +783,7 @@ def core_numbers(triples, *, num_partitions: int | None = None,
     sym = _symmetric(e0)
 
     scores = group_agg(
-        sym, ["node"], {"c": ("node", "size")}, num_partitions=num_partitions,
+        sym, ["node"], {"c": ("node", "size")},
         finish=lambda g: g.rename(columns={"node": "entity"}),
     ).materialize()
     if not scores.count():  # no nodes: the driver tier's typed empty table
@@ -815,7 +804,7 @@ def core_numbers(triples, *, num_partitions: int | None = None,
         new_scores = partition_reduce(
             nbr_scores.map_batches(
                 lambda df: df[["node", "c"]], batch_format="pandas"),
-            ["node"], h_reduce, num_partitions=num_partitions,
+            ["node"], h_reduce,
         ).materialize()
 
         changed_ds = hash_join(scores, new_scores, on="entity").map_batches(
@@ -851,8 +840,7 @@ def _lpa_mode(part: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"entity": top["node"], "label_new": top["label"]})
 
 
-def label_propagation(triples, *, iters: int = 10,
-                      num_partitions: int | None = None):
+def label_propagation(triples, *, iters: int = 10):
     """Community detection by synchronous label propagation (Raghavan
     2007, made deterministic): labels start as the node id; each round
     every node adopts the most frequent label among its neighbors
@@ -869,7 +857,7 @@ def label_propagation(triples, *, iters: int = 10,
     one auto-sized grouped mode reduce; O(V) label state per round.
     Driver tier under the union-find gate runs the same kernel on pandas
     (both tiers bit-equal in tests)."""
-    e0 = _undirected_edges(triples, num_partitions)
+    e0 = _undirected_edges(triples)
 
     def finish_table(lab: pd.DataFrame) -> "ray.data.Dataset":
         sizes = lab["community"].value_counts()
@@ -903,7 +891,7 @@ def label_propagation(triples, *, iters: int = 10,
     labels = distinct_rows(
         sym.map_batches(lambda t: pa.table({"entity": t["node"]}),
                         batch_format="pyarrow"),
-        ["entity"], num_partitions=num_partitions,
+        ["entity"],
     ).map_batches(
         lambda t: t.append_column("label", t["entity"]),
         batch_format="pyarrow",
@@ -922,7 +910,7 @@ def label_propagation(triples, *, iters: int = 10,
 
         labels = partition_reduce(
             j.map_batches(count_partial, batch_format="pandas"),
-            ["node"], _lpa_mode, num_partitions=num_partitions,
+            ["node"], _lpa_mode,
         ).map_batches(
             lambda t: t.rename_columns(["entity", "label"]),
             batch_format="pyarrow",

@@ -40,7 +40,7 @@ from ..state.tier import choose_tier
 
 def _cluster_labels(ds, id_col: str, text_col: str, *, threshold: float,
                     shingle_words: int, seed: int, cfg: KGConfig,
-                    num_partitions: int | None, label_col: str):
+                    label_col: str):
     """Shared closure machinery: MinHash-LSH pair graph → components →
     Dataset(__sid, <label_col>) with one row per CLUSTERED doc (the
     cluster label is the lexicographic-min member id as a string).
@@ -66,7 +66,7 @@ def _cluster_labels(ds, id_col: str, text_col: str, *, threshold: float,
             lambda t: pa.table({"surface": pa.concat_arrays(
                 [t["src"].combine_chunks(), t["dst"].combine_chunks()])}),
             batch_format="pyarrow"),
-        ["surface"], num_partitions=num_partitions).materialize()
+        ["surface"]).materialize()
     if tier == "driver":
         comp = _components_driver(
             collect_pandas(edges, ["src", "dst"]),
@@ -83,8 +83,7 @@ def _cluster_labels(ds, id_col: str, text_col: str, *, threshold: float,
 
 def near_dup_keep_best(ds, id_col: str, text_col: str, *,
                        threshold: float = 0.8, shingle_words: int = 5,
-                       seed: int = 42, cfg: KGConfig | None = None,
-                       num_partitions: int | None = None):
+                       seed: int = 42, cfg: KGConfig | None = None):
     """(id, cluster_id, quality, keep) over every doc that belongs to a
     near-dup cluster at ``threshold``. Ids are carried as strings inside
     the component kernels (their contract) and joined back on the
@@ -95,7 +94,7 @@ def near_dup_keep_best(ds, id_col: str, text_col: str, *,
     labels = _cluster_labels(
         ds, id_col, text_col, threshold=threshold,
         shingle_words=shingle_words, seed=seed, cfg=cfg,
-        num_partitions=num_partitions, label_col="cluster_id")
+        label_col="cluster_id")
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -116,15 +115,13 @@ def near_dup_keep_best(ds, id_col: str, text_col: str, *,
             "quality": part["quality"], "keep": keep.to_numpy(),
         })
 
-    return partition_reduce(scored, ["cluster_id"], pick,
-                            num_partitions=num_partitions)
+    return partition_reduce(scored, ["cluster_id"], pick)
 
 
 def leakage_safe_split(ds, id_col: str, text_col: str, *,
                        holdout_rate: float = 0.1, threshold: float = 0.8,
                        shingle_words: int = 5, seed: int = 42,
-                       cfg: KGConfig | None = None,
-                       num_partitions: int | None = None):
+                       cfg: KGConfig | None = None):
     """Train/holdout split that CANNOT leak near-duplicates across the
     boundary (the contamination mode Lee et al. 2021 §6.2 measure in
     real splits): the split unit is the near-dup CLUSTER — every member
@@ -140,7 +137,7 @@ def leakage_safe_split(ds, id_col: str, text_col: str, *,
     labels = _cluster_labels(
         ds, id_col, text_col, threshold=threshold,
         shingle_words=shingle_words, seed=seed, cfg=cfg,
-        num_partitions=num_partitions, label_col="__unit")
+        label_col="__unit")
 
     def sid(df: pd.DataFrame) -> pd.DataFrame:
         out = df[[id_col]].copy()
@@ -170,8 +167,7 @@ def leakage_safe_split(ds, id_col: str, text_col: str, *,
 def keep_best_and_split(ds, id_col: str, text_col: str, *,
                         threshold: float = 0.8, shingle_words: int = 5,
                         holdout_rate: float = 0.1, seed: int = 42,
-                        cfg: KGConfig | None = None,
-                        num_partitions: int | None = None):
+                        cfg: KGConfig | None = None):
     """One pass over the pair graph serving BOTH downstream decisions a
     curation release needs: the per-cluster survivor pick (keep-best) and
     the leakage-safe train/holdout assignment. The MinHash-LSH pairs and
@@ -194,7 +190,7 @@ def keep_best_and_split(ds, id_col: str, text_col: str, *,
     labels = _cluster_labels(
         ds, id_col, text_col, threshold=threshold,
         shingle_words=shingle_words, seed=seed, cfg=cfg,
-        num_partitions=num_partitions, label_col="__unit")
+        label_col="__unit")
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -249,5 +245,5 @@ def keep_best_and_split(ds, id_col: str, text_col: str, *,
     singles = assigned.map_batches(single, batch_format="pandas")
     picked = partition_reduce(
         assigned.map_batches(clustered_only, batch_format="pandas"),
-        ["unit"], pick, num_partitions=num_partitions)
+        ["unit"], pick)
     return singles.union(picked)

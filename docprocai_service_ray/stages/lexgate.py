@@ -46,7 +46,7 @@ def blockword_filter(ds, text_col: str, blockwords: list[str], *,
 
 
 def blockword_stats(ds, text_col: str, group_col: str,
-                    blockwords: list[str], *, num_partitions: int | None = None):
+                    blockwords: list[str]):
     """Per group: doc count and flagged-doc count — the release-gate
     report beside pii_stats."""
     from ..state.groupby import group_agg
@@ -58,8 +58,7 @@ def blockword_stats(ds, text_col: str, group_col: str,
                              "h": _hit_mask(df[text_col], blocked).astype("int64")})
 
     return group_agg(ds.map_batches(hits, batch_format="pandas"), [group_col],
-                     {"n_docs": ("h", "size"), "flagged_docs": ("h", "sum")},
-                     num_partitions=num_partitions)
+                     {"n_docs": ("h", "size"), "flagged_docs": ("h", "sum")})
 
 
 def blockword_stats_sql(table: str, text_col: str, group_col: str,
@@ -84,13 +83,13 @@ def blockword_stats_sql(table: str, text_col: str, group_col: str,
 # ------------------------------------------------------------------- OOV
 
 def oov_rate(ds, text_col: str, group_col: str, *, vocab_size: int = 1000,
-             num_partitions: int | None = None, round_to: int = 6):
+             round_to: int = 6):
     """Per group: token occurrences and the share outside the corpus
     top-``vocab_size`` vocabulary."""
     from ..state.groupby import group_agg
-    from .bpe import word_counts
+    from .bpe import word_rows
 
-    wc = word_counts(ds, text_col, num_partitions=num_partitions)
+    wc = group_agg(word_rows(ds, text_col), ["word"], {"n": ("word", "size")})
 
     def topv(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(["n", "word"], ascending=[False, True],
@@ -110,8 +109,7 @@ def oov_rate(ds, text_col: str, group_col: str, *, vocab_size: int = 1000,
         ds.map_batches(tokens, batch_format="pandas"), [group_col],
         {"total_tokens": ("oov", "size"), "oov_tokens": ("oov", "sum")},
         finish=lambda g: g.assign(
-            oov_share=(g["oov_tokens"] / g["total_tokens"]).round(round_to)),
-        num_partitions=num_partitions)
+            oov_share=(g["oov_tokens"] / g["total_tokens"]).round(round_to)))
 
 
 def oov_rate_sql(table: str, text_col: str, group_col: str, *,

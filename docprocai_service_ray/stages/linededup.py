@@ -55,8 +55,7 @@ def _explode_lines(df: pd.DataFrame, id_col: str, text_col: str,
                          "h": h})
 
 
-def line_dedup(ds, id_col: str, text_col: str, *, min_len: int = 1,
-               num_partitions: int | None = None):
+def line_dedup(ds, id_col: str, text_col: str, *, min_len: int = 1):
     """Rewrite ``text_col`` with corpus-duplicate lines removed (first
     occurrence by (id, position) wins; lines shorter than ``min_len``
     always survive — the default 1 keeps empty lines as structure).
@@ -74,16 +73,14 @@ def line_dedup(ds, id_col: str, text_col: str, *, min_len: int = 1,
         part = part.sort_values(["h", id_col, "idx"], kind="stable")
         return part.drop_duplicates("h")[[id_col, "idx"]]
 
-    won = partition_reduce(exploded, ["h"], winners,
-                           num_partitions=num_partitions)
+    won = partition_reduce(exploded, ["h"], winners)
 
     def per_doc(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values([id_col, "idx"])
         return part.assign(s=part["idx"].astype(str)).groupby(
             id_col, as_index=False).agg(**{_WIN_COL: ("s", ",".join)})
 
-    winlists = partition_reduce(won, [id_col], per_doc,
-                                num_partitions=num_partitions)
+    winlists = partition_reduce(won, [id_col], per_doc)
 
     joined = hash_join(ds, winlists, on=id_col, how="left")
 
@@ -114,15 +111,13 @@ def line_dedup(ds, id_col: str, text_col: str, *, min_len: int = 1,
     return joined.map_batches(rebuild, batch_format="pandas")
 
 
-def line_dedup_stats(ds, id_col: str, text_col: str, *, min_len: int = 1,
-                     num_partitions: int | None = None):
+def line_dedup_stats(ds, id_col: str, text_col: str, *, min_len: int = 1):
     """Compact per-doc certificate of :func:`line_dedup`: (id, n_lines,
     n_kept, fp) where ``fp`` = md5 of the REBUILT text — value-exact
     against the SQL twin without shipping rewritten corpora around."""
     from .textstats import fingerprint_md5
 
-    out = line_dedup(ds, id_col, text_col, min_len=min_len,
-                     num_partitions=num_partitions)
+    out = line_dedup(ds, id_col, text_col, min_len=min_len)
 
     def fp(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

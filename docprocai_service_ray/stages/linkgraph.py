@@ -227,20 +227,18 @@ def url_host_links(pages, *, url_col: str = "url", html_col: str = "html"):
     return pages.map_batches(per_batch, batch_format="pandas")
 
 
-def host_edges_from_url_links(url_links, *, num_partitions: int | None = None):
+def host_edges_from_url_links(url_links):
     """(src_host, dst_host, n_links) from the per-url partials — one
     grouped sum (hub hosts concentrate counts, never rows)."""
     return group_agg(url_links, ["src_host", "dst_host"],
-                     {"n_links": ("n", "sum")}, num_partitions=num_partitions)
+                     {"n_links": ("n", "sum")})
 
 
-def host_link_edges(pages, *, url_col: str = "url", html_col: str = "html",
-                    num_partitions: int | None = None):
+def host_link_edges(pages, *, url_col: str = "url", html_col: str = "html"):
     """Cross-host (src_host, dst_host, n_links) edge table — the host-level
     web graph. Same-host links (nav/self) are dropped; counts are exact."""
     return host_edges_from_url_links(
         url_host_links(pages, url_col=url_col, html_col=html_col),
-        num_partitions=num_partitions,
     )
 
 
@@ -253,7 +251,6 @@ def top_linked_hosts(pages, k: int = 10, **kwargs):
     ranked = group_agg(
         edges, ["dst_host"],
         {"in_hosts": ("src_host", "size"), "in_links": ("n_links", "sum")},
-        num_partitions=None,  # auto: host-cardinality key
     )
     return ranked.sort(["in_links", "dst_host"], descending=[True, False]).limit(k)
 
@@ -378,8 +375,7 @@ _ANCHOR_RE = re.compile(r"""href=(['"])([^'"]+)\1>([^<]*)<""")
 _TERM_RE = re.compile(r"[a-z0-9]+")
 
 
-def anchor_text_terms(pages, *, url_col: str = "url", html_col: str = "html",
-                      num_partitions: int | None = None):
+def anchor_text_terms(pages, *, url_col: str = "url", html_col: str = "html"):
     """Anchor-text index: (dst_host, term, n) — what the web SAYS about
     each host (anchor text is the classic external description signal for
     entity/host profiling; the KG-side analog of alias surfaces). Only
@@ -411,8 +407,7 @@ def anchor_text_terms(pages, *, url_col: str = "url", html_col: str = "html",
         return pd.DataFrame({"dst_host": hosts, "term": terms})
 
     return group_agg(pages.map_batches(per_batch, batch_format="pandas"),
-                     ["dst_host", "term"], {"n": ("term", "size")},
-                     num_partitions=num_partitions)
+                     ["dst_host", "term"], {"n": ("term", "size")})
 
 
 def anchor_terms_sql(pages_glob: str) -> str:

@@ -299,7 +299,7 @@ def build_triples_auto(triples_raw_ds, entity_map_ds, cfg: KGConfig):
     return build_triples(mapped, ray.put(EMAP_SCHEMA.empty_table()), cfg)
 
 
-def canonicalize_via_join(triples_raw_ds, entity_map_ds, *, buckets: int = 32):
+def canonicalize_via_join(triples_raw_ds, entity_map_ds):
     """Scale path for surface→canonical mapping when the entity map is too
     large to broadcast (SCALE.md §4): two bucketed left hash joins replace
     the broadcast lookup. Unmapped surfaces keep their surface form
@@ -314,7 +314,7 @@ def canonicalize_via_join(triples_raw_ds, entity_map_ds, *, buckets: int = 32):
 
     out = triples_raw_ds
     for col in ("subj", "obj"):
-        out = hash_join(out, _mapped(col), on=col, how="left", buckets=buckets)
+        out = hash_join(out, _mapped(col), on=col, how="left", buckets=32)
         out = out.map_batches(
             lambda df, c=col: df.assign(**{c: df["__c"].fillna(df[c])}).drop(
                 columns="__c"

@@ -53,18 +53,18 @@ def _doc_bigrams(ds, id_col: str, text_col: str, group_col: str):
     return ds.map_batches(fn, batch_format="pandas")
 
 
-def _doc_bits(rows, id_col: str, group_col: str, num_partitions, finish=None):
+def _doc_bits(rows, id_col: str, group_col: str, finish=None):
     """Scored bigram rows ``(id, group, b = bits·cnt, n = cnt)`` → one row
     per doc with its mean ``bits = Σb / Σn`` (or ``finish`` of the sums)."""
     return group_agg(rows, [id_col, group_col],
                      {"b": ("b", "sum"), "n": ("n", "sum")},
-                     finish=finish or (lambda d: d.assign(bits=d["b"] / d["n"])),
-                     num_partitions=num_partitions)
+                     finish=finish or (
+                         lambda d: d.assign(bits=d["b"] / d["n"])))
 
 
-def _group_avg_bits(rows, id_col: str, group_col: str, num_partitions):
+def _group_avg_bits(rows, id_col: str, group_col: str):
     """Per-group ``(n_docs, avg_bits)`` over :func:`_doc_bits`' docs."""
-    docs = _doc_bits(rows, id_col, group_col, num_partitions)
+    docs = _doc_bits(rows, id_col, group_col)
     return group_agg(
         docs, [group_col], {"n_docs": ("bits", "size"), "bs": ("bits", "sum")},
         finish=lambda g: pd.DataFrame({
@@ -73,7 +73,7 @@ def _group_avg_bits(rows, id_col: str, group_col: str, num_partitions):
         num_partitions=4)
 
 
-def _vocab_size(ds, text_col: str, num_partitions: int) -> int:
+def _vocab_size(ds, text_col: str) -> int:
     from ..state.groupby import partition_reduce
 
     def toks(df: pd.DataFrame) -> pd.DataFrame:
@@ -85,12 +85,11 @@ def _vocab_size(ds, text_col: str, num_partitions: int) -> int:
         return part.drop_duplicates()
 
     return int(partition_reduce(ds.map_batches(toks, batch_format="pandas"),
-                                ["w"], distinct,
-                                num_partitions=num_partitions).count())
+                                ["w"], distinct).count())
 
 
 def bigram_lm_bits(ds, id_col: str, text_col: str, group_col: str, *,
-                   k: float = 1.0, num_partitions: int | None = None):
+                   k: float = 1.0):
     """Per-group (n_docs, avg_bits) under the corpus's own smoothed
     bigram LM — low bits = predictable/templated text, high bits =
     unusual text; both tails are what CCNet-style curation inspects."""
@@ -111,9 +110,9 @@ def bigram_lm_bits(ds, id_col: str, text_col: str, group_col: str, *,
 
     stats = partition_reduce(
         grams.map_batches(pair_partial, batch_format="pandas"),
-        ["l"], pair_final, num_partitions=num_partitions)
+        ["l"], pair_final)
 
-    vocab = _vocab_size(ds, text_col, num_partitions)
+    vocab = _vocab_size(ds, text_col)
 
     scored = hash_join(grams, stats, on=["l", "r"])
 
@@ -125,7 +124,7 @@ def bigram_lm_bits(ds, id_col: str, text_col: str, group_col: str, *,
         })
 
     return _group_avg_bits(scored.map_batches(doc_rows, batch_format="pandas"),
-                           id_col, group_col, num_partitions)
+                           id_col, group_col)
 
 
 def bigram_lm_sql(table: str, id_col: str, text_col: str, group_col: str,
@@ -166,8 +165,7 @@ def bigram_lm_sql(table: str, id_col: str, text_col: str, group_col: str,
 
 
 def doc_bigram_bits(ds, id_col: str, text_col: str, group_col: str, *,
-                    k: float = 1.0, round_to: int = 6,
-                    num_partitions: int | None = None):
+                    k: float = 1.0, round_to: int = 6):
     """Per-DOC bigram-LM score ``(id, group, bits)`` — the same model
     and exchanges as :func:`bigram_lm_bits`, stopping at the document
     grain (bits rounded to ``round_to`` for cross-engine comparison).
@@ -188,8 +186,8 @@ def doc_bigram_bits(ds, id_col: str, text_col: str, group_col: str, *,
 
     stats = partition_reduce(
         grams.map_batches(pair_partial, batch_format="pandas"),
-        ["l"], pair_final, num_partitions=num_partitions)
-    vocab = _vocab_size(ds, text_col, num_partitions)
+        ["l"], pair_final)
+    vocab = _vocab_size(ds, text_col)
     scored = hash_join(grams, stats, on=["l", "r"])
 
     def doc_rows(df: pd.DataFrame, vocab=vocab) -> pd.DataFrame:
@@ -201,14 +199,13 @@ def doc_bigram_bits(ds, id_col: str, text_col: str, group_col: str, *,
 
     return _doc_bits(
         scored.map_batches(doc_rows, batch_format="pandas"), id_col, group_col,
-        num_partitions, finish=lambda d: pd.DataFrame({
+        finish=lambda d: pd.DataFrame({
             id_col: d[id_col], group_col: d[group_col],
             "bits": np.round(d["b"] / d["n"], round_to)}))
 
 
 def perplexity_buckets(ds, id_col: str, text_col: str, group_col: str, *,
-                       k: float = 1.0, round_to: int = 6,
-                       num_partitions: int | None = None):
+                       k: float = 1.0, round_to: int = 6):
     """CCNet head/middle/tail perplexity bucketing (Wenzek et al. 2020
     §4.3: score every doc with the LM, split each language at the 1/3
     and 2/3 perplexity cutoffs; training mixes keep "head" — the
@@ -229,8 +226,7 @@ def perplexity_buckets(ds, id_col: str, text_col: str, group_col: str, *,
     from ..stages.quantiles import grouped_quantiles_disc
 
     docbits = doc_bigram_bits(ds, id_col, text_col, group_col, k=k,
-                              round_to=round_to,
-                              num_partitions=num_partitions).materialize()
+                              round_to=round_to).materialize()
     cuts = collect_pandas(
         grouped_quantiles_disc(docbits, group_col, "bits", [1 / 3, 2 / 3],
                                round_to=round_to),
@@ -249,8 +245,8 @@ def perplexity_buckets(ds, id_col: str, text_col: str, group_col: str, *,
     return group_agg(
         docbits.map_batches(assign, batch_format="pandas"), [group_col, "bucket"],
         {"n_docs": ("bits", "size"), "bs": ("bits", "sum")},
-        finish=lambda g: g.assign(avg_bits=np.round(g.pop("bs") / g["n_docs"], 4)),
-        num_partitions=num_partitions)
+        finish=lambda g: g.assign(
+            avg_bits=np.round(g.pop("bs") / g["n_docs"], 4)))
 
 
 def perplexity_buckets_sql(table: str, id_col: str, text_col: str,
@@ -303,8 +299,7 @@ def perplexity_buckets_sql(table: str, id_col: str, text_col: str,
 
 
 def kneser_ney_bits(ds, id_col: str, text_col: str, group_col: str, *,
-                    discount: float = 0.75,
-                    num_partitions: int | None = None):
+                    discount: float = 0.75):
     """Per-group (n_docs, avg_bits) under an interpolated Kneser–Ney
     bigram LM (Kneser & Ney 1995; Chen & Goodman 1998 eq. 4.23 with a
     fixed absolute discount D — the KenLM/CCNet smoothing family, vs
@@ -339,10 +334,9 @@ def kneser_ney_bits(ds, id_col: str, text_col: str, group_col: str, *,
 
     stats = partition_reduce(
         grams.map_batches(pair_partial, batch_format="pandas"),
-        ["l"], pair_final, num_partitions=num_partitions).materialize()
+        ["l"], pair_final).materialize()
 
-    cont = group_agg(stats, ["r"], {"nr": ("l", "size")},
-                     num_partitions=num_partitions).materialize()
+    cont = group_agg(stats, ["r"], {"nr": ("l", "size")}).materialize()
     n_types = int(cont.sum("nr"))
 
     scored = hash_join(hash_join(grams, stats, on=["l", "r"]),
@@ -361,7 +355,7 @@ def kneser_ney_bits(ds, id_col: str, text_col: str, group_col: str, *,
         })
 
     return _group_avg_bits(scored.map_batches(doc_rows, batch_format="pandas"),
-                           id_col, group_col, num_partitions)
+                           id_col, group_col)
 
 
 def kneser_ney_sql(table: str, id_col: str, text_col: str, group_col: str,

@@ -34,8 +34,7 @@ from .decontam import _gram_hashes
 
 
 def source_overlap_jaccard(ds, text_col: str, group_col: str, *,
-                           n: int = 3, round_to: int = 6,
-                           num_partitions: int | None = None
+                           n: int = 3, round_to: int = 6
                            ) -> pd.DataFrame:
     """Pairwise (source_a < source_b) overlap of distinct n-gram sets:
     (n_a, n_b, n_common, jaccard). Returns a pandas DataFrame —
@@ -74,8 +73,7 @@ def source_overlap_jaccard(ds, text_col: str, group_col: str, *,
 
     partials = collect_pandas(
         partition_reduce(ds.map_batches(explode, batch_format="pandas"),
-                         ["gh"], reduce_grams,
-                         num_partitions=num_partitions),
+                         ["gh"], reduce_grams),
         ["s1", "s2", "cnt"])
 
     unary = partials["s2"].isna()

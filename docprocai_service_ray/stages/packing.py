@@ -24,8 +24,7 @@ import ray
 
 
 def pack_spans(ds, id_col: str, text_col: str, budget: int, *,
-               num_buckets: int = 64, id_max: int | None = None,
-               num_partitions: int | None = None):
+               num_buckets: int = 64, id_max: int | None = None):
     """Per-doc packed-sequence spans: ``start_seq = floor(prefix/budget)``,
     ``end_seq = floor((prefix + n_tokens - 1)/budget)`` over the corpus
     concatenated in ascending ``id_col`` order. Zero-token docs occupy no
@@ -94,8 +93,7 @@ def pack_spans(ds, id_col: str, text_col: str, budget: int, *,
             }))
         return pd.concat(out, ignore_index=True)
 
-    return partition_reduce(counted, ["b"], within,
-                            num_partitions=num_partitions)
+    return partition_reduce(counted, ["b"], within)
 
 
 def pack_sql(table: str, id_col: str, text_col: str, budget: int) -> str:

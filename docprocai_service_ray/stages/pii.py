@@ -37,8 +37,7 @@ _COMPILED = {k: re.compile(v) for k, v in PII_PATTERNS.items()}
 
 
 def pii_stats(docs_ds, text_col: str, group_col: str, *,
-              patterns: dict[str, str] = PII_PATTERNS,
-              num_partitions: int | None = None):
+              patterns: dict[str, str] = PII_PATTERNS):
     """Per-``group_col`` PII counts: ``n_docs``, ``pii_docs`` (≥1 hit of
     any class) and ``<class>_hits`` totals per pattern class."""
     from ..state.groupby import partition_reduce
@@ -71,8 +70,7 @@ def pii_stats(docs_ds, text_col: str, group_col: str, *,
         return out
 
     partials = docs_ds.map_batches(score, batch_format="pandas")
-    return partition_reduce(partials, [group_col], finalize,
-                            num_partitions=num_partitions)
+    return partition_reduce(partials, [group_col], finalize)
 
 
 def pii_scrub(docs_ds, text_col: str, *, out_col: str | None = None,

@@ -25,7 +25,7 @@ from ..state.groupby import collect_pandas, distinct_rows, group_agg
 def pivot_table(ds, index_cols: list[str], pivot_col: str,
                 val_col: str | None = None, *, agg: str = "count",
                 categories: list | None = None, col_prefix: str = "",
-                num_partitions: int | None = None, round_to: int | None = 2):
+                round_to: int | None = 2):
     """One row per ``index_cols``, one ``{col_prefix}{category}`` column
     per distinct ``pivot_col`` value; cells are COUNT(*) (``agg='count'``)
     or SUM(val_col) (``agg='sum'``) over matching rows, 0 where absent.
@@ -38,8 +38,7 @@ def pivot_table(ds, index_cols: list[str], pivot_col: str,
 
     if categories is None:
         cats_df = collect_pandas(
-            distinct_rows(ds.select_columns([pivot_col]), [pivot_col],
-                          num_partitions=num_partitions),
+            distinct_rows(ds.select_columns([pivot_col]), [pivot_col]),
             [pivot_col],
         )
         categories = sorted(cats_df[pivot_col])
@@ -62,7 +61,6 @@ def pivot_table(ds, index_cols: list[str], pivot_col: str,
         ds.map_batches(wide_rows, batch_format="pandas"), index_cols,
         {c: (c, "sum") for c in cols},
         finish=(lambda g: g.round({c: round_to for c in cols})) if rounded else None,
-        num_partitions=num_partitions,
     )
 
 

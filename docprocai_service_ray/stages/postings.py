@@ -49,8 +49,7 @@ def _doc_tokens(df: pd.DataFrame, id_col: str, text_col: str) -> pd.DataFrame:
 
 def build_postings(ds, id_col: str, text_col: str, *, min_df: int = 1,
                    max_df: int | None = None,
-                   max_postings: int | None = None,
-                   num_partitions: int | None = None):
+                   max_postings: int | None = None):
     """Inverted index over ``ds``: one row per surviving token with
     ``(token, df, postings)`` where ``postings`` is the sorted (and
     optionally ``max_postings``-truncated) list of containing doc ids.
@@ -70,8 +69,7 @@ def build_postings(ds, id_col: str, text_col: str, *, min_df: int = 1,
             ds.map_batches(lambda df: _doc_tokens(df, id_col, text_col),
                            batch_format="pandas"),
             ["w"], {"c": ("doc", "size")},
-            finish=lambda g: g.loc[g["c"] > max_df, ["w"]],
-            num_partitions=num_partitions)
+            finish=lambda g: g.loc[g["c"] > max_df, ["w"]])
         hot_arr = np.sort(collect_pandas(hot, ["w"])["w"].to_numpy(dtype=object))
         hot_ref = ray.put(hot_arr.astype(str))
 
@@ -97,8 +95,7 @@ def build_postings(ds, id_col: str, text_col: str, *, min_df: int = 1,
                              "postings": g["postings"]})
 
     return partition_reduce(
-        ds.map_batches(explode, batch_format="pandas"), ["w"], assemble,
-        num_partitions=num_partitions)
+        ds.map_batches(explode, batch_format="pandas"), ["w"], assemble)
 
 
 def postings_sql(table: str, id_col: str, text_col: str, min_df: int = 1,

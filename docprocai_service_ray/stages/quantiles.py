@@ -32,7 +32,7 @@ import pandas as pd
 
 
 def grouped_quantiles(ds, by: str, value_col: str, qs: list[float], *,
-                      num_partitions: int | None = None, round_to: int = 6):
+                      round_to: int = 6):
     """→ one row per group: (by, q_<pct> ... ) exact quantiles."""
     from ..state.groupby import partition_reduce
 
@@ -51,7 +51,7 @@ def grouped_quantiles(ds, by: str, value_col: str, qs: list[float], *,
             return pd.DataFrame({c: pd.Series(dtype="float64") for c in cols})
         return pd.DataFrame(rows)[cols]
 
-    return partition_reduce(ds, [by], reduce, num_partitions=num_partitions)
+    return partition_reduce(ds, [by], reduce)
 
 
 def _compress(means: np.ndarray, weights: np.ndarray, delta: int):
@@ -79,7 +79,7 @@ def _sketch_quantile(means: np.ndarray, weights: np.ndarray, q: float) -> float:
 
 
 def grouped_quantiles_sketch(ds, by: str, value_col: str, qs: list[float], *,
-                             delta: int = 512, num_partitions: int | None = None,
+                             delta: int = 512,
                              round_to: int = 6):
     """→ one row per group: (by, n, q_<pct>...) approximate quantiles with
     ~2/delta rank error; ``n`` exact. Shuffles only O(groups × delta)
@@ -119,12 +119,12 @@ def grouped_quantiles_sketch(ds, by: str, value_col: str, qs: list[float], *,
             return pd.DataFrame({c: pd.Series(dtype="float64") for c in cols})
         return pd.DataFrame(rows)[cols]
 
-    return partition_reduce(partials, [by], reduce, num_partitions=num_partitions)
+    return partition_reduce(partials, [by], reduce)
 
 
 def grouped_quantiles_auto(ds, by: str, value_col: str, qs: list[float], *,
                            exact_max_bytes: int = 512 << 20,
-                           num_partitions: int | None = None, delta: int = 512,
+                           delta: int = 512,
                            round_to: int = 6):
     """Tier gate: exact (oracle-grade) while the dataset's metadata-only
     byte estimate says every group can comfortably co-locate; the
@@ -135,9 +135,9 @@ def grouped_quantiles_auto(ds, by: str, value_col: str, qs: list[float], *,
     sz = _meta_size_bytes(ds)
     if sz is not None and sz <= exact_max_bytes:
         return grouped_quantiles(ds, by, value_col, qs,
-                                 num_partitions=num_partitions, round_to=round_to)
+                                 round_to=round_to)
     return grouped_quantiles_sketch(ds, by, value_col, qs, delta=delta,
-                                    num_partitions=num_partitions, round_to=round_to)
+                                    round_to=round_to)
 
 
 def quantile_sql(table: str, by: str, value_col: str, qs: list[float],
@@ -152,7 +152,7 @@ def quantile_sql(table: str, by: str, value_col: str, qs: list[float],
 
 
 def grouped_quantiles_disc(ds, by: str, value_col: str, qs: list[float], *,
-                           num_partitions: int | None = None, round_to: int = 6):
+                           round_to: int = 6):
     """Discrete grouped quantiles: the smallest group VALUE whose rank
     covers q (DuckDB ``quantile_disc`` / SQL PERCENTILE_DISC) — always an
     actual data point, never interpolated. Same co-location contract as
@@ -181,7 +181,7 @@ def grouped_quantiles_disc(ds, by: str, value_col: str, qs: list[float], *,
             return pd.DataFrame({c: pd.Series(dtype="float64") for c in cols})
         return pd.DataFrame(rows)[cols]
 
-    return partition_reduce(ds, [by], reduce, num_partitions=num_partitions)
+    return partition_reduce(ds, [by], reduce)
 
 
 def quantile_disc_sql(table: str, by: str, value_col: str, qs: list[float],
@@ -196,7 +196,7 @@ def quantile_disc_sql(table: str, by: str, value_col: str, qs: list[float],
 
 
 def fixed_histogram(ds, value_col: str, lo: float, hi: float, bins: int, *,
-                    by: str | None = None, num_partitions: int | None = None):
+                    by: str | None = None):
     """Equi-width histogram over [lo, hi): per-batch ``np.bincount``
     partials are EXACTLY mergeable integers, so one tiny grouped sum
     finishes it — the single-pass distribution scan that pairs with
@@ -222,7 +222,6 @@ def fixed_histogram(ds, value_col: str, lo: float, hi: float, bins: int, *,
     return group_agg(
         ds.map_batches(binned, batch_format="pandas"), keys, {"n": ("bin", "size")},
         finish=lambda g: g.assign(lo_edge=(lo + g["bin"] * width).round(6)),
-        num_partitions=num_partitions,
     )
 
 

@@ -34,8 +34,7 @@ _SYL_SQL = "[aeiouyAEIOUY]+"
 
 
 def flesch_by_group(ds, text_col: str, group_col: str, *,
-                    round_to: int = 4,
-                    num_partitions: int | None = None):
+                    round_to: int = 4):
     """Per-group (n_docs, avg_words, avg_flesch): doc-level Flesch
     reading ease averaged per group (``round_to`` dp, matching the SQL
     twin's ROUND)."""
@@ -64,7 +63,7 @@ def flesch_by_group(ds, text_col: str, group_col: str, *,
     return group_agg(
         ds.map_batches(per_doc, batch_format="pandas"), ["g"],
         {"n": ("w", "size"), "w": ("w", "sum"), "fl": ("fl", "sum")},
-        finish=finish, num_partitions=num_partitions)
+        finish=finish)
 
 
 def flesch_sql(table: str, text_col: str, group_col: str, *,

@@ -201,7 +201,7 @@ def _shuffle_keys(keys: pd.Series, seed: int) -> pd.Series:
 
 
 def shard_shuffle(ds, id_col: str, n_shards: int, *, seed: int = 42,
-                  num_buckets: int = 256, num_partitions: int | None = None):
+                  num_buckets: int = 256):
     """Deterministic global shuffle into training shards: every row gets
     ``(shard, pos)`` — a pseudo-random permutation of the corpus laid out
     as ``n_shards`` equal-ish streams, the data-ordering step a trainer
@@ -268,8 +268,7 @@ def shard_shuffle(ds, id_col: str, n_shards: int, *, seed: int = 42,
             }))
         return pd.concat(out, ignore_index=True)
 
-    return partition_reduce(tagged, ["shard", "bucket"], rank,
-                            num_partitions=num_partitions)
+    return partition_reduce(tagged, ["shard", "bucket"], rank)
 
 
 def shard_shuffle_sql(table: str, id_col: str, n_shards: int, *,
@@ -290,7 +289,7 @@ def shard_shuffle_sql(table: str, id_col: str, n_shards: int, *,
 
 
 def sample_k_per_group(ds, key_col: str, group_col: str, k: int, *,
-                       seed: int = 42, num_partitions: int | None = None):
+                       seed: int = 42):
     """EXACTLY min(k, |group|) rows per group, chosen by a deterministic
     content-hash order — the bounded per-stratum sample (k eval docs per
     language, k pages per host for human review) that ``stratified_sample``'s
@@ -328,8 +327,7 @@ def sample_k_per_group(ds, key_col: str, group_col: str, k: int, *,
         return d[[group_col, key_col, "rk"]]
 
     return partition_reduce(
-        ds.map_batches(partial, batch_format="pandas"), [group_col], final,
-        num_partitions=num_partitions)
+        ds.map_batches(partial, batch_format="pandas"), [group_col], final)
 
 
 def sample_k_per_group_sql(table: str, key_col: str, group_col: str,

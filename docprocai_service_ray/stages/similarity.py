@@ -135,8 +135,7 @@ def lsh_topk(ds, query: np.ndarray, k: int, *, dim: int, n_planes: int = 8,
 
 def multi_query_topk(ds, queries: np.ndarray, query_ids, k: int, *,
                      id_col: str = "vec_id", emb_col: str = "embedding",
-                     extra_cols: tuple = (),
-                     num_partitions: int | None = 8):
+                     extra_cols: tuple = ()):
     """Batched exact cosine top-k for MANY queries in one corpus pass —
     the kernel behind semantic decontamination (flag training docs too
     close to any benchmark item, Brown et al. 2020 §C generalized to
@@ -208,7 +207,7 @@ def multi_query_topk(ds, queries: np.ndarray, query_ids, k: int, *,
     from ..state.groupby import partition_reduce
 
     return partition_reduce(cands, ["query_id"], per_query,
-                            num_partitions=num_partitions).sort(
+                            num_partitions=8).sort(
         ["query_id", "rank"])
 
 
@@ -375,7 +374,7 @@ def ivf_topk(ds, query: np.ndarray, k: int, *, dim: int, n_lists: int = 64,
 
 
 def label_centroids(ds, label_col: str, vec_col: str, dim: int, *,
-                    num_partitions: int | None = None, round_to: int = 6):
+                    round_to: int = 6):
     """Per-label embedding centroid in long form (label, dim, avg_v) —
     the grouped VECTOR aggregate (class prototypes / cluster centers for
     IVF seeding or nearest-class-mean labeling). Per-batch partial = one
@@ -421,12 +420,11 @@ def label_centroids(ds, label_col: str, vec_col: str, dim: int, *,
 
     return partition_reduce(
         ds.map_batches(partial, batch_format="pandas"), [label_col], final,
-        num_partitions=num_partitions,
     )
 
 
 def centroid_distance_stats(ds, label_col: str, vec_col: str, dim: int, *,
-                            num_partitions: int | None = None, round_to: int = 6,
+                            round_to: int = 6,
                             max_labels: int = 100_000):
     """Per-label embedding outlier diagnostics: distance of every vector
     to its own label's centroid, reduced to (label, n_vecs, avg_dist,
@@ -446,7 +444,6 @@ def centroid_distance_stats(ds, label_col: str, vec_col: str, dim: int, *,
     from ..state.groupby import collect_pandas, group_agg
 
     cent_long = label_centroids(ds, label_col, vec_col, dim,
-                                num_partitions=num_partitions,
                                 round_to=round_to)
     cdf = collect_pandas(cent_long, [label_col, "dim", "avg_v"])
     n_labels = cdf[label_col].nunique()
@@ -517,7 +514,7 @@ _KMEANS_SCALE = float(1 << 32)  # fixed-point quantum for deterministic sums
 
 
 def kmeans(ds, id_col: str, vec_col: str, dim: int, k: int, *,
-           iters: int = 10, seed: int = 42, num_partitions: int | None = None,
+           iters: int = 10, seed: int = 42,
            driver_max_bytes: int = 128 << 20):
     """Distributed Lloyd's k-means with BIT-DETERMINISTIC updates.
 
@@ -623,7 +620,7 @@ def kmeans(ds, id_col: str, vec_col: str, dim: int, k: int, *,
 
         stats = partition_reduce(
             ds.map_batches(make_assign(cent_ref), batch_format="pandas"),
-            ["cluster"], merge, num_partitions=num_partitions,
+            ["cluster"], merge,
         ).to_pandas()
         new_c = centroids.copy()
         for _, r in stats.iterrows():
@@ -708,7 +705,7 @@ def kmeans_cluster_sizes(ds, id_col: str, vec_col: str, dim: int, k: int, *,
 
 def semantic_dedup(ds, id_col: str, vec_col: str, dim: int, k: int, *,
                    threshold: float = 0.4, iters: int = 10, seed: int = 42,
-                   num_partitions: int | None = None, max_cluster_rows: int = 200_000):
+                   max_cluster_rows: int = 200_000):
     """SemDeDup-style semantic deduplication (Abbas et al. 2023,
     "SemDeDup: Data-efficient learning at web-scale through semantic
     deduplication"): k-means-cluster the embedding space, then mark
@@ -774,5 +771,4 @@ def semantic_dedup(ds, id_col: str, vec_col: str, dim: int, k: int, *,
             }))
         return pd.concat(out, ignore_index=True)
 
-    return partition_reduce(labeled, ["cluster"], dedup,
-                            num_partitions=num_partitions)
+    return partition_reduce(labeled, ["cluster"], dedup)

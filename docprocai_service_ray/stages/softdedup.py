@@ -46,8 +46,7 @@ def _text_hash(texts: pd.Series) -> np.ndarray:
                                       index=False).to_numpy()
 
 
-def exact_dup_cluster_sizes(ds, text_col: str, *, id_col: str | None = None,
-                            num_partitions: int | None = None):
+def exact_dup_cluster_sizes(ds, text_col: str, *, id_col: str | None = None):
     """→ Dataset(h, n): global exact-dup cluster size per text hash.
     Per-batch partial counts, one hash-keyed grouped-sum exchange."""
     from ..state.groupby import group_agg
@@ -55,21 +54,18 @@ def exact_dup_cluster_sizes(ds, text_col: str, *, id_col: str | None = None,
     hashes = ds.map_batches(
         lambda df: pd.DataFrame({"h": _text_hash(df[text_col])}),
         batch_format="pandas")
-    return group_agg(hashes, ["h"], {"n": ("h", "size")},
-                     num_partitions=num_partitions)
+    return group_agg(hashes, ["h"], {"n": ("h", "size")})
 
 
 def soft_dedup_weights(ds, id_col: str, text_col: str, *, beta: float = 1.0,
-                       round_to: int = 6, keep_cols: tuple[str, ...] = (),
-                       num_partitions: int | None = None):
+                       round_to: int = 6, keep_cols: tuple[str, ...] = ()):
     """→ Dataset(id, *keep_cols, dup_count, weight): the per-doc SoftDeDup
     sampling weights, ``weight = dup_count ** -beta`` rounded. The sizes
     table (one row per DISTINCT text) joins back on the u64 hash via the
     auto-tier hash join; text itself never exchanges."""
     from ..state.joins import hash_join
 
-    sizes = exact_dup_cluster_sizes(ds, text_col,
-                                    num_partitions=num_partitions)
+    sizes = exact_dup_cluster_sizes(ds, text_col)
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -107,7 +103,7 @@ def soft_dedup_weights(ds, id_col: str, text_col: str, *, beta: float = 1.0,
 
 
 def soft_dedup_stats(ds, group_col: str, text_col: str, *, beta: float = 1.0,
-                     round_to: int = 6, num_partitions: int | None = None):
+                     round_to: int = 6):
     """→ Dataset(group, n_docs, n_distinct, dup_docs, effective_docs):
     the corpus-shape scorecard soft dedup exists for. ``effective_docs``
     = Σ_docs dup_count**-beta — the corpus size a sampler weighted by
@@ -145,8 +141,7 @@ def soft_dedup_stats(ds, group_col: str, text_col: str, *, beta: float = 1.0,
             e=("e", "sum"))
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    reduced = partition_reduce(partials, ["h"], per_partition,
-                               num_partitions=num_partitions)
+    reduced = partition_reduce(partials, ["h"], per_partition)
     return group_agg(
         reduced, [group_col],
         {"n_docs": ("n", "sum"), "n_distinct": ("d", "sum"),

@@ -42,7 +42,7 @@ from .decontam import _gram_hashes
 
 
 def dup_gram_stats(docs_ds, id_col: str, text_col: str, group_col: str, *,
-                   n: int = 5, min_docs: int = 2, num_partitions: int | None = None,
+                   n: int = 5, min_docs: int = 2,
                    round_to: int = 6, hot_gram_ceiling: int | None = None):
     """Per-``group_col`` duplicate-gram stats of ``docs_ds`` against
     itself: ``n_docs``, ``dup_docs``, ``avg_dup_frac`` (see module doc).
@@ -83,8 +83,7 @@ def dup_gram_stats(docs_ds, id_col: str, text_col: str, group_col: str, *,
         hot = group_agg(
             docs_ds.map_batches(grams, batch_format="pandas"), ["gh"],
             {"c": ("gh", "size")},
-            finish=lambda g: g.loc[g["c"] >= hot_gram_ceiling, ["gh"]],
-            num_partitions=num_partitions)
+            finish=lambda g: g.loc[g["c"] >= hot_gram_ceiling, ["gh"]])
         hot_arr = np.sort(
             collect_pandas(hot, ["gh"])["gh"].to_numpy(dtype="uint64"))
         hot_ref = ray.put(hot_arr)
@@ -155,8 +154,7 @@ def dup_gram_stats(docs_ds, id_col: str, text_col: str, group_col: str, *,
         return g.groupby("doc", as_index=False).agg(
             grp=("grp", "first"), ng=("ng", "first"), nc=("hit", "sum"))
 
-    per_doc_partials = partition_reduce(exploded, ["gh"], mark,
-                                        num_partitions=num_partitions)
+    per_doc_partials = partition_reduce(exploded, ["gh"], mark)
 
     # a doc fixes its group and gram total, so they ride in the key
     def per_doc(d: pd.DataFrame) -> pd.DataFrame:
@@ -165,8 +163,7 @@ def dup_gram_stats(docs_ds, id_col: str, text_col: str, group_col: str, *,
                              "dup": (frac > 0).astype("int64")})
 
     docs = group_agg(per_doc_partials, ["doc", "grp", "ng"],
-                     {"nc": ("nc", "sum")}, finish=per_doc,
-                     num_partitions=num_partitions)
+                     {"nc": ("nc", "sum")}, finish=per_doc)
 
     def finish(out: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -180,7 +177,7 @@ def dup_gram_stats(docs_ds, id_col: str, text_col: str, group_col: str, *,
         docs, [group_col],
         {"n_docs": ("frac", "size"), "dup_docs": ("dup", "sum"),
          "fr": ("frac", "sum")},
-        finish=finish, num_partitions=num_partitions)
+        finish=finish)
 
 
 def dup_gram_sql(docs_sel: str, id_col: str, text_col: str, group_col: str,

@@ -33,8 +33,7 @@ from ..state.joins import hash_join
 
 
 def build_doc_summaries(sentences_ds, triples_raw_ds, cfg: KGConfig, *,
-                        summary_k: int = 2, tags_k: int = 3,
-                        num_partitions: int | None = None):
+                        summary_k: int = 2, tags_k: int = 3):
     """→ Dataset (url, summary, top_entities, n_triples), one row per url
     with at least one triple."""
 
@@ -58,8 +57,7 @@ def build_doc_summaries(sentences_ds, triples_raw_ds, cfg: KGConfig, *,
                           ascending=[True, False, True])
         return g.groupby("url", sort=False).head(summary_k)
 
-    selected = partition_reduce(hit_partials, ["url"], hits_reduce,
-                                num_partitions=num_partitions)
+    selected = partition_reduce(hit_partials, ["url"], hits_reduce)
 
     # pull ONLY the selected sentences' text (≤ summary_k per url)
     sel_text = hash_join(
@@ -74,8 +72,7 @@ def build_doc_summaries(sentences_ds, triples_raw_ds, cfg: KGConfig, *,
         g = part.groupby("url", as_index=False).agg(summary=("text", " ".join))
         return g
 
-    summaries = partition_reduce(sel_text, ["url"], summary_reduce,
-                                 num_partitions=num_partitions)
+    summaries = partition_reduce(sel_text, ["url"], summary_reduce)
 
     # ---- entity tags: surface occurrence counts per url ----
     def ent_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -109,8 +106,7 @@ def build_doc_summaries(sentences_ds, triples_raw_ds, cfg: KGConfig, *,
         tags["n_triples"] = (tags["total"] // 2).astype("int64")
         return tags[["url", "top_entities", "n_triples"]]
 
-    tags = partition_reduce(ent_partials, ["url"], ent_reduce,
-                            num_partitions=num_partitions)
+    tags = partition_reduce(ent_partials, ["url"], ent_reduce)
 
     out = hash_join(summaries, tags, on="url", how="inner")
     return out.map_batches(

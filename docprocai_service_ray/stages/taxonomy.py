@@ -90,7 +90,7 @@ def taxonomy_assign(ds, id_col: str, text_col: str, *, rules=DEFAULT_RULES,
 
 
 def taxonomy_stats(ds, group_col: str, text_col: str, *,
-                   rules=DEFAULT_RULES, num_partitions: int | None = 4):
+                   rules=DEFAULT_RULES):
     """→ Dataset(group, topic, n_docs, n_hits): corpus composition by
     dominant topic — per-batch partials (≤ groups×topics rows/task), one
     small grouped-sum exchange."""
@@ -103,7 +103,7 @@ def taxonomy_stats(ds, group_col: str, text_col: str, *,
     return group_agg(
         ds.map_batches(routed, batch_format="pandas"), [group_col, "topic"],
         {"n_docs": ("hits", "size"), "n_hits": ("hits", "sum")},
-        num_partitions=num_partitions)
+        num_partitions=4)
 
 
 def _sql_scores_and_case(text_col: str, rules) -> tuple[str, str, str]:

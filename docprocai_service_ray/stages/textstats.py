@@ -128,8 +128,7 @@ def add_text_stats(ds, text_col: str = "text"):
     return ds.map_batches(_fn, batch_format="pandas")
 
 
-def token_doc_frequency(ds, id_col: str, text_col: str, *, min_df: int = 1,
-                        num_partitions: int | None = None):
+def token_doc_frequency(ds, id_col: str, text_col: str, *, min_df: int = 1):
     """Inverted-index statistics: document frequency per token (the
     vocabulary/df side of a postings build — the full postings list is the
     same plan with a collect instead of a count).
@@ -149,7 +148,6 @@ def token_doc_frequency(ds, id_col: str, text_col: str, *, min_df: int = 1,
     return group_agg(
         ds.map_batches(doc_tokens, batch_format="pandas"), ["token"],
         {"df": (id_col, "size")}, finish=lambda g: g[g["df"] >= min_df],
-        num_partitions=num_partitions,
     )
 
 
@@ -157,7 +155,7 @@ _SENT_SPLIT_RE = re.compile(r"\.\s+")
 
 
 def boilerplate_stats(ds, id_col: str, text_col: str, group_col: str, *,
-                      min_chars: int = 20, num_partitions: int | None = None):
+                      min_chars: int = 20):
     """Cross-document duplicated-sentence ratio per group — template /
     boilerplate detection (Lee et al. 2022, "Deduplicating Training Data
     Makes Language Models Better", substring-dup family at sentence
@@ -198,14 +196,13 @@ def boilerplate_stats(ds, id_col: str, text_col: str, group_col: str, *,
         )
 
     per_doc_partials = partition_reduce(
-        exploded, ["h"], per_sentence, num_partitions=num_partitions,
+        exploded, ["h"], per_sentence,
     )
 
     docs = group_agg(
         per_doc_partials, [id_col, group_col],
         {"n_sents": ("n_sents", "sum"), "n_dup": ("n_dup", "sum")},
         finish=lambda d: d.assign(ratio=d["n_dup"] / d["n_sents"]),
-        num_partitions=num_partitions,
     )
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
@@ -248,7 +245,7 @@ def boilerplate_sql(table: str, id_col: str, text_col: str, group_col: str,
 
 
 def grouped_corr(ds, by: str, x_col: str, y_col: str, *,
-                 num_partitions: int | None = None, round_to: int = 6):
+                 round_to: int = 6):
     """Per-group Pearson correlation + OLS slope from SUFFICIENT
     STATISTICS: each batch contributes (n, Σx, Σy, Σx², Σy², Σxy) — six
     numbers per (group, batch) cross the exchange, never rows. The
@@ -278,8 +275,7 @@ def grouped_corr(ds, by: str, x_col: str, y_col: str, *,
         })
 
     return group_agg(ds.map_batches(moments, batch_format="pandas"), [by],
-                     {c: (c, "sum") for c in stats}, finish=finish,
-                     num_partitions=num_partitions)
+                     {c: (c, "sum") for c in stats}, finish=finish)
 
 
 def corr_sql(table: str, by: str, x_col: str, y_col: str,
@@ -294,7 +290,7 @@ def corr_sql(table: str, by: str, x_col: str, y_col: str,
     """
 
 
-def profile_table(ds, columns: list[str], *, num_partitions: int | None = None):
+def profile_table(ds, columns: list[str]):
     """Data-quality profile: one row per column with (n_rows, n_nulls,
     n_distinct, min_v, max_v) — the ingest-time sanity scan a pipeline
     runs before training on a new table. Values are compared as strings
@@ -346,7 +342,6 @@ def profile_table(ds, columns: list[str], *, num_partitions: int | None = None):
 
     return partition_reduce(
         ds.map_batches(partial, batch_format="pandas"), ["column"], final,
-        num_partitions=num_partitions,
     )
 
 
@@ -374,7 +369,7 @@ def profile_sql(table: str, columns: list[str],
 
 
 def repetition_stats(ds, id_col: str, text_col: str, group_col: str, *,
-                     flag_threshold: float = 0.5, num_partitions: int | None = None,
+                     flag_threshold: float = 0.5,
                      round_to: int = 6):
     """Gopher-style within-document repetition filters (Rae et al. 2021
     §A1.1, "Scaling Language Models: ... Gopher", repetition family):
@@ -418,7 +413,7 @@ def repetition_stats(ds, id_col: str, text_col: str, group_col: str, *,
         ds.map_batches(per_doc, batch_format="pandas"), [group_col],
         {"n_docs": ("dup", "size"), "dup_sum": ("dup", "sum"),
          "top_sum": ("top", "sum"), "n_flagged": ("fl", "sum")},
-        finish=finish, num_partitions=num_partitions,
+        finish=finish,
     )
 
 
@@ -450,7 +445,7 @@ def repetition_sql(table: str, id_col: str, text_col: str, group_col: str,
 
 
 def unigram_logprob_stats(ds, id_col: str, text_col: str, group_col: str, *,
-                          num_partitions: int | None = None, round_to: int = 6):
+                          round_to: int = 6):
     """Corpus-self unigram cross-entropy per group — the model-free analog
     of CCNet-style perplexity filtering (Wenzek et al. 2020, "CCNet:
     Extracting High Quality Monolingual Datasets from Web Crawl Data"):
@@ -495,12 +490,10 @@ def unigram_logprob_stats(ds, id_col: str, text_col: str, group_col: str, *,
             wlog=("wlog", "sum"), n=("n", "sum"))
 
     token_partials = partition_reduce(
-        ds.map_batches(explode, batch_format="pandas"), ["w"], per_token,
-        num_partitions=num_partitions)
+        ds.map_batches(explode, batch_format="pandas"), ["w"], per_token)
     docs = group_agg(token_partials, [id_col, group_col],
                      {"wlog": ("wlog", "sum"), "n": ("n", "sum")},
-                     finish=lambda d: d.assign(ratio=d["wlog"] / d["n"]),
-                     num_partitions=num_partitions)
+                     finish=lambda d: d.assign(ratio=d["wlog"] / d["n"]))
     grouped = group_agg(docs, [group_col],
                         {"n_docs": ("ratio", "size"), "ratio_sum": ("ratio", "sum"),
                          "n_tokens": ("n", "sum")}, num_partitions=4)
@@ -549,7 +542,7 @@ def unigram_logprob_sql(table: str, id_col: str, text_col: str,
 
 
 def lang_mix_weights(ds, lang_col: str, text_col: str, *,
-                     round_to: int = 6, num_partitions: int | None = None):
+                     round_to: int = 6):
     """Training-mix reweighting table: per language, its token share and
     the uniform-target sampling multiplier ``min(1, uniform_share /
     actual_share)`` — the static language-rebalancing step a pretraining
@@ -562,7 +555,7 @@ def lang_mix_weights(ds, lang_col: str, text_col: str, *,
     result — driver-sized by definition, like the grouped-sketch
     finishers. Returns a pandas DataFrame sorted by language.
     """
-    df = _lang_token_table(ds, lang_col, text_col, num_partitions)
+    df = _lang_token_table(ds, lang_col, text_col)
     total = float(df["s"].sum())
     uniform = total / max(len(df), 1)
     tok = df["s"].to_numpy(dtype="float64")
@@ -599,8 +592,7 @@ def lang_mix_sql(table: str, lang_col: str, text_col: str,
 
 
 def lang_mix_alpha_weights(ds, lang_col: str, text_col: str, *,
-                           alpha: float = 0.3, round_to: int = 6,
-                           num_partitions: int | None = None):
+                           alpha: float = 0.3, round_to: int = 6):
     """Temperature-based multilingual sampling weights — the exponent
     rule multilingual pretraining actually uses (Conneau et al. 2020
     XLM-R §3.1, mBERT's exponent smoothing): sample language i with
@@ -614,7 +606,7 @@ def lang_mix_alpha_weights(ds, lang_col: str, text_col: str, *,
 
     Same exchange shape as :func:`lang_mix_weights` (one lang-keyed int
     exchange, finisher on the #languages-row result)."""
-    df = _lang_token_table(ds, lang_col, text_col, num_partitions)
+    df = _lang_token_table(ds, lang_col, text_col)
     tok = df["s"].to_numpy(dtype="float64")
     p = tok / tok.sum()
     q = p ** alpha
@@ -652,22 +644,20 @@ def lang_mix_alpha_sql(table: str, lang_col: str, text_col: str, *,
     """
 
 
-def _lang_token_table(ds, lang_col: str, text_col: str,
-                      num_partitions: int | None) -> pd.DataFrame:
+def _lang_token_table(ds, lang_col: str, text_col: str) -> pd.DataFrame:
     """Shared lang-keyed (lang, n_tokens, n_docs) exchange used by the
     mix/allocation finishers: per language, s = tokens, n = docs."""
     toks = ds.map_batches(
         lambda df: df.assign(tok=token_counts(df[text_col])), batch_format="pandas")
-    grouped = group_agg(toks, [lang_col], {"s": ("tok", "sum"), "n": ("tok", "size")},
-                        num_partitions=num_partitions)
+    grouped = group_agg(toks, [lang_col],
+                        {"s": ("tok", "sum"), "n": ("tok", "size")})
     return (collect_pandas(grouped, [lang_col, "s", "n"])
             .sort_values(lang_col).reset_index(drop=True))
 
 
 def unimax_allocation(ds, lang_col: str, text_col: str, *,
                       budget_tokens: int, max_epochs: float = 4.0,
-                      round_to: int = 6,
-                      num_partitions: int | None = None) -> pd.DataFrame:
+                      round_to: int = 6) -> pd.DataFrame:
     """UniMax language budget allocation (Chung et al. 2023, "UniMax:
     Fairer and More Effective Language Sampling for Large-Scale
     Multilingual Pretraining"): spread a total token ``budget`` as
@@ -688,7 +678,7 @@ def unimax_allocation(ds, lang_col: str, text_col: str, *,
     Output per language: natural tokens, cap, allocated tokens, and the
     resulting epochs ``alloc / n_tokens`` (≤ max_epochs by construction).
     """
-    df = _lang_token_table(ds, lang_col, text_col, num_partitions)
+    df = _lang_token_table(ds, lang_col, text_col)
     df = df.sort_values(["s", lang_col]).reset_index(drop=True)
     n = len(df)
     caps = df["s"].to_numpy(dtype="float64") * float(max_epochs)
@@ -760,8 +750,7 @@ def unimax_allocation_sql(table: str, lang_col: str, text_col: str, *,
 
 
 def compression_ratio_stats(ds, group_col: str, text_col: str, *,
-                            level: int = 6, round_to: int = 6,
-                            num_partitions: int | None = None):
+                            level: int = 6, round_to: int = 6):
     """Per-group zlib compression-ratio profile — the
     compressibility quality signal web curation uses beside the
     repetition rules (highly compressible ⇒ templated/boilerplate/
@@ -807,5 +796,5 @@ def compression_ratio_stats(ds, group_col: str, text_col: str, *,
         ds.map_batches(per_doc, batch_format="pandas"), [group_col],
         {"n_docs": ("r", "size"), "s": ("r", "sum"), "lo": ("r", "min"),
          "hi": ("r", "max")},
-        finish=finish, num_partitions=num_partitions,
+        finish=finish,
     )

@@ -32,7 +32,7 @@ import pandas as pd
 
 
 def doc_top_terms(ds, id_col: str, text_col: str, k: int = 3, *,
-                  min_df: int = 1, num_partitions: int | None = None):
+                  min_df: int = 1):
     """→ (id_col, term, tf, rank): top-k terms per document by tf·idf."""
     from ..state.groupby import partition_reduce
     from ..state.joins import hash_join
@@ -50,8 +50,7 @@ def doc_top_terms(ds, id_col: str, text_col: str, k: int = 3, *,
         return out.rename(columns={"size": "tf"})
 
     tf = ds.map_batches(tf_partial, batch_format="pandas")
-    df_tbl = token_doc_frequency(ds, id_col, text_col, min_df=min_df,
-                                 num_partitions=num_partitions)
+    df_tbl = token_doc_frequency(ds, id_col, text_col, min_df=min_df)
     df_tbl = df_tbl.map_batches(
         lambda d: d.rename(columns={"token": "term"}), batch_format="pandas"
     )
@@ -76,8 +75,7 @@ def doc_top_terms(ds, id_col: str, text_col: str, k: int = 3, *,
             {"tf": "int64", "rank": "int64"}
         )
 
-    return partition_reduce(scored, [id_col], topk,
-                            num_partitions=num_partitions)
+    return partition_reduce(scored, [id_col], topk)
 
 
 def tfidf_sql(table: str, id_col: str, text_col: str, k: int = 3,

@@ -49,8 +49,7 @@ def _rank_topn(part: pd.DataFrame, by: str, value_col: str, n: int,
     return out
 
 
-def grouped_topn_values(ds, by: str, value_col: str, n: int, *,
-                        num_partitions: int | None = None):
+def grouped_topn_values(ds, by: str, value_col: str, n: int):
     """→ (by, value_col, cnt, rank) EXACT, rank 1..n per group by
     (count desc, value asc)."""
     from ..state.groupby import partition_reduce
@@ -62,12 +61,11 @@ def grouped_topn_values(ds, by: str, value_col: str, n: int, *,
     partials = ds.map_batches(partial, batch_format="pandas")
     return partition_reduce(
         partials, [by], lambda p: _rank_topn(p, by, value_col, n),
-        num_partitions=num_partitions,
     )
 
 
 def grouped_topn_sketch(ds, by: str, value_col: str, n: int, *,
-                        capacity: int = 256, num_partitions: int | None = None):
+                        capacity: int = 256):
     """→ (by, value_col, cnt, rank) approximate: cnt is a LOWER bound
     undercounting by at most N_g/(capacity+1); any value more frequent
     than that is guaranteed present. capacity bounds the per-(batch, group)
@@ -91,23 +89,19 @@ def grouped_topn_sketch(ds, by: str, value_col: str, n: int, *,
     partials = ds.map_batches(partial, batch_format="pandas")
     return partition_reduce(
         partials, [by], lambda p: _rank_topn(p, by, value_col, n),
-        num_partitions=num_partitions,
     )
 
 
 def grouped_topn_auto(ds, by: str, value_col: str, n: int, *,
-                      exact_max_bytes: int = 512 << 20, capacity: int = 256,
-                      num_partitions: int | None = None):
+                      exact_max_bytes: int = 512 << 20, capacity: int = 256):
     """Exact while the metadata-only size estimate says per-group count
     tables co-locate comfortably; Misra-Gries above."""
     from ..state.joins import _meta_size_bytes
 
     sz = _meta_size_bytes(ds)
     if sz is not None and sz <= exact_max_bytes:
-        return grouped_topn_values(ds, by, value_col, n,
-                                   num_partitions=num_partitions)
-    return grouped_topn_sketch(ds, by, value_col, n, capacity=capacity,
-                               num_partitions=num_partitions)
+        return grouped_topn_values(ds, by, value_col, n)
+    return grouped_topn_sketch(ds, by, value_col, n, capacity=capacity)
 
 
 def topn_sql(table: str, by: str, value_col: str, n: int) -> str:

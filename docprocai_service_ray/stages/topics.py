@@ -33,7 +33,7 @@ def cluster_topic_terms(docs_ds, emb_ds, *, doc_id_col: str = "doc_id",
                         text_col: str = "text", emb_col: str = "embedding",
                         dim: int, k: int = 8, top_n: int = 5,
                         iters: int = 10, seed: int = 42,
-                        num_partitions: int | None = None, round_to: int = 6):
+                        round_to: int = 6):
     """(cluster, rank, term, score) — ``top_n`` rows per kmeans cluster,
     (score DESC, term ASC) ranked."""
     from ..state.groupby import partition_reduce
@@ -64,8 +64,7 @@ def cluster_topic_terms(docs_ds, emb_ds, *, doc_id_col: str = "doc_id",
         g["f"] = g.groupby("term")["tf"].transform("sum")
         return g.astype({"tf": "int64", "f": "int64"})
 
-    termed = partition_reduce(partials, ["term"], per_term,
-                              num_partitions=num_partitions).materialize()
+    termed = partition_reduce(partials, ["term"], per_term).materialize()
 
     # A = mean tokens per cluster, from metadata-sized partials
     tot = termed.map_batches(
@@ -83,5 +82,4 @@ def cluster_topic_terms(docs_ds, emb_ds, *, doc_id_col: str = "doc_id",
         out["rank"] = out.groupby("cluster").cumcount().astype("int64")
         return out[["cluster", "rank", "term", "score"]]
 
-    return partition_reduce(termed, ["cluster"], per_cluster,
-                            num_partitions=num_partitions)
+    return partition_reduce(termed, ["cluster"], per_cluster)

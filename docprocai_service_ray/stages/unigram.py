@@ -106,8 +106,7 @@ def _prune(counts: dict, keep: int, chars: set) -> dict:
 
 def unigram_train(ds, text_col: str, *, vocab_size: int = 512,
                   seed_size: int = 4096, em_iters: int = 4,
-                  shrink_factor: float = 0.75,
-                  num_partitions: int = 16) -> pd.DataFrame:
+                  shrink_factor: float = 0.75) -> pd.DataFrame:
     """Learn a unigram-LM piece vocabulary. Returns (piece, count, logp)
     with logp rounded to 8dp, ranked (count DESC, piece ASC) — ``count``
     is the final hard-EM Viterbi count. Tier picked like ``bpe_train``'s."""
@@ -115,7 +114,7 @@ def unigram_train(ds, text_col: str, *, vocab_size: int = 512,
     from .bpe import DRIVER_VOCAB_MAX, word_counts
 
     tier, wc_ds = choose_tier(
-        word_counts(ds, text_col, num_partitions=num_partitions),
+        word_counts(ds, text_col),
         DRIVER_VOCAB_MAX, what="unigram_train")
     wc = None
     if tier == "driver":
@@ -131,7 +130,7 @@ def unigram_train(ds, text_col: str, *, vocab_size: int = 512,
 
         seed_df = group_agg(
             wc_ds.map_batches(seed_partial, batch_format="pandas"),
-            ["piece"], {"n": ("n", "sum")}, num_partitions=num_partitions,
+            ["piece"], {"n": ("n", "sum")}, num_partitions=16,
         ).to_pandas()  # vocab-sized collect
         seed = dict(zip(seed_df["piece"], seed_df["n"].astype(int)))
 
@@ -162,7 +161,7 @@ def unigram_train(ds, text_col: str, *, vocab_size: int = 512,
 
             agg = group_agg(
                 wc_ds.map_batches(e_partial, batch_format="pandas"),
-                ["piece"], {"n": ("n", "sum")}, num_partitions=num_partitions,
+                ["piece"], {"n": ("n", "sum")}, num_partitions=16,
             ).to_pandas()
             new = dict(zip(agg["piece"], agg["n"].astype(int)))
         return _prune(new, keep, chars)

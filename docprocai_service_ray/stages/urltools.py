@@ -135,8 +135,7 @@ def blocklist_predicate_sql(url_expr: str, blocklist: list[str],
     return f"({pred})" if blocked else f"NOT ({pred})"
 
 
-def host_crawl_stats(ds, *, url_col: str = "url", ts_col: str = "warc_ts",
-                     num_partitions: int | None = None):
+def host_crawl_stats(ds, *, url_col: str = "url", ts_col: str = "warc_ts"):
     """Per-host crawl-freshness rollup: page count, distinct capture days,
     first/last capture (µs-precision strings so the DuckDB twin compares
     byte-equal) and the capture span in whole days — the recrawl-policy /
@@ -177,7 +176,7 @@ def host_crawl_stats(ds, *, url_col: str = "url", ts_col: str = "warc_ts",
 
     return partition_reduce(
         ds.map_batches(partial, batch_format="pandas"),
-        ["host"], fold, num_partitions=num_partitions)
+        ["host"], fold)
 
 
 def host_crawl_sql(pages_glob: str) -> str:

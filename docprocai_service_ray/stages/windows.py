@@ -23,7 +23,7 @@ from ..state.groupby import group_agg, partition_reduce
 
 
 def session_stats(events_ds, *, key_col: str = "user_id", ts_col: str = "ts",
-                  gap_minutes: int = 30, num_partitions: int | None = None):
+                  gap_minutes: int = 30):
     """Per key: number of gap-based sessions and total events.
     Output columns: (key_col, n_sessions, n_events)."""
     gap = pd.Timedelta(minutes=gap_minutes)
@@ -43,7 +43,6 @@ def session_stats(events_ds, *, key_col: str = "user_id", ts_col: str = "ts",
 
     return partition_reduce(
         events_ds.select_columns([key_col, ts_col]), [key_col], reduce,
-        num_partitions=num_partitions,
     )
 
 
@@ -70,8 +69,7 @@ def sliding_counts(events_ds, *, ts_col: str = "ts", key_col: str = "event_type"
     slots = events_ds.select_columns([ts_col, key_col]).map_batches(
         explode, batch_format="pandas"
     )
-    return group_agg(slots, ["window_start", "key"], {"n": ("key", "size")},
-                     num_partitions=None)  # auto-size
+    return group_agg(slots, ["window_start", "key"], {"n": ("key", "size")})
 
 
 # --------------------- SQL window-function / rollup analogs -----------------
@@ -93,7 +91,7 @@ def sliding_counts(events_ds, *, ts_col: str = "ts", key_col: str = "event_type"
 
 def grouped_topn_rows(ds, keys: list[str], order_col: str, n: int, *,
                       descending: bool = True, tiebreak: list[str] | None = None,
-                      num_partitions: int | None = None, rank_col: str = "rn"):
+                      rank_col: str = "rn"):
     """Top-``n`` whole rows per group with their rank — the distributed
     ``QUALIFY ROW_NUMBER() OVER (PARTITION BY keys ORDER BY order_col
     [DESC], tiebreak) <= n``. ``tiebreak`` must make the order total or
@@ -115,13 +113,12 @@ def grouped_topn_rows(ds, keys: list[str], order_col: str, n: int, *,
 
     return partition_reduce(
         ds.map_batches(partial, batch_format="pandas"), keys, final,
-        num_partitions=num_partitions,
     )
 
 
 def running_group_agg(ds, key_cols: list[str], order_cols: list[str],
                       val_col: str, out_col: str = "running_sum", *,
-                      num_partitions: int | None = None, round_to: int | None = 2):
+                      round_to: int | None = 2):
     """Per-row running sum of ``val_col`` within each key group ordered by
     ``order_cols`` — ``SUM(val) OVER (PARTITION BY key ORDER BY order ROWS
     UNBOUNDED PRECEDING)``. ``order_cols`` must be a total order within
@@ -135,11 +132,11 @@ def running_group_agg(ds, key_cols: list[str], order_cols: list[str],
             run = run.round(round_to)
         return part.assign(**{out_col: run})
 
-    return partition_reduce(ds, key_cols, reduce, num_partitions=num_partitions)
+    return partition_reduce(ds, key_cols, reduce)
 
 
 def _grouping_sets(ds, keys: list[str], val_col: str, rolled: list[list[str]],
-                   total_label: str, num_partitions: int | None, sum_col: str,
+                   total_label: str, sum_col: str,
                    count_col: str, round_to: int | None):
     """Grouped sum+count per grouping set in one pass: each entry of
     ``rolled`` names the key columns that set shows as ``total_label``.
@@ -157,12 +154,11 @@ def _grouping_sets(ds, keys: list[str], val_col: str, rolled: list[list[str]],
         {sum_col: (sum_col, "sum"), count_col: (count_col, "sum")},
         finish=None if round_to is None else (
             lambda g: g.round({sum_col: round_to})),
-        num_partitions=num_partitions,
     )
 
 
 def rollup_aggregate(ds, keys: list[str], val_col: str, *,
-                     total_label: str = "ALL", num_partitions: int | None = None,
+                     total_label: str = "ALL",
                      sum_col: str = "total", count_col: str = "n",
                      round_to: int | None = 2):
     """Grouped sum+count at EVERY rollup level of ``keys`` (finest →
@@ -172,13 +168,12 @@ def rollup_aggregate(ds, keys: list[str], val_col: str, *,
     ambiguity)."""
     return _grouping_sets(ds, keys, val_col,
                           [keys[i:] for i in range(len(keys), -1, -1)],
-                          total_label, num_partitions, sum_col, count_col,
+                          total_label, sum_col, count_col,
                           round_to)
 
 
 def sessionize(events_ds, *, key_col: str = "user_id", ts_col: str = "ts",
-               id_col: str = "event_id", gap_minutes: int = 30,
-               num_partitions: int | None = None):
+               id_col: str = "event_id", gap_minutes: int = 30):
     """Row-level sessionization: every event tagged with its gap-based
     session ordinal (``session_seq``, 1-based per key) — the per-row
     companion to :func:`session_stats` (which only aggregates). Output is
@@ -201,12 +196,11 @@ def sessionize(events_ds, *, key_col: str = "user_id", ts_col: str = "ts",
 
     return partition_reduce(
         events_ds.select_columns([id_col, key_col, ts_col]), [key_col], reduce,
-        num_partitions=num_partitions,
     )
 
 
 def cube_aggregate(ds, keys: list[str], val_col: str, *,
-                   total_label: str = "ALL", num_partitions: int | None = None,
+                   total_label: str = "ALL",
                    sum_col: str = "total", count_col: str = "n",
                    round_to: int | None = 2):
     """Grouped sum+count at EVERY subset of ``keys`` (``GROUP BY CUBE``) in
@@ -216,11 +210,11 @@ def cube_aggregate(ds, keys: list[str], val_col: str, *,
     masks = [[c for i, c in enumerate(keys) if m & (1 << i)]
              for m in range(1 << len(keys))]
     return _grouping_sets(ds, keys, val_col, masks, total_label,
-                          num_partitions, sum_col, count_col, round_to)
+                          sum_col, count_col, round_to)
 
 
 def grouped_ntile(ds, keys: list[str], order_col: str, n_tiles: int, *,
-                  tiebreak: list[str] | None = None, num_partitions: int | None = None,
+                  tiebreak: list[str] | None = None,
                   tile_col: str = "tile"):
     """NTILE(n) OVER (PARTITION BY keys ORDER BY order_col, tiebreak):
     every row tagged with its n-quantile bucket (1-based, SQL NTILE fill
@@ -242,4 +236,4 @@ def grouped_ntile(ds, keys: list[str], order_col: str, n_tiles: int, *,
         )
         return part.assign(**{tile_col: (tile + 1).astype("int64")})
 
-    return partition_reduce(ds, keys, reduce, num_partitions=num_partitions)
+    return partition_reduce(ds, keys, reduce)

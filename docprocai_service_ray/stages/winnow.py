@@ -99,8 +99,7 @@ def winnow_fingerprints(ds, id_col: str = "doc_id", text_col: str = "text",
 
 def winnow_overlap_pairs(ds, id_col: str = "doc_id",
                          text_col: str = "text", *, k: int = 8, w: int = 16,
-                         min_shared: int = 2, pair_cap: int = WINNOW_PAIR_CAP,
-                         num_partitions: int | None = None):
+                         min_shared: int = 2, pair_cap: int = WINNOW_PAIR_CAP):
     """(doc_a, doc_b, n_shared) for document pairs sharing ≥ ``min_shared``
     winnowing fingerprints (doc_a < doc_b) — the corpus-level syndication /
     plagiarism map.
@@ -127,11 +126,9 @@ def winnow_overlap_pairs(ds, id_col: str = "doc_id",
                              "doc_b": pd.Series(rows_b, dtype=dt)})
 
     # one row per shared fingerprint: the pair's count is its row count
-    pairs = partition_reduce(fps, ["fp"], emit_pairs,
-                             num_partitions=num_partitions)
+    pairs = partition_reduce(fps, ["fp"], emit_pairs)
     return group_agg(pairs, ["doc_a", "doc_b"], {"n_shared": ("doc_a", "size")},
-                     finish=lambda g: g[g["n_shared"] >= min_shared],
-                     num_partitions=num_partitions)
+                     finish=lambda g: g[g["n_shared"] >= min_shared])
 
 
 def winnow_sql(table: str, id_col: str, text_col: str, *, k: int = 8,

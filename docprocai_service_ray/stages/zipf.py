@@ -24,7 +24,7 @@ import pandas as pd
 from .ngramlm import _TOKEN_RE
 
 
-def _word_counts(ds, text_col: str, num_partitions: int | None):
+def _word_counts(ds, text_col: str):
     from ..state.groupby import group_agg
 
     def toks(df: pd.DataFrame) -> pd.DataFrame:
@@ -32,12 +32,11 @@ def _word_counts(ds, text_col: str, num_partitions: int | None):
         return pd.DataFrame({"w": t}).explode("w").dropna()
 
     return group_agg(ds.map_batches(toks, batch_format="pandas"), ["w"],
-                     {"c": ("w", "size")}, num_partitions=num_partitions)
+                     {"c": ("w", "size")})
 
 
 def zipf_law_stats(ds, text_col: str, *, top_k: int = 1000,
-                   round_to: int = 6,
-                   num_partitions: int | None = None) -> pd.DataFrame:
+                   round_to: int = 6) -> pd.DataFrame:
     """One-row corpus scan: (n_types, n_tokens, tt_ratio, hapax_frac,
     zipf_slope, zipf_r2). The slope/r² are the least-squares fit of
     log2(freq) on log2(rank) over the top-``top_k`` ranks (rank ties
@@ -46,7 +45,7 @@ def zipf_law_stats(ds, text_col: str, *, top_k: int = 1000,
     result is a single row of scalars."""
     from ..state.groupby import collect_pandas
 
-    wc = _word_counts(ds, text_col, num_partitions).materialize()
+    wc = _word_counts(ds, text_col).materialize()
 
     def scalars(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):

@@ -11,6 +11,14 @@ prefilter, the triple aggregation's partials and PageRank's edge buckets
 all place keys this way. Outputs depend only on the keys, never on the
 partition a key lands in.
 
+Fan-in: only the exchange primitives here and in ``state/joins`` take a
+partition count, and :func:`resolve_num_partitions` is the one rule that
+sizes every exchange: a :func:`pin_partitions` block's count, else the
+call's own constant (a few call sites whose input is small by
+construction pass one), else ~64 MB of estimated input per partition.
+Stage, pipeline and source functions take no fan-in parameter; tests and
+scripts vary P with ``with pin_partitions(p):`` (the package never pins).
+
 Skew note: a head key's rows land in one partition, so a grouped
 aggregate must pre-aggregate per batch first (phase 0) so no single key's
 row count is proportional to the corpus — the standard partial+final
@@ -22,6 +30,8 @@ partials, grouping by a finer key than the partition key).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from typing import Callable
 
 import numpy as np
@@ -57,16 +67,39 @@ def _group_parts(tagged, fn: Callable[[pd.DataFrame], pd.DataFrame]):
         lambda group: fn(group.drop(columns="__part")), batch_format="pandas")
 
 
-def resolve_num_partitions(ds, num_partitions: int | None) -> int:
-    """``None`` → auto-size from the metadata-only input-bytes estimate
-    (~64 MB per partition, state/joins.auto_buckets), so grouped exchanges
-    scale their fan-in with input volume exactly like hash_join sizes its
-    buckets. Explicit ints pass through untouched."""
+_pinned: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "raykg_pinned_partitions", default=None)
+
+
+@contextlib.contextmanager
+def pin_partitions(n: int):
+    """Every exchange planned inside the block uses ``n`` partitions."""
+    if n < 1:
+        raise ValueError(f"partition count must be >= 1, got {n}")
+    token = _pinned.set(n)
+    try:
+        yield
+    finally:
+        _pinned.reset(token)
+
+
+def resolve_num_partitions(ds, num_partitions: int | None, *,
+                           default: int = 64) -> int:
+    """The fan-in of one exchange over ``ds`` (a Dataset, or a tuple of
+    them for a join's two sides): the :func:`pin_partitions` count if one
+    is set, else the call's ``num_partitions``, else the metadata-only
+    input-bytes estimate at ~64 MB per partition (state/joins.auto_buckets,
+    ``default`` when no estimate exists), so a 100× corpus gets 100× reduce
+    tasks instead of 100× task size."""
+    pinned = _pinned.get()
+    if pinned is not None:
+        return pinned
     if num_partitions is not None:
         return num_partitions
     from .joins import auto_buckets
 
-    return auto_buckets(ds, default=64)
+    return auto_buckets(*(ds if isinstance(ds, tuple) else (ds,)),
+                        default=default)
 
 
 def partition_reduce(
@@ -79,12 +112,10 @@ def partition_reduce(
     per-partition reduce. ``reduce_partition`` sees every row of every key
     hashed into its partition (the ``__part`` column is already dropped).
 
-    ``num_partitions=None`` (the default) auto-sizes the fan-in from the
-    metadata-only input-bytes estimate, targeting ~64 MB per partition
-    (state/joins.auto_buckets — the same self-sizing hash_join uses), so a
-    100× corpus gets 100× reduce tasks instead of 100× task size. Pass an
-    explicit value only for inputs known to be small by construction
-    (vocab-sized partials, dimension tables)."""
+    The partition count comes from :func:`resolve_num_partitions`: leave
+    ``num_partitions`` unset to size it from the input, and pass a
+    constant only for inputs small by construction (vocab-sized partials,
+    dimension tables). A :func:`pin_partitions` block overrides both."""
     num_partitions = resolve_num_partitions(ds, num_partitions)
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
@@ -135,7 +166,7 @@ def group_agg(ds, keys: list[str], aggs: dict[str, tuple[str, str]], *,
 def distinct_rows(ds, key_cols: list[str], num_partitions: int | None = None):
     """Distinct rows by ``key_cols`` (vectorized drop_duplicates per
     partition; deterministic keep=first after a sort on the keys).
-    ``num_partitions=None`` auto-sizes like :func:`partition_reduce`."""
+    Partitions are sized like :func:`partition_reduce`'s."""
 
     def reduce(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(key_cols).drop_duplicates(key_cols, keep="first")

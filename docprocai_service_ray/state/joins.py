@@ -17,10 +17,16 @@ the big side:
   tags ``__side`` and ``__part = key_hash(key) % B`` inside each side's
   own map; ``state.groupby._group_parts`` groups the union by ``__part``
   for one vectorized pandas merge / ``merge_asof`` per partition, so a
-  key lands where ``partition_reduce`` would put it. B is sized from a
-  METADATA-ONLY input-bytes estimate (never by executing the inputs)
-  targeting ~64 MB per bucket; ``salt=k`` splits each left key into k
-  sub-keys and replicates the right side k ways for skewed keys.
+  key lands where ``partition_reduce`` would put it. B comes from
+  ``state.groupby.resolve_num_partitions``, the one fan-in rule: by
+  default a METADATA-ONLY input-bytes estimate (never by executing the
+  inputs) targeting ~64 MB per bucket; ``salt=k`` splits each left key
+  into k sub-keys and replicates the right side k ways for skewed keys.
+
+The broadcast-or-shuffle choice of ``strategy="auto"`` is a
+``state.tier.tier_for`` gate (``hash_join`` / ``asof_join``: ``driver``
+is the broadcast tier), so it logs like every other gate and
+``state.tier.forced`` pins it.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from .groupby import _group_parts, _tag_part, key_hash
+from .groupby import _group_parts, _tag_part, key_hash, resolve_num_partitions
+from .tier import tier_for
 
 
 _TARGET_BUCKET_BYTES = 64 << 20  # ~64 MB of input per merge task
@@ -321,7 +328,7 @@ def _co_partition(left, l_schema, right, keys: list[str],
     ``__part`` (``_tag_part`` over ``keys``, plus the ``__salt`` sub-key
     when ``salt > 1``: a deterministic per-row sub-key on the left,
     ``salt`` replicas of each row on the right). Returns the union, ready
-    for ``_group_parts``, and the right-only column names."""
+    for :func:`_merge_parts`, and the right-only column names."""
     r_schema = right.schema()
     _check_key_types(l_schema, r_schema, keys)
     l_cols, r_cols = l_schema.names, r_schema.names
@@ -354,6 +361,21 @@ def _co_partition(left, l_schema, right, keys: list[str],
     ), r_only
 
 
+def _merge_parts(both, merge, num_partitions: int):
+    """Run ``merge`` once per partition of :func:`_co_partition`'s union.
+    The sort exchange emits one block per input block of BOTH sides (at
+    most ``num_partitions`` of them hold rows), so a join fed its own
+    output (every fixpoint loop over a graph) would grow its block count,
+    and the cost of each later map and sort, every round. When the
+    metadata-only estimate of the union's blocks exceeds
+    ``num_partitions``, the output is cut back to that many blocks."""
+    out = _group_parts(both, merge)
+    n = both._logical_plan.dag.estimated_num_outputs()
+    if n is None or n <= num_partitions:
+        return out
+    return out.repartition(num_partitions)
+
+
 def hash_join(
     left,
     right,
@@ -364,7 +386,6 @@ def hash_join(
     suffixes: tuple[str, str] = ("", "_r"),
     salt: int = 1,
     strategy: str = "auto",
-    broadcast_max_bytes: int = _BROADCAST_MAX_BYTES,
     bloom_prefilter: bool = False,
     bloom_bits: int = 1 << 23,
 ):
@@ -372,9 +393,10 @@ def hash_join(
 
     ``strategy="auto"`` picks the tier by the size of the SMALL side, never
     the big side: when the right side's metadata-only byte estimate fits
-    ``broadcast_max_bytes``, it is broadcast once and every left batch does
-    a map-side ``pyarrow.Table.join`` — zero shuffle (the dominant case
-    for dimension tables, label maps, dup winners). Otherwise (or with
+    ``_BROADCAST_MAX_BYTES`` (a ``tier_for`` gate), it is broadcast once
+    and every left batch does a map-side ``pyarrow.Table.join`` — zero
+    shuffle (the dominant case for dimension tables, label maps, dup
+    winners). Otherwise (or with
     ``strategy="shuffle"``) the general both-sides-large path runs: both
     sides are aligned and tagged with ``__part = key_hash(on) % buckets``
     inside their own map (:func:`_co_partition`), unioned, and grouped by
@@ -382,12 +404,12 @@ def hash_join(
     keys together; a pandas merge runs per bucket. One all-to-all exchange
     total; no driver materialization.
 
-    ``buckets=None`` auto-sizes from a metadata-only input-bytes estimate
-    (~64 MB per bucket). ``salt=k`` defuses skewed keys: each LEFT row gets
-    a deterministic sub-key in [0, k) and the RIGHT side is replicated k
-    ways, so a head key's rows spread over k merge tasks instead of one
-    straggler (right side should be the smaller side when salting; salting
-    forces the shuffle tier).
+    ``buckets`` goes through ``resolve_num_partitions`` (``None``: a
+    metadata-only input-bytes estimate, ~64 MB per bucket). ``salt=k``
+    defuses skewed keys: each LEFT row gets a deterministic sub-key in
+    [0, k) and the RIGHT side is replicated k ways, so a head key's rows
+    spread over k merge tasks instead of one straggler (right side should
+    be the smaller side when salting; salting forces the shuffle tier).
 
     ``bloom_prefilter=True`` (inner shuffle joins): a Bloom filter over the
     right side's keys is built first (per-block partials, OR-merged; the
@@ -406,17 +428,19 @@ def hash_join(
             raise ValueError("how='outer' requires the shuffle tier with salt=1")
         strategy = "shuffle"
     if strategy == "auto" and salt == 1 and how in ("inner", "left"):
-        rb = _meta_size_bytes(right)
-        if rb is not None and rb <= broadcast_max_bytes:
+        if tier_for(_meta_size_bytes(right), _BROADCAST_MAX_BYTES,
+                    what="hash_join") == "driver":
             strategy = "broadcast"
     if strategy == "broadcast":
         return _broadcast_join(left, right, keys, how=how, suffixes=suffixes)
-    if buckets is None:
-        buckets = auto_buckets(left, right)
+    buckets = resolve_num_partitions((left, right), buckets, default=32)
     # column + bucket metadata comes from the UNFILTERED left (the bloom
     # filter keeps the schema but hides it from metadata-only inference;
     # its byte estimate would also undersize the buckets)
     l_schema = left.schema()
+    if how != "outer" and (l_schema is None or right.schema() is None):
+        # a side with no schema has no columns: as in _broadcast_join
+        return left if l_schema is None or how == "left" else left.limit(0)
     l_cols = l_schema.names
     if bloom_prefilter and how == "inner":
         bloom_ref = ray.put(build_key_bloom(right, keys, bits=bloom_bits))
@@ -428,12 +452,15 @@ def hash_join(
     r_side_cols = merge_keys + r_only
 
     def _merge(group: pd.DataFrame) -> pd.DataFrame:
-        l = group[group["__side"] == "l"][l_side_cols]
-        r = group[group["__side"] == "r"][r_side_cols]
+        # each side's blocks carry the other side's columns as nulls, so a
+        # column arrives here as object: restore each side's own dtypes (an
+        # int key must hash as int when this output is joined again)
+        l = group[group["__side"] == "l"][l_side_cols].infer_objects(copy=False)
+        r = group[group["__side"] == "r"][r_side_cols].infer_objects(copy=False)
         out = l.merge(r, on=merge_keys, how=how)
         return out.drop(columns="__salt") if salt > 1 else out
 
-    return _group_parts(both, _merge)
+    return _merge_parts(both, _merge, buckets)
 
 
 def _broadcast_asof(left, right, *, by: str, on: str, right_on: str,
@@ -477,9 +504,7 @@ def asof_join(
     on: str,
     right_on: str | None = None,
     direction: str = "backward",
-    num_partitions: int | None = None,
     strategy: str = "auto",
-    broadcast_max_bytes: int = _BROADCAST_MAX_BYTES,
     right_reduce=None,
     max_partition_rows: int = 20_000_000,
 ):
@@ -491,18 +516,19 @@ def asof_join(
     rows of one ``by`` key land in one hash partition (keys are users /
     entities with bounded history — by-key salting is impossible for as-of
     semantics, so a single key hotter than one partition's memory needs a
-    time-bucketed pre-aggregation upstream). ``num_partitions=None``
-    auto-sizes from a metadata-only input-bytes estimate. Both sides are
-    tagged, unioned and grouped by ``key_hash(by) % P`` in ONE shuffle; within
-    a partition a single vectorized ``pd.merge_asof(by=...)`` handles
-    every key at once — never one Python call per key.
+    time-bucketed pre-aggregation upstream). P comes from
+    ``resolve_num_partitions`` (a metadata-only input-bytes estimate unless
+    pinned). Both sides are tagged, unioned and grouped by
+    ``key_hash(by) % P`` in ONE shuffle; within a partition a single
+    vectorized ``pd.merge_asof(by=...)`` handles every key at once — never
+    one Python call per key.
 
     Broadcast tier (``strategy="auto"``): as-of only needs the RIGHT side
     complete per key — the left can arrive in arbitrary chunks. So when
-    the right side's metadata byte estimate fits the broadcast cap, it is
-    collected + time-sorted ONCE, ``ray.put`` once, and each left batch
-    runs ``pd.merge_asof`` against it directly — zero shuffle of the big
-    (event) side.
+    the right side's metadata byte estimate fits the broadcast cap (a
+    ``tier_for`` gate), it is collected + time-sorted ONCE, ``ray.put``
+    once, and each left batch runs ``pd.merge_asof`` against it directly —
+    zero shuffle of the big (event) side.
 
     ``right_reduce`` (optional): a vectorized grouped FINAL reduce for a
     right side that arrives as per-batch partials (e.g. max price per
@@ -511,17 +537,16 @@ def asof_join(
     separate pre-join shuffle of the right side at all.
     """
     right_on = right_on or on
-    if strategy == "auto" and num_partitions is None:
-        rb = _meta_size_bytes(right)
-        if rb is not None and rb <= broadcast_max_bytes:
-            strategy = "broadcast"
+    if strategy == "auto" and tier_for(
+            _meta_size_bytes(right), _BROADCAST_MAX_BYTES,
+            what="asof_join") == "driver":
+        strategy = "broadcast"
     if strategy == "broadcast":
         return _broadcast_asof(
             left, right, by=by, on=on, right_on=right_on, direction=direction,
             right_reduce=right_reduce,
         )
-    if num_partitions is None:
-        num_partitions = auto_buckets(left, right)
+    num_partitions = resolve_num_partitions((left, right), None, default=32)
     l_schema = left.schema()
     l_cols = l_schema.names
     both, r_only = _co_partition(left, l_schema, right, [by], "_r", num_partitions)
@@ -563,7 +588,7 @@ def asof_join(
             l, r, left_on=on, right_on=right_on_final, by=by, direction=direction,
         )
 
-    return _group_parts(both, _merge)
+    return _merge_parts(both, _merge, num_partitions)
 
 
 def _axis_raw(s: pd.Series) -> np.ndarray:

@@ -9,6 +9,12 @@ its distributed tier at the full bench corpus (sf0.1 → 500k pages) and
 records wall time + convergence rounds, proving the tiers complete in
 bounded time at scale — the measurement SCALE.md cites.
 
+``forced("distributed")`` also pins the broadcast-or-shuffle choice of
+every ``hash_join`` / ``asof_join`` to the shuffle tier. Runs made before
+that pin existed broadcast their small join sides, so the 788 s /
+17× figures SCALE.md and BASELINE.md cite measure a different plan and
+are not comparable with a run of this script.
+
 Run: python scripts/bench_distributed_tiers.py  (prints one JSON line)
 """
 

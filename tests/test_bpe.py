@@ -18,6 +18,7 @@ from docprocai_service_ray.stages.bpe import (_best_pair, _merge_word,
                                               _word_syms, bpe_apply,
                                               bpe_encode_word, bpe_train,
                                               word_counts)
+from docprocai_service_ray.state.groupby import pin_partitions
 from docprocai_service_ray.state.tier import forced
 
 pytestmark = pytest.mark.usefixtures("ray_session")
@@ -73,10 +74,11 @@ def test_both_tiers_match_naive_reference():
 
 def test_parallelism_invariance():
     with forced("distributed"):
-        ref = bpe_train(_ds(1), "text", num_merges=16, num_partitions=2)
+        with pin_partitions(2):
+            ref = bpe_train(_ds(1), "text", num_merges=16)
         for parts, np_ in ((3, 5), (9, 16)):
-            out = bpe_train(_ds(parts), "text", num_merges=16,
-                            num_partitions=np_)
+            with pin_partitions(np_):
+                out = bpe_train(_ds(parts), "text", num_merges=16)
             pd.testing.assert_frame_equal(out, ref)
 
 

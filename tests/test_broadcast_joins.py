@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from docprocai_service_ray.state.groupby import pin_partitions
 from docprocai_service_ray.state.joins import asof_join, hash_join
 
 
@@ -108,7 +109,8 @@ class TestBroadcastAsof:
         left, right = asof_sides
         kw = dict(by="uid", on="ts", right_on="odate")
         b = asof_join(left, right, strategy="broadcast", **kw)
-        s = asof_join(left, right, strategy="shuffle", num_partitions=8, **kw)
+        with pin_partitions(8):
+            s = asof_join(left, right, strategy="shuffle", **kw)
         cols = ["uid", "ts", "etype", "price"]
         assert _sorted_rows(b, cols) == _sorted_rows(s, cols)
 
@@ -122,7 +124,8 @@ class TestBroadcastAsof:
 
         kw = dict(by="uid", on="ts", right_on="odate", right_reduce=dedup)
         b = asof_join(left, right, strategy="broadcast", **kw)
-        s = asof_join(left, right, strategy="shuffle", num_partitions=8, **kw)
+        with pin_partitions(8):
+            s = asof_join(left, right, strategy="shuffle", **kw)
         cols = ["uid", "ts", "etype", "price"]
         rows_b = _sorted_rows(b, cols)
         assert rows_b == _sorted_rows(s, cols)
@@ -155,11 +158,12 @@ class TestAsofPartitionContract:
                 "v": np.arange(10.0),
             }
         )
-        ds = asof_join(
-            rd.from_pandas(left), rd.from_pandas(right),
-            by="u", on="ts", right_on="ots",
-            strategy="shuffle", num_partitions=4, max_partition_rows=1000,
-        )
+        with pin_partitions(4):
+            ds = asof_join(
+                rd.from_pandas(left), rd.from_pandas(right),
+                by="u", on="ts", right_on="ots",
+                strategy="shuffle", max_partition_rows=1000,
+            )
         with pytest.raises(Exception, match="hot"):
             ds.materialize()
 
@@ -183,11 +187,12 @@ class TestAsofPartitionContract:
                 "v": np.arange(20.0),
             }
         )
-        out = asof_join(
-            rd.from_pandas(left), rd.from_pandas(right),
-            by="u", on="ts", right_on="ots",
-            strategy="shuffle", num_partitions=4, max_partition_rows=100_000,
-        )
+        with pin_partitions(4):
+            out = asof_join(
+                rd.from_pandas(left), rd.from_pandas(right),
+                by="u", on="ts", right_on="ots",
+                strategy="shuffle", max_partition_rows=100_000,
+            )
         assert out.count() == 200
 
 

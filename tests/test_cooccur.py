@@ -15,6 +15,8 @@ from docprocai_service_ray.stages.cooccur import (
     cooccurrence_pmi,
     cooccurrence_pmi_sql,
 )
+from docprocai_service_ray.state.groupby import pin_partitions
+from docprocai_service_ray.state.tier import forced
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -72,16 +74,17 @@ class TestCooccurrencePMI:
     def test_forced_shuffle_join_tier_identical(self):
         df = _docs(n=80, seed=4)
         auto = _got(df)
-        forced = _got(df, broadcast_max_bytes=0)
-        pd.testing.assert_frame_equal(auto, forced)
+        with forced("distributed"):
+            shuffled = _got(df)
+        pd.testing.assert_frame_equal(auto, shuffled)
 
     def test_parallelism_invariant(self):
         df = _docs(n=60, seed=9)
         outs = []
         for p, np_ in ((1, 2), (7, 16)):
-            out = cooccurrence_pmi(
-                rd.from_pandas(df).repartition(p), "doc_id", "text",
-                num_partitions=np_)
+            with pin_partitions(np_):
+                out = cooccurrence_pmi(
+                    rd.from_pandas(df).repartition(p), "doc_id", "text")
             outs.append(_norm(out.to_pandas()[["w1", "w2", "pair_n", "pmi"]]))
         pd.testing.assert_frame_equal(outs[0], outs[1])
 

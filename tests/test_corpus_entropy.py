@@ -22,6 +22,7 @@ from docprocai_service_ray.stages.textstats import (
     unigram_logprob_sql,
     unigram_logprob_stats,
 )
+from docprocai_service_ray.state.groupby import pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -64,13 +65,13 @@ class TestUnigramLogprob:
 
     def test_parallelism_invariant(self):
         df = _docs(n=60, seed=9)
-        outs = [
-            unigram_logprob_stats(
-                rd.from_pandas(df).repartition(p), "doc_id", "text",
-                "source", num_partitions=np_,
-            ).sort_values("source").reset_index(drop=True)
-            for p, np_ in ((1, 2), (11, 16))
-        ]
+        outs = []
+        for p, np_ in ((1, 2), (11, 16)):
+            with pin_partitions(np_):
+                outs.append(unigram_logprob_stats(
+                    rd.from_pandas(df).repartition(p), "doc_id", "text",
+                    "source",
+                ).sort_values("source").reset_index(drop=True))
         pd.testing.assert_frame_equal(outs[0], outs[1])
 
     def test_tokenless_docs_excluded(self):
@@ -121,13 +122,12 @@ class TestCentroidDistance:
 
     def test_parallelism_invariant(self):
         df = _vecs(n=50, seed=8)
-        outs = [
-            centroid_distance_stats(
-                rd.from_pandas(df).repartition(p), "label", "embedding", 6,
-                num_partitions=np_,
-            ).to_pandas().sort_values("label").reset_index(drop=True)
-            for p, np_ in ((1, 2), (9, 8))
-        ]
+        outs = []
+        for p, np_ in ((1, 2), (9, 8)):
+            with pin_partitions(np_):
+                outs.append(centroid_distance_stats(
+                    rd.from_pandas(df).repartition(p), "label", "embedding", 6,
+                ).to_pandas().sort_values("label").reset_index(drop=True))
         pd.testing.assert_frame_equal(outs[0], outs[1])
 
     def test_single_member_label_near_zero_distance(self):

@@ -13,6 +13,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from docprocai_service_ray.state.groupby import pin_partitions
+
 
 def _mk_corpus(tmp_path, rows: list[dict]) -> str:
     d = str(tmp_path)
@@ -89,14 +91,16 @@ class TestCurate:
         from docprocai_service_ray.pipelines.curate import curate_documents
 
         d = _mk_corpus(tmp_path, self._rows())
-        a = (
-            curate_documents(d, num_partitions=2).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True)
-        )
-        b = (
-            curate_documents(d, num_partitions=13).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True)
-        )
+        with pin_partitions(2):
+            a = (
+                curate_documents(d).to_pandas()
+                .sort_values("doc_id").reset_index(drop=True)
+            )
+        with pin_partitions(13):
+            b = (
+                curate_documents(d).to_pandas()
+                .sort_values("doc_id").reset_index(drop=True)
+            )
         pd.testing.assert_frame_equal(a, b)
 
     def test_sample_rate_zero_and_one(self, ray_session, tmp_path):
@@ -278,12 +282,12 @@ class TestTrainingShards:
             publish_training_shards)
 
         d = TestRelease._release_corpus(tmp_path)
-        a = (publish_training_shards(d, seq_len=32, n_shards=3,
-                                     num_partitions=2).to_pandas()
-             .sort_values(["shard", "pos"]).reset_index(drop=True))
-        b = (publish_training_shards(d, seq_len=32, n_shards=3,
-                                     num_partitions=11).to_pandas()
-             .sort_values(["shard", "pos"]).reset_index(drop=True))
+        with pin_partitions(2):
+            a = (publish_training_shards(d, seq_len=32, n_shards=3).to_pandas()
+                 .sort_values(["shard", "pos"]).reset_index(drop=True))
+        with pin_partitions(11):
+            b = (publish_training_shards(d, seq_len=32, n_shards=3).to_pandas()
+                 .sort_values(["shard", "pos"]).reset_index(drop=True))
         pd.testing.assert_frame_equal(a, b)
 
     def test_stats_match_packed_and_export(self, ray_session, tmp_path):

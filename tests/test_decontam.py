@@ -11,7 +11,7 @@ import pytest
 import ray.data as rd
 
 from docprocai_service_ray.stages.decontam import ngram_decontaminate
-from docprocai_service_ray.state.groupby import collect_pandas
+from docprocai_service_ray.state.groupby import collect_pandas, pin_partitions
 from docprocai_service_ray.state.tier import forced
 
 pytestmark = pytest.mark.usefixtures("ray_session")
@@ -62,11 +62,11 @@ def _brute(docs: pd.DataFrame, bench: pd.DataFrame, n: int) -> pd.DataFrame:
 
 def _run(docs, bench, n, tier):
     """``tier`` "broadcast" is the driver tier: the benchmark is broadcast."""
-    with forced("driver" if tier == "broadcast" else tier):
+    with forced("driver" if tier == "broadcast" else tier), pin_partitions(4):
         res = ngram_decontaminate(
             rd.from_pandas(docs).repartition(5),
             rd.from_pandas(bench).repartition(3),
-            "doc_id", "text", "source", n=n, num_partitions=4,
+            "doc_id", "text", "source", n=n,
         )
     return (collect_pandas(res, COLS)
             .sort_values("source").reset_index(drop=True))

@@ -110,6 +110,62 @@ def test_broadcast_winners_tier_matches_driver(ray_session, path):
     assert got == base and len(base) == 30 + 5 + 3 + 20
 
 
+def _plan_ops(ds) -> list[tuple[str, int | None]]:
+    """(name, estimated block count) of each operator of ``ds``'s logical
+    plan, walked as a tree: an input reached along two paths is listed
+    (and executed) twice."""
+    ops, stack = [], [ds._logical_plan.dag]
+    while stack:
+        op = stack.pop()
+        ops.append((op.name, op.estimated_num_outputs()))
+        stack.extend(op.input_dependencies)
+    return ops
+
+
+def _docs_join_tier(cfg):
+    docs_raw = extract_docs(_pages_ds(), cfg).materialize()
+    return drop_empty(dedup_urls(docs_raw.repartition(7), cfg))
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: build_docs(_pages_ds().repartition(7), cfg), _docs_join_tier],
+    ids=["build_docs", "dedup_urls"])
+def test_join_tier_runs_the_join_once(ray_session, run):
+    """One hash join (one co-partition ``Union``) over one read of the
+    input (its one ``repartition(7)``; the join's output cap is another
+    ``Repartition``) — not one per tie/no-tie branch."""
+    with forced("distributed"):
+        ops = _plan_ops(run(KGConfig()))
+    assert ops.count(("Repartition", 7)) == 1
+    assert [name for name, _ in ops].count("Union") == 1
+
+
+def test_build_docs_filters_languages_once(ray_session, monkeypatch):
+    """With ``filter_langs`` set, ``build_docs`` builds one language filter
+    and gives the extracted-docs path's output."""
+    from docprocai_service_ray.stages import extract
+
+    de = rd.from_arrow(pa.table({
+        # a newer "de" capture of a duplicated url: filtered out before
+        # url-dedup, so the url's "en" capture still wins
+        "url": ["https://dup0.test/", "https://de-only.test/"],
+        "warc_ts": pa.array([_ts(9), _ts(1)], pa.timestamp("us")),
+        "html": pa.array([b"<html><body><p>neu</p></body></html>",
+                          b"<html><body><p>nur deutsch</p></body></html>"],
+                         pa.binary()),
+        "lang": ["de", "de"],
+    }))
+    cfg = dataclasses.replace(KGConfig(), filter_langs=("en",))
+    want = _docs_key(_from_docs(_pages_ds().union(de), cfg))
+    calls = []
+    real = extract.filter_langs
+    monkeypatch.setattr(extract, "filter_langs",
+                        lambda ds, c: calls.append(c) or real(ds, c))
+    got = _docs_key(build_docs(_pages_ds().union(de), cfg))
+    assert len(calls) == 1
+    assert got == want and len(got) == 30 + 5 + 3 + 20
+
+
 @pytest.mark.parametrize("tier", ["driver", "distributed"])
 @pytest.mark.parametrize("dedup, schema", [(dedup_urls, DOCS_SCHEMA),
                                            (build_docs, WEB_PAGES_SCHEMA)],

@@ -13,6 +13,7 @@ import pytest
 import ray.data as rd
 
 from docprocai_service_ray.stages.dedup import minhash_threshold_profile
+from docprocai_service_ray.state.groupby import pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -56,9 +57,9 @@ def test_profile_monotone_and_detects_tiers():
 def test_profile_deterministic():
     a = minhash_threshold_profile(
         rd.from_pandas(_docs()).repartition(1), "doc_id", "text", seed=7)
-    b = minhash_threshold_profile(
-        rd.from_pandas(_docs()).repartition(6), "doc_id", "text", seed=7,
-        num_partitions=9)
+    with pin_partitions(9):
+        b = minhash_threshold_profile(
+            rd.from_pandas(_docs()).repartition(6), "doc_id", "text", seed=7)
     pd.testing.assert_frame_equal(a, b)
 
 

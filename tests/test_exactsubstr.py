@@ -17,6 +17,7 @@ import ray.data as rd
 from docprocai_service_ray.stages.exactsubstr import (dup_span_scrub,
                                                       dup_span_scrub_sql,
                                                       dup_span_scrub_stats)
+from docprocai_service_ray.state.groupby import pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -95,10 +96,10 @@ def test_min_count_threshold():
 def test_parallelism_invariance():
     ref = None
     for parts, np_ in ((1, 3), (5, 8)):
-        out = (dup_span_scrub_stats(rd.from_pandas(DOCS).repartition(parts),
-                                    "doc_id", "text", span_tokens=6,
-                                    num_partitions=np_)
-               .to_pandas().sort_values("doc_id").reset_index(drop=True))
+        with pin_partitions(np_):
+            out = (dup_span_scrub_stats(rd.from_pandas(DOCS).repartition(parts),
+                                        "doc_id", "text", span_tokens=6)
+                   .to_pandas().sort_values("doc_id").reset_index(drop=True))
         if ref is None:
             ref = out
         else:

@@ -12,7 +12,8 @@ import pytest
 import ray.data as rd
 
 from docprocai_service_ray.state.groupby import (distinct_rows, key_hash,
-                                                 partition_reduce)
+                                                 partition_reduce,
+                                                 pin_partitions)
 from docprocai_service_ray.state.joins import hash_join
 
 KEYS = np.array([-7, -5, -1, 0, 1, 5, 2**31 - 1, -2**31])
@@ -96,3 +97,56 @@ class TestMultiColumnPartitionReduce:
         want = (df[["a", "b"]].drop_duplicates()
                 .sort_values(["a", "b"]).reset_index(drop=True))
         pd.testing.assert_frame_equal(dr, want)
+
+
+class TestFanInResolution:
+    """``resolve_num_partitions`` order: the pin, else the call's constant,
+    else the input-size estimate."""
+
+    @pytest.mark.parametrize("pin, const, want", [(3, None, 3), (None, 5, 5),
+                                                  (3, 5, 3)],
+                             ids=["pin", "constant", "pin-over-constant"])
+    def test_pin_then_constant(self, ray_session, pin, const, want):
+        ds = rd.from_pandas(pd.DataFrame({"k": np.arange(200) % 60}))
+
+        def one_row(part: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({"n": [len(part)]})
+
+        def run():
+            return partition_reduce(ds, ["k"], one_row,
+                                    num_partitions=const).to_pandas()
+
+        if pin is None:
+            out = run()
+        else:
+            with pin_partitions(pin):
+                out = run()
+        assert len(out) == want and out["n"].sum() == 200
+
+    def test_pinned_shuffle_join_equals_unpinned(self, ray_session):
+        left = rd.from_pandas(pd.DataFrame({"k": np.arange(300) % 70,
+                                            "v": np.arange(300)}))
+        right = rd.from_pandas(pd.DataFrame({"k": np.arange(0, 70, 3),
+                                             "w": np.arange(0, 70, 3) * 2}))
+
+        def run():
+            return (hash_join(left, right, on="k", strategy="shuffle")
+                    .to_pandas().sort_values("v").reset_index(drop=True))
+
+        with pin_partitions(3):
+            pinned = run()
+        pd.testing.assert_frame_equal(pinned, run())
+
+    def test_shuffle_join_emits_at_most_its_bucket_count(self, ray_session):
+        # the sort exchange emits one block per input block of both sides,
+        # so a join fed its own output (the graph fixpoint loops) would
+        # grow its block count every round
+        left = rd.from_pandas(pd.DataFrame({"k": np.arange(300) % 70,
+                                            "v": np.arange(300)}))
+        right = rd.from_pandas(pd.DataFrame({"k": np.arange(70),
+                                             "w": np.arange(70)}))
+        left = left.repartition(6).materialize()
+        right = right.repartition(4).materialize()
+        with pin_partitions(5):
+            out = hash_join(left, right, on="k", strategy="shuffle").materialize()
+        assert out.num_blocks() == 5 and out.count() == 300

@@ -16,6 +16,7 @@ import ray.data as rd
 from docprocai_service_ray.stages.linededup import (line_dedup,
                                                     line_dedup_sql,
                                                     line_dedup_stats)
+from docprocai_service_ray.state.groupby import pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -102,9 +103,10 @@ def test_parallelism_invariance():
     })
     outs = []
     for parts in (1, 4, 13):
-        out = (line_dedup_stats(rd.from_pandas(docs).repartition(parts),
-                                "doc_id", "text", num_partitions=parts + 2)
-               .to_pandas().sort_values("doc_id").reset_index(drop=True))
+        with pin_partitions(parts + 2):
+            out = (line_dedup_stats(rd.from_pandas(docs).repartition(parts),
+                                    "doc_id", "text")
+                   .to_pandas().sort_values("doc_id").reset_index(drop=True))
         outs.append(out)
     pd.testing.assert_frame_equal(outs[0], outs[1])
     pd.testing.assert_frame_equal(outs[0], outs[2])

@@ -16,6 +16,7 @@ from docprocai_service_ray.stages.similarity import (
     multi_query_topk,
     multi_query_topk_sql,
 )
+from docprocai_service_ray.state.groupby import pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -106,7 +107,8 @@ def test_parallelism_invariance(table):
     qids = bench["vec_id"].to_numpy()
     base = (multi_query_topk(rd.from_arrow(table), qmat, qids, 5)
             .to_pandas().reset_index(drop=True))
-    again = (multi_query_topk(rd.from_arrow(table).repartition(11),
-                              qmat, qids, 5, num_partitions=2)
-             .to_pandas().reset_index(drop=True))
+    with pin_partitions(2):
+        again = (multi_query_topk(rd.from_arrow(table).repartition(11),
+                                  qmat, qids, 5)
+                 .to_pandas().reset_index(drop=True))
     pd.testing.assert_frame_equal(base, again)

@@ -16,6 +16,7 @@ import pytest
 import ray.data as rd
 
 from docprocai_service_ray.stages.ngramlm import bigram_lm_bits, bigram_lm_sql
+from docprocai_service_ray.state.groupby import pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -81,10 +82,10 @@ def test_short_docs_excluded():
 def test_parallelism_invariance():
     ref = None
     for parts, np_ in ((1, 2), (4, 7), (11, 16)):
-        out = (bigram_lm_bits(rd.from_pandas(DOCS).repartition(parts),
-                              "doc_id", "text", "source",
-                              num_partitions=np_)
-               .to_pandas().sort_values("source").reset_index(drop=True))
+        with pin_partitions(np_):
+            out = (bigram_lm_bits(rd.from_pandas(DOCS).repartition(parts),
+                                  "doc_id", "text", "source")
+                   .to_pandas().sort_values("source").reset_index(drop=True))
         if ref is None:
             ref = out
         else:

@@ -16,6 +16,7 @@ import ray.data as rd
 from docprocai_service_ray.stages.packing import pack_spans
 from docprocai_service_ray.stages.similarity import semantic_dedup
 from docprocai_service_ray.stages.textstats import repetition_stats
+from docprocai_service_ray.state.groupby import pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -113,12 +114,14 @@ class TestSemanticDedup:
         keep_all = semantic_dedup(rd.from_pandas(df), "vec_id", "v", 8, 3,
                                   threshold=1.5, iters=4).to_pandas()
         assert keep_all["kept"].all()
-        a = (semantic_dedup(rd.from_pandas(df), "vec_id", "v", 8, 3,
-                            threshold=0.9, iters=4, num_partitions=1)
-             .to_pandas().sort_values("vec_id").reset_index(drop=True))
-        b = (semantic_dedup(rd.from_pandas(df), "vec_id", "v", 8, 3,
-                            threshold=0.9, iters=4, num_partitions=7)
-             .to_pandas().sort_values("vec_id").reset_index(drop=True))
+        with pin_partitions(1):
+            a = (semantic_dedup(rd.from_pandas(df), "vec_id", "v", 8, 3,
+                                threshold=0.9, iters=4)
+                 .to_pandas().sort_values("vec_id").reset_index(drop=True))
+        with pin_partitions(7):
+            b = (semantic_dedup(rd.from_pandas(df), "vec_id", "v", 8, 3,
+                                threshold=0.9, iters=4)
+                 .to_pandas().sort_values("vec_id").reset_index(drop=True))
         pd.testing.assert_frame_equal(a, b)
 
     def test_oversized_cluster_raises_loudly(self):

@@ -16,7 +16,7 @@ import ray.data as rd
 
 from docprocai_service_ray.stages.pii import (PII_PATTERNS, pii_scrub,
                                               pii_stats)
-from docprocai_service_ray.state.groupby import collect_pandas
+from docprocai_service_ray.state.groupby import collect_pandas, pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -65,10 +65,10 @@ def _brute(docs: pd.DataFrame) -> pd.DataFrame:
 
 def test_stats_matches_brute_force():
     docs = _docs()
-    got = (collect_pandas(
-        pii_stats(rd.from_pandas(docs).repartition(4), "text", "source",
-                  num_partitions=3),
-        COLS).sort_values("source").reset_index(drop=True))
+    with pin_partitions(3):
+        got = (collect_pandas(
+            pii_stats(rd.from_pandas(docs).repartition(4), "text", "source"),
+            COLS).sort_values("source").reset_index(drop=True))
     pd.testing.assert_frame_equal(got, _brute(docs), check_dtype=False)
 
 

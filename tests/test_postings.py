@@ -12,7 +12,7 @@ import pytest
 import ray.data as rd
 
 from docprocai_service_ray.stages.postings import build_postings, postings_sql
-from docprocai_service_ray.state.groupby import collect_pandas
+from docprocai_service_ray.state.groupby import collect_pandas, pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -86,11 +86,11 @@ class TestPostings:
         df = _docs(n=40, seed=11)
         outs = []
         for p, np_ in ((1, 2), (9, 16)):
-            out = build_postings(rd.from_pandas(df).repartition(p),
-                                 "doc_id", "text", min_df=2, max_df=25,
-                                 num_partitions=np_)
-            outs.append(_norm(collect_pandas(
-                out, ["token", "df", "postings"])))
+            with pin_partitions(np_):
+                out = build_postings(rd.from_pandas(df).repartition(p),
+                                     "doc_id", "text", min_df=2, max_df=25)
+                outs.append(_norm(collect_pandas(
+                    out, ["token", "df", "postings"])))
         pd.testing.assert_frame_equal(outs[0], outs[1])
 
     def test_bad_ceiling_raises(self):

@@ -246,14 +246,16 @@ class TestSampleKPerGroup:
         import ray.data as rd
 
         from docprocai_service_ray.stages.sampling import sample_k_per_group
+        from docprocai_service_ray.state.groupby import pin_partitions
 
         df = self._df(n=8, seed=5)  # groups smaller than k
-        outs = [
-            (sample_k_per_group(rd.from_pandas(df).repartition(p), "id",
-                                "grp", 50, num_partitions=np_).to_pandas()
-             .sort_values(["grp", "rk"]).reset_index(drop=True))
-            for p, np_ in ((1, 2), (5, 16))
-        ]
+        outs = []
+        for p, np_ in ((1, 2), (5, 16)):
+            with pin_partitions(np_):
+                outs.append(
+                    sample_k_per_group(rd.from_pandas(df).repartition(p), "id",
+                                       "grp", 50).to_pandas()
+                    .sort_values(["grp", "rk"]).reset_index(drop=True))
         pd.testing.assert_frame_equal(outs[0], outs[1])
         assert len(outs[0]) == 8  # min(k, |group|) keeps every row
         assert (outs[0].groupby("grp")["rk"].max()

@@ -13,7 +13,7 @@ import pytest
 import ray.data as rd
 
 from docprocai_service_ray.stages.sampling import shard_shuffle
-from docprocai_service_ray.state.groupby import collect_pandas
+from docprocai_service_ray.state.groupby import collect_pandas, pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -55,8 +55,10 @@ def test_permutation_property():
 
 def test_parallelism_invariance():
     ids = list(range(257))
-    a = _run(ids, 5, num_partitions=2)
-    b = _run(ids, 5, num_partitions=31)
+    with pin_partitions(2):
+        a = _run(ids, 5)
+    with pin_partitions(31):
+        b = _run(ids, 5)
     pd.testing.assert_frame_equal(a, b)
 
 

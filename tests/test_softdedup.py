@@ -16,6 +16,7 @@ from docprocai_service_ray.stages.softdedup import (
     soft_dedup_stats,
     soft_dedup_weights,
 )
+from docprocai_service_ray.state.groupby import pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -94,9 +95,10 @@ def test_weights_sum_to_effective(corpus):
 def test_parallelism_invariance(corpus):
     base = (soft_dedup_stats(rd.from_pandas(corpus), "source", "text")
             .to_pandas().sort_values("source").reset_index(drop=True))
-    again = (soft_dedup_stats(rd.from_pandas(corpus).repartition(9),
-                              "source", "text", num_partitions=3)
-             .to_pandas().sort_values("source").reset_index(drop=True))
+    with pin_partitions(3):
+        again = (soft_dedup_stats(rd.from_pandas(corpus).repartition(9),
+                                  "source", "text")
+                 .to_pandas().sort_values("source").reset_index(drop=True))
     base = base[sorted(base.columns)]
     again = again[sorted(again.columns)]
     pd.testing.assert_frame_equal(base, again)

@@ -12,7 +12,7 @@ import pytest
 import ray.data as rd
 
 from docprocai_service_ray.stages.substring import dup_gram_stats
-from docprocai_service_ray.state.groupby import collect_pandas
+from docprocai_service_ray.state.groupby import collect_pandas, pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -68,11 +68,11 @@ def _brute(docs: pd.DataFrame, n: int, min_docs: int = 2) -> pd.DataFrame:
 
 
 def _run(docs, n, min_docs=2):
-    res = dup_gram_stats(
-        rd.from_pandas(docs).repartition(5),
-        "doc_id", "text", "source", n=n, min_docs=min_docs,
-        num_partitions=4,
-    )
+    with pin_partitions(4):
+        res = dup_gram_stats(
+            rd.from_pandas(docs).repartition(5),
+            "doc_id", "text", "source", n=n, min_docs=min_docs,
+        )
     return (collect_pandas(res, COLS)
             .sort_values("source").reset_index(drop=True))
 
@@ -126,11 +126,12 @@ def test_hot_gram_ceiling_parity():
     # byte-identical to the unceilinged exchange and to brute force
     docs = _docs()
     plain = _run(docs, 2)
-    ceiled = (collect_pandas(
-        dup_gram_stats(rd.from_pandas(docs).repartition(5),
-                       "doc_id", "text", "source", n=2,
-                       num_partitions=4, hot_gram_ceiling=3),
-        COLS).sort_values("source").reset_index(drop=True))
+    with pin_partitions(4):
+        ceiled = (collect_pandas(
+            dup_gram_stats(rd.from_pandas(docs).repartition(5),
+                           "doc_id", "text", "source", n=2,
+                           hot_gram_ceiling=3),
+            COLS).sort_values("source").reset_index(drop=True))
     pd.testing.assert_frame_equal(ceiled, plain)
     pd.testing.assert_frame_equal(ceiled, _brute(docs, 2), check_dtype=False)
 
@@ -146,11 +147,12 @@ def test_hot_gram_ceiling_universal_gram():
         "source": [f"s{i % 2}" for i in range(40)],
     })
     for ceiling in (2, 10, None):
-        got = (collect_pandas(
-            dup_gram_stats(rd.from_pandas(docs).repartition(6),
-                           "doc_id", "text", "source", n=3,
-                           num_partitions=4, hot_gram_ceiling=ceiling),
-            COLS).sort_values("source").reset_index(drop=True))
+        with pin_partitions(4):
+            got = (collect_pandas(
+                dup_gram_stats(rd.from_pandas(docs).repartition(6),
+                               "doc_id", "text", "source", n=3,
+                               hot_gram_ceiling=ceiling),
+                COLS).sort_values("source").reset_index(drop=True))
         pd.testing.assert_frame_equal(got, _brute(docs, 3),
                                       check_dtype=False)
 
@@ -167,12 +169,14 @@ def test_hot_gram_ceiling_guards():
 
 def test_parallelism_invariance():
     docs = _docs(n=80, seed=3)
-    a = collect_pandas(
-        dup_gram_stats(rd.from_pandas(docs).repartition(1),
-                       "doc_id", "text", "source", n=3, num_partitions=2),
-        COLS).sort_values("source").reset_index(drop=True)
-    b = collect_pandas(
-        dup_gram_stats(rd.from_pandas(docs).repartition(9),
-                       "doc_id", "text", "source", n=3, num_partitions=7),
-        COLS).sort_values("source").reset_index(drop=True)
+    with pin_partitions(2):
+        a = collect_pandas(
+            dup_gram_stats(rd.from_pandas(docs).repartition(1),
+                           "doc_id", "text", "source", n=3),
+            COLS).sort_values("source").reset_index(drop=True)
+    with pin_partitions(7):
+        b = collect_pandas(
+            dup_gram_stats(rd.from_pandas(docs).repartition(9),
+                           "doc_id", "text", "source", n=3),
+            COLS).sort_values("source").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)

@@ -20,6 +20,7 @@ from docprocai_service_ray.sources.tokenized import (
     read_token_shards,
 )
 from docprocai_service_ray.stages.bpe import bpe_apply, bpe_train
+from docprocai_service_ray.state.groupby import pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -92,9 +93,10 @@ def test_parallelism_invariant_bytes(corpus, trained, tmp_path):
     merges, vocab = trained
     a = export_token_shards(rd.from_pandas(corpus), str(tmp_path / "a"),
                             "doc_id", "text", merges, vocab, n_shards=4)
-    b = export_token_shards(rd.from_pandas(corpus).repartition(7),
-                            str(tmp_path / "b"), "doc_id", "text", merges,
-                            vocab, n_shards=4, num_partitions=2)
+    with pin_partitions(2):
+        b = export_token_shards(rd.from_pandas(corpus).repartition(7),
+                                str(tmp_path / "b"), "doc_id", "text", merges,
+                                vocab, n_shards=4)
     pd.testing.assert_frame_equal(a, b)
 
 
