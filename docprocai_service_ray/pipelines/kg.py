@@ -1,18 +1,29 @@
 """End-to-end KG construction pipeline (SURVEY.md §3.1 target shape).
 
-``read_parquet(web_pages)`` → extract (stateless) → segment (stateless) →
-triples_raw (actor pool) → mentions (actor pool + broadcast dict) →
-entity_map (LSH shuffles + union-find) → canonical triples (salted
-two-phase groupby) → bucketed Parquet + manifest.
+``read_parquet(web_pages)`` → extract → url-dedup → segment → triples_raw
+(fused segment+triple map) → entity_map (LSH shuffles + union-find) →
+canonical triples (two-phase groupby), plus optional mentions, sentence
+embeddings, doc summaries and the host link graph.
+
+``run_kg`` declares this chain ONCE; every stage goes through one
+``state.manifest.checkpointed`` call, and ``out_dir`` picks the
+persistence policy:
+
+- ``out_dir=None`` (streaming): stages chain lazily and Ray Data's
+  streaming executor pipelines them; only the stages more than one
+  consumer reads (``docs_raw`` with the link graph, ``triples_raw``,
+  ``host_edges``) materialize once in the object store (``_tee``).
+- ``out_dir`` set (checkpointed): every stage lands as Parquet with a
+  manifest row carrying its input lineage signature, and a re-run resumes
+  from the DONE stages whose lineage still matches (§4.4 /
+  state/manifest).
 
 One ``run_kg()`` call replaces the reference's event queue + background
 thread (service/DocProcAiService.py:72-80,694-707) entirely; Ray Data's
 streaming executor provides the pipelining, backpressure and retries the
-reference hand-rolled (SURVEY.md §4.2).
-
-With ``out_dir`` set, every stage checkpoints to Parquet with a manifest
-row and a re-run resumes from the last DONE stage (§4.4 / state/manifest).
-Without it, stages chain lazily and stream end-to-end.
+reference hand-rolled (SURVEY.md §4.2). ``reprocess_urls`` and
+``ingest_shard`` re-derive per-record stages through the same front end
+(``_front_end``).
 """
 
 from __future__ import annotations
@@ -29,18 +40,21 @@ from ..stages.extract import (
     dedup_urls,
     drop_empty,
     extract_docs,
+    filter_langs,
 )
 from ..stages.materialize import build_triples_auto
 from ..stages.mention import build_mentions
 from ..stages.segment import build_sentences
-from ..stages.triple_extract import build_triples_raw
-from ..state.manifest import checkpointed, write_stage
+from ..stages.triple_extract import build_triples_raw_fused
+from ..state.manifest import chain_signature, checkpointed, read_stage, write_stage
 
 # input-bytes estimate above which STREAMING-mode fused link extraction
 # refuses to materialize the docs-sized fused table in the object store (it
 # would spill at scale) and raises pointing at out_dir — the checkpointed
 # mode writes Parquet instead
 STREAMING_FUSED_MAX_BYTES = 32 << 30
+# the docs_raw columns the link graph reads
+_LINK_COLUMNS = ["url", "src_host", "link_dst", "link_n"]
 
 
 def read_web_pages(path: str | list[str]):
@@ -60,17 +74,6 @@ def read_web_pages(path: str | list[str]):
     )
 
 
-def _fused_docs(pages, cfg: KGConfig):
-    """Fused link extraction front end: ``(docs_all, docs)``. Every capture
-    is parsed ONCE with its link partials (``docs_all``, materialized: the
-    tee point the link graph reads); ``docs`` is url-deduped and
-    empty-dropped from it without re-extraction."""
-    docs_all = extract_docs(pages, cfg, emit_links=True).materialize()
-    docs = drop_empty(
-        dedup_urls(docs_all.select_columns(list(DOCS_SCHEMA.names)), cfg))
-    return docs_all, docs
-
-
 def _page_files(pages_path: str) -> list[str]:
     import glob
     import os
@@ -78,6 +81,67 @@ def _page_files(pages_path: str) -> list[str]:
     if os.path.isdir(pages_path):
         return sorted(glob.glob(os.path.join(pages_path, "**", "*.parquet"), recursive=True))
     return [pages_path]
+
+
+def _tee(ds, out_dir: str | None):
+    """A stage more than one consumer reads: streaming materializes it
+    once in the object store; a checkpointed run tees it through its
+    Parquet checkpoint instead."""
+    return ds.materialize() if out_dir is None else ds
+
+
+def _columns(ds, names: list[str], out_dir: str | None, stage: str):
+    """``names`` of a stage's output; a checkpointed stage prunes them at
+    the Parquet read (Ray Data does not push a projection into the read)."""
+    if out_dir is None:
+        return ds.select_columns(names)
+    return read_stage(out_dir, stage, columns=names)
+
+
+def _front_end(pages, cfg: KGConfig, links: bool, out_dir: str | None = None,
+               resume: bool = True, sig: dict | None = None, files=()):
+    """``(docs_raw, docs)``: the one front end of ``run_kg`` and
+    ``reprocess_urls``. ``pages()`` builds the web_pages Dataset.
+
+    With the link graph on, every capture — of every language, since the
+    link graph counts them all — is parsed once with its link partials
+    (``extract_docs(emit_links=True)``) into ``docs_raw``, the tee point
+    both docs and ``url_links`` read; ``cfg.filter_langs`` then applies to
+    the docs side, before url-dedup. Without it, a streaming call has no
+    ``docs_raw`` (``build_docs`` dedups before parsing, so only winner
+    captures parse), and a checkpointed one parses the language-filtered
+    pages into ``docs_raw`` — per input-file shard when
+    ``cfg.ingest_partitions`` is set (``files``) — and dedups from it."""
+    sig = {} if sig is None else sig
+    salt = (f"langs={sorted(cfg.filter_langs or [])}", f"links={links}")
+    sig["docs_raw"] = chain_signature("docs_raw", sig.get("src"), *salt)
+    docs_raw = None
+    if out_dir is not None and cfg.ingest_partitions > 0:
+        # partition-granular resume for the (expensive, map-only) ingest:
+        # each input-file shard extracts and lands independently; a killed
+        # run recomputes only shards without a DONE manifest row
+        from ..state.manifest import checkpointed_partitioned
+
+        docs_raw = checkpointed_partitioned(
+            lambda fs: extract_docs(read_web_pages(fs), cfg, emit_links=links),
+            list(files), out_dir, "docs_raw", resume,
+            num_partitions=cfg.ingest_partitions, salt="|".join(salt),
+        )
+    elif links or out_dir is not None:
+        docs_raw = checkpointed(
+            lambda: _tee(extract_docs(pages(), cfg, emit_links=links), out_dir),
+            out_dir, "docs_raw", resume, input_sig=sig["docs_raw"],
+        )
+
+    def docs():
+        if docs_raw is None:
+            return build_docs(pages(), cfg)
+        src = _columns(docs_raw, list(DOCS_SCHEMA.names), out_dir, "docs_raw")
+        return drop_empty(dedup_urls(filter_langs(src, cfg) if links else src, cfg))
+
+    sig["docs"] = chain_signature("docs", sig["docs_raw"])
+    return docs_raw, checkpointed(docs, out_dir, "docs", resume,
+                                  input_sig=sig["docs"])
 
 
 def reprocess_urls(
@@ -115,13 +179,11 @@ def reprocess_urls(
     Returns the refreshed stage Datasets (same keys as ``run_kg``)."""
     import pyarrow.compute as pc
 
-    from ..stages.triple_extract import build_triples_raw as _btr
     from ..state.manifest import (
         begin_inflight,
         clear_inflight,
         get_inflight,
         is_stage_done,
-        stage_output_dir,
     )
 
     # (pages_path → urls) source groups: this call's request plus any
@@ -168,26 +230,25 @@ def reprocess_urls(
     parts = [_filtered(p, us) for p, us in sorted(groups.items())]
     pages = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
     # per-record recomputes are bounded by len(urls) — materialize them up
-    # front so each stage's actor pool spins up and RETIRES before the
-    # patch writes run (several live pools can exhaust a small cluster's
-    # CPUs and deadlock the streaming executor), and so re-use below never
-    # re-executes extraction. When the link graph is checkpointed, the
-    # slice extraction runs FUSED (emit_links) so the url_links patch
-    # derives from the same pass instead of re-scanning the slice's html.
-    link_mode = is_stage_done(out_dir, "url_links") and not cfg.filter_langs
-    if link_mode:
-        docs_all_new, docs_new = _fused_docs(pages, cfg)
-        docs_new = docs_new.materialize()
-    else:
-        docs_new = build_docs(pages, cfg).materialize()
+    # front so each stage's pool spins up and RETIRES before the patch
+    # writes run, and so re-use below never re-executes extraction. With
+    # the link graph checkpointed, the slice's url_links patch derives
+    # from the same extraction pass as its docs (run_kg's front end).
+    links = is_stage_done(out_dir, "url_links")
+    docs_raw_new, docs_new = _front_end(lambda: pages, cfg, links)
+    docs_new = docs_new.materialize()
     sentences_new = build_sentences(docs_new, cfg).materialize()
-    triples_raw_new = _btr(sentences_new, cfg).materialize()
+    triples_raw_new = build_triples_raw_fused(docs_new, cfg).materialize()
+
+    def _rewrite(stage: str, ds, **write_kwargs):
+        write_stage(ds, out_dir, stage, extra={"reprocessed_urls": len(urls)},
+                    write_kwargs=write_kwargs)
+        return read_stage(out_dir, stage)
 
     def _patch(stage: str, new_ds):
-        old = rd.read_parquet(stage_output_dir(out_dir, stage))
-        patched = old.map_batches(_drop_urls, batch_format="pyarrow").union(new_ds)
-        write_stage(patched, out_dir, stage, extra={"reprocessed_urls": len(urls)})
-        return rd.read_parquet(stage_output_dir(out_dir, stage))
+        old = read_stage(out_dir, stage)
+        return _rewrite(stage, old.map_batches(_drop_urls, batch_format="pyarrow")
+                        .union(new_ds))
 
     out: dict = {}
     out["docs"] = _patch("docs", docs_new)
@@ -211,41 +272,27 @@ def reprocess_urls(
     alias_ref = ray.put(alias_table)
     if is_stage_done(out_dir, "mentions"):
         out["mentions"] = _patch("mentions", build_mentions(triples_raw_new, alias_ref, cfg))
-    if is_stage_done(out_dir, "url_links"):
+    if links:
         # per-record link partials patch like docs; the host-level stages
         # re-derive by aggregation below (same cascade shape as entity_map)
         from ..stages.linkgraph import (
             host_edges_from_url_links,
             host_pagerank,
-            url_host_links,
             url_links_from_docs,
         )
 
-        links_new = (
-            url_links_from_docs(docs_all_new)
-            if link_mode
-            else url_host_links(pages)
-        )
-        out["url_links"] = _patch("url_links", links_new)
-        host_edges = host_edges_from_url_links(out["url_links"])
-        write_stage(host_edges, out_dir, "host_edges",
-                    extra={"reprocessed_urls": len(urls)})
-        out["host_edges"] = rd.read_parquet(stage_output_dir(out_dir, "host_edges"))
-        host_ranks = host_pagerank(edges=out["host_edges"])
-        write_stage(host_ranks, out_dir, "host_ranks",
-                    extra={"reprocessed_urls": len(urls)})
-        out["host_ranks"] = rd.read_parquet(stage_output_dir(out_dir, "host_ranks"))
+        out["url_links"] = _patch("url_links", url_links_from_docs(docs_raw_new))
+        out["host_edges"] = _rewrite("host_edges",
+                                     host_edges_from_url_links(out["url_links"]))
+        out["host_ranks"] = _rewrite("host_ranks",
+                                     host_pagerank(edges=out["host_edges"]))
 
     # corpus-level cascade: canonical ids + aggregates from patched raw
-    entity_map = build_entity_map(out["triples_raw"], alias_ref, cfg)
-    write_stage(entity_map, out_dir, "entity_map", extra={"reprocessed_urls": len(urls)})
-    entity_map = rd.read_parquet(stage_output_dir(out_dir, "entity_map"))
-    out["entity_map"] = entity_map
-    triples = build_triples_auto(out["triples_raw"], entity_map, cfg)
-    write_stage(triples, out_dir, "triples",
-                extra={"partitioned_by": "bucket", "reprocessed_urls": len(urls)},
-                write_kwargs={"partition_cols": ["bucket"]})
-    out["triples"] = rd.read_parquet(stage_output_dir(out_dir, "triples"))
+    out["entity_map"] = _rewrite(
+        "entity_map", build_entity_map(out["triples_raw"], alias_ref, cfg))
+    out["triples"] = _rewrite(
+        "triples", build_triples_auto(out["triples_raw"], out["entity_map"], cfg),
+        partition_cols=["bucket"])
     clear_inflight(out_dir, "reprocess")
     return out
 
@@ -280,6 +327,26 @@ def ingest_shard(
                           out_dir=out_dir)
 
 
+def _streaming_pages(pages_path: str):
+    """The corpus of a streaming link-graph run, refused above
+    ``STREAMING_FUSED_MAX_BYTES``: its docs-sized ``docs_raw`` tee would
+    spill out of the object store."""
+    from ..state.joins import _meta_size_bytes
+
+    pages = read_web_pages(pages_path)
+    est = _meta_size_bytes(pages)
+    if est is not None and est > STREAMING_FUSED_MAX_BYTES:
+        raise ValueError(
+            f"streaming-mode fused link graph would materialize a "
+            f"~{est >> 30} GiB docs-sized table in the object store "
+            f"(> STREAMING_FUSED_MAX_BYTES="
+            f"{STREAMING_FUSED_MAX_BYTES >> 30} GiB) and spill; "
+            f"pass out_dir=... to run the checkpointed mode, which "
+            f"tees the fused table through Parquet instead"
+        )
+    return pages
+
+
 def run_kg(
     pages_path: str,
     alias_table: pa.Table,
@@ -292,7 +359,8 @@ def run_kg(
     with_link_graph: bool = False,
     with_ann_index: bool = False,
 ) -> dict:
-    """Run the full pipeline; returns dict of stage Datasets.
+    """Run the full pipeline; returns dict of stage Datasets (streaming
+    with ``out_dir=None``, else checkpointed — module docstring).
 
     ``alias_table`` is the small side: broadcast once via ray.put and read
     inside actor __init__ (never re-shipped per batch).
@@ -311,97 +379,20 @@ def run_kg(
         )
     alias_ref = ray.put(alias_table)
 
-    if out_dir is None:
-        # streaming mode: two heavy executions total — (1) extract →
-        # materialize (the url-dedup winners pass is a true barrier: the
-        # filter needs every url seen), (2) segment → triple-extract
-        # pipelined into a materialized triples_raw. Everything else is
-        # vocab-sized. No intermediate parquet; maximal stage overlap.
-        from ..stages.triple_extract import build_triples_raw_fused
+    # stage lineage (checkpointed runs only): every checkpoint records an
+    # input fingerprint chained from its parents' (source files → docs_raw
+    # → docs → ...), so a resumed run detects upstream edits — a changed
+    # corpus with an equal row count no longer resumes silently over stale
+    # stages. Streaming leaves every sig None.
+    sig: dict[str, str | None] = {}
+    files: list[str] = []
+    if out_dir is not None:
+        from ..state.manifest import files_signature, get_inflight, table_signature
 
-        fused_links = with_link_graph and not cfg.filter_langs
-        if fused_links:
-            # link graph ON: hrefs are extracted in the SAME batch fn that
-            # parses text (extract_batch_links), so the corpus is read and
-            # decoded exactly ONCE for docs + link graph. The fused table
-            # (all captures, text + per-row link partials, NO html) is the
-            # tee point — materialized once, every downstream consumer
-            # (dedup'd docs, triples, link aggregation) derives from it
-            # without re-extraction. Trade vs the plain path: loser
-            # captures are parsed too (their links must count), and the
-            # docs-sized table lives in the object store (spills at scale;
-            # the checkpointed mode writes it to Parquet instead).
-            from ..stages.linkgraph import (
-                host_edges_from_url_links,
-                host_pagerank,
-                url_links_from_docs,
-            )
-
-            pages = read_web_pages(pages_path)
-            from ..state.joins import _meta_size_bytes
-
-            est = _meta_size_bytes(pages)
-            if est is not None and est > STREAMING_FUSED_MAX_BYTES:
-                raise ValueError(
-                    f"streaming-mode fused link graph would materialize a "
-                    f"~{est >> 30} GiB docs-sized table in the object store "
-                    f"(> STREAMING_FUSED_MAX_BYTES="
-                    f"{STREAMING_FUSED_MAX_BYTES >> 30} GiB) and spill; "
-                    f"pass out_dir=... to run the checkpointed mode, which "
-                    f"tees the fused table through Parquet instead"
-                )
-            docs_all, docs = _fused_docs(pages, cfg)
-        else:
-            docs = build_docs(read_web_pages(pages_path), cfg)
-        # fused segment+extract: the sentences table is derived lazily for
-        # consumers that want it, but the triple path never materializes it
-        sentences = build_sentences(docs, cfg)
-        triples_raw = build_triples_raw_fused(docs, cfg).materialize()
-        out: dict = {"docs": docs, "sentences": sentences, "triples_raw": triples_raw}
-        if fused_links:
-            url_links = url_links_from_docs(docs_all)
-            out["url_links"] = url_links
-            edges = host_edges_from_url_links(url_links).materialize()
-            out["host_edges"] = edges
-            out["host_ranks"] = host_pagerank(edges=edges)
-        if with_sentence_embeddings:
-            from .queries import build_sentence_embeddings
-
-            out["sentence_embeddings"] = build_sentence_embeddings(sentences, cfg)
-        if with_mentions:
-            out["mentions"] = build_mentions(triples_raw, alias_ref, cfg)
-        if with_doc_summaries:
-            from ..stages.summarize import build_doc_summaries
-
-            out["doc_summaries"] = build_doc_summaries(sentences, triples_raw, cfg)
-        if with_link_graph and not fused_links:
-            # legacy separate-scan path, kept ONLY for cfg.filter_langs
-            # runs (the link graph covers ALL languages; the fused pass
-            # would only see the filtered slice)
-            import ray.data as _rd
-
-            from ..stages.linkgraph import host_link_edges, host_pagerank
-
-            pages_lg = _rd.read_parquet(pages_path, columns=["url", "html"])
-            edges = host_link_edges(pages_lg).materialize()
-            out["host_edges"] = edges
-            out["host_ranks"] = host_pagerank(edges=edges)
-        entity_map = build_entity_map(triples_raw, alias_ref, cfg)
-        out["entity_map"] = entity_map
-        # auto-tiered: broadcast Arrow map under cfg.emap_broadcast_max_bytes,
-        # distributed canonicalize_via_join above it — no unconditional
-        # driver-side materialization of the map
-        out["triples"] = build_triples_auto(triples_raw, entity_map, cfg)
-        return out
-
-    # checkpointed mode: every stage materializes to Parquet + manifest row
-    # (resume granularity = stage). A pending reprocess marker means the
-    # per-stage DONE rows may be mutually inconsistent (half-applied
-    # cascade) — refuse to resume over it; finish via reprocess_urls([]).
-    if resume:
-        from ..state.manifest import get_inflight
-
-        pending = get_inflight(out_dir, "reprocess")
+        # a pending reprocess marker means the per-stage DONE rows may be
+        # mutually inconsistent (half-applied cascade) — refuse to resume
+        # over it; finish via reprocess_urls([])
+        pending = get_inflight(out_dir, "reprocess") if resume else None
         if pending:
             # current markers list urls per source group; legacy ones flat
             urls = set(pending.get("urls", [])).union(
@@ -412,80 +403,28 @@ def run_kg(
                 "may be mutually inconsistent. Re-drive it with "
                 "reprocess_urls(..., urls=[]) or pass resume=False."
             )
-    # The HTML parse runs once into docs_raw;
-    # the url-dedup winners pass then reads only the (url, warc_ts, hash)
-    # projection from Parquet instead of re-running extraction.
-    # With the link graph on, the SAME pass also emits the per-row link
-    # partials (extract_batch_links) — the url_links stage below is then a
-    # pruned re-read of docs_raw, never a second html scan.
-    fused_links = with_link_graph and not cfg.filter_langs
+        files = _page_files(pages_path)
+        sig["src"] = files_signature(files)
+        sig["alias"] = table_signature(alias_table)
 
-    # stage lineage: every checkpoint records an input fingerprint chained
-    # from its parents' (source files → docs_raw → docs → ...), so a
-    # resumed run detects upstream edits — a changed corpus with an equal
-    # row count no longer resumes silently over stale stages
-    from ..state.manifest import chain_signature, files_signature, table_signature
+    def pages():
+        if out_dir is None and with_link_graph:
+            return _streaming_pages(pages_path)
+        return read_web_pages(pages_path)
 
-    src_sig = files_signature(_page_files(pages_path))
-    alias_sig = table_signature(alias_table)
-    sig: dict[str, str | None] = {}
-    sig["docs_raw"] = chain_signature(
-        "docs_raw", src_sig, f"langs={sorted(cfg.filter_langs or [])}",
-        f"links={fused_links}",
-    )
-    if cfg.ingest_partitions > 0:
-        # partition-granular resume for the (expensive, map-only) ingest:
-        # each input-file shard extracts and lands independently; a killed
-        # run recomputes only shards without a DONE manifest row
-        from ..state.manifest import checkpointed_partitioned
-
-        docs_raw = checkpointed_partitioned(
-            lambda files: extract_docs(
-                read_web_pages(files), cfg, emit_links=fused_links
-            ),
-            _page_files(pages_path),
-            out_dir,
-            "docs_raw",
-            resume,
-            num_partitions=cfg.ingest_partitions,
-            salt=f"langs={sorted(cfg.filter_langs or [])}|links={fused_links}",
-        )
-    else:
-        docs_raw = checkpointed(
-            lambda: extract_docs(
-                read_web_pages(pages_path), cfg, emit_links=fused_links
-            ),
-            out_dir,
-            "docs_raw",
-            resume,
-            input_sig=sig["docs_raw"],
-        )
-    # a resumed docs_raw may predate the fused-link columns — detect from
-    # its actual schema, not the requested mode
-    docs_raw_has_links = "link_dst" in docs_raw.schema().names
-    if docs_raw_has_links:
-        # dedup/docs must not carry the link columns — prune at the read
-        from ..state.manifest import stage_output_dir as _sod
-
-        docs_src = rd.read_parquet(
-            _sod(out_dir, "docs_raw"), columns=list(DOCS_SCHEMA.names)
-        )
-    else:
-        docs_src = docs_raw
-    sig["docs"] = chain_signature("docs", sig["docs_raw"])
-    docs = checkpointed(
-        lambda: drop_empty(dedup_urls(docs_src, cfg)), out_dir, "docs", resume,
-        input_sig=sig["docs"],
-    )
+    docs_raw, docs = _front_end(pages, cfg, with_link_graph, out_dir, resume,
+                                sig, files)
     sig["sentences"] = chain_signature("sentences", sig["docs"])
     sentences = checkpointed(
         lambda: build_sentences(docs, cfg), out_dir, "sentences", resume,
         input_sig=sig["sentences"],
     )
-    sig["triples_raw"] = chain_signature("triples_raw", sig["sentences"])
+    # fused segment+extract: the triple path never builds the sentences
+    # table (tests/test_fused.py checks parity with the two-stage form)
+    sig["triples_raw"] = chain_signature("triples_raw", sig["docs"])
     triples_raw = checkpointed(
-        lambda: build_triples_raw(sentences, cfg), out_dir, "triples_raw", resume,
-        input_sig=sig["triples_raw"],
+        lambda: _tee(build_triples_raw_fused(docs, cfg), out_dir),
+        out_dir, "triples_raw", resume, input_sig=sig["triples_raw"],
     )
     out: dict = {"docs": docs, "sentences": sentences, "triples_raw": triples_raw}
 
@@ -528,7 +467,7 @@ def run_kg(
             out_dir,
             "mentions",
             resume,
-            input_sig=chain_signature("mentions", sig["triples_raw"], alias_sig),
+            input_sig=chain_signature("mentions", sig["triples_raw"], sig.get("alias")),
         )
 
     if with_doc_summaries:
@@ -546,50 +485,27 @@ def run_kg(
         )
 
     if with_link_graph:
-        import ray.data as _rd
-
         from ..stages.linkgraph import (
             host_edges_from_url_links,
             host_pagerank,
-            url_host_links,
             url_links_from_docs,
         )
 
         # per-url partials are the PATCHABLE checkpoint (reprocess/ingest
-        # delete a url's rows and re-derive them like docs/sentences); the
+        # delete a url's rows and re-derive them like docs/sentences), read
+        # from docs_raw's link columns — no second html scan; the
         # host-level stages re-derive by aggregation (corpus-level cascade)
-        if docs_raw_has_links:
-            # fused: a pruned 4-column re-read of the docs_raw checkpoint
-            # (url + link partials) — no second html scan
-            from ..state.manifest import stage_output_dir as _sod2
-
-            def _links_src():
-                return url_links_from_docs(
-                    _rd.read_parquet(
-                        _sod2(out_dir, "docs_raw"),
-                        columns=["url", "src_host", "link_dst", "link_n"],
-                    )
-                )
-        else:
-            # legacy scan: cfg.filter_langs runs (link graph covers ALL
-            # languages) or a docs_raw checkpoint from a pre-fusion run
-            def _links_src():
-                return url_host_links(
-                    _rd.read_parquet(pages_path, columns=["url", "html"])
-                )
-
-        sig["url_links"] = chain_signature(
-            "url_links", sig["docs_raw"] if docs_raw_has_links else src_sig)
-        url_links = checkpointed(_links_src, out_dir, "url_links", resume,
-                                 input_sig=sig["url_links"])
+        sig["url_links"] = chain_signature("url_links", sig["docs_raw"])
+        url_links = checkpointed(
+            lambda: url_links_from_docs(
+                _columns(docs_raw, _LINK_COLUMNS, out_dir, "docs_raw")),
+            out_dir, "url_links", resume, input_sig=sig["url_links"],
+        )
         out["url_links"] = url_links
         sig["host_edges"] = chain_signature("host_edges", sig["url_links"])
         host_edges = checkpointed(
-            lambda: host_edges_from_url_links(url_links),
-            out_dir,
-            "host_edges",
-            resume,
-            input_sig=sig["host_edges"],
+            lambda: _tee(host_edges_from_url_links(url_links), out_dir),
+            out_dir, "host_edges", resume, input_sig=sig["host_edges"],
         )
         out["host_edges"] = host_edges
         out["host_ranks"] = checkpointed(
@@ -601,7 +517,7 @@ def run_kg(
         )
 
     sig["entity_map"] = chain_signature(
-        "entity_map", sig["triples_raw"], alias_sig)
+        "entity_map", sig["triples_raw"], sig.get("alias"))
     entity_map = checkpointed(
         lambda: build_entity_map(triples_raw, alias_ref, cfg),
         out_dir,
@@ -610,28 +526,15 @@ def run_kg(
         input_sig=sig["entity_map"],
     )
     out["entity_map"] = entity_map
-
-    triples = build_triples_auto(triples_raw, entity_map, cfg)
-    if out_dir is not None:
-        # final output is partitioned by subject bucket (resumable layout)
-        from ..state.manifest import is_stage_done, stage_output_dir
-
-        from ..state.manifest import stage_input_sig
-
-        sig["triples"] = chain_signature(
-            "triples", sig["triples_raw"], sig["entity_map"])
-        if resume and is_stage_done(out_dir, "triples") and (
-            stage_input_sig(out_dir, "triples") in (None, sig["triples"])
-        ):
-            triples = rd.read_parquet(stage_output_dir(out_dir, "triples"))
-        else:
-            write_stage(
-                triples,
-                out_dir,
-                "triples",
-                extra={"partitioned_by": "bucket", "input_sig": sig["triples"]},
-                write_kwargs={"partition_cols": ["bucket"]},
-            )
-            triples = rd.read_parquet(stage_output_dir(out_dir, "triples"))
-    out["triples"] = triples
+    # auto-tiered: broadcast Arrow map under cfg.emap_broadcast_max_bytes,
+    # distributed canonicalize_via_join above it; the checkpoint is
+    # partitioned by subject bucket (resumable layout)
+    out["triples"] = checkpointed(
+        lambda: build_triples_auto(triples_raw, entity_map, cfg),
+        out_dir,
+        "triples",
+        resume,
+        input_sig=chain_signature("triples", sig["triples_raw"], sig["entity_map"]),
+        partition_cols=["bucket"],
+    )
     return out

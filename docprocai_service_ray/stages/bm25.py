@@ -70,9 +70,6 @@ def bm25_topk(ds, id_col: str, text_col: str, query_terms: list[str], *,
     avgdl = float(sp["slen"].sum()) / max(1, n_docs)
 
     def df_partial(d: pd.DataFrame) -> pd.DataFrame:
-        if not len(d):  # empty Ray blocks carry no columns
-            return pd.DataFrame({"w": pd.Series([], dtype=object),
-                                 "c": pd.Series([], dtype="int64")})
         return d.groupby("w", as_index=False).agg(c=(id_col, "size"))
 
     dfp = cand.map_batches(df_partial, batch_format="pandas").to_pandas()
@@ -83,13 +80,6 @@ def bm25_topk(ds, id_col: str, text_col: str, query_terms: list[str], *,
            for t in terms}
 
     def contrib(d: pd.DataFrame) -> pd.DataFrame:
-        if not len(d):
-            # id dtype from the incoming column (string ids mixed with an
-            # empty block must not yield an int64 frame — Arrow schema
-            # union would fail), like _pass above
-            dt = d[id_col].dtype if id_col in d.columns else "int64"
-            return pd.DataFrame({id_col: pd.Series([], dtype=dt),
-                                 "s": pd.Series([], dtype="float64")})
         w_idf = d["w"].map(idf).to_numpy()
         tf = d["tf"].to_numpy(dtype=np.float64)
         ln = d["len"].to_numpy(dtype=np.float64)

@@ -53,10 +53,6 @@ def distinct_ngram_stats(ds, text_col: str, group_col: str, *, n: int = 3,
     from ..state.groupby import group_agg, partition_reduce
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):  # column-less empty blocks carry no text col
-            return pd.DataFrame({"s": pd.Series([], dtype=object),
-                                 "gh": pd.Series([], dtype="uint64"),
-                                 "c": pd.Series([], dtype="int64")})
         lens, h = _gram_hash_counts(df[text_col], n)
         out = pd.DataFrame({
             "s": np.repeat(df[group_col].to_numpy(), lens),

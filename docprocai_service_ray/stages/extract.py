@@ -272,8 +272,13 @@ def extract_docs(pages_ds, cfg: KGConfig, *, emit_links: bool = False):
 
     ``emit_links=True`` adds the per-row link-partial columns
     (``src_host``/``link_dst``/``link_n``, DOCS_LINKS_SCHEMA) so the host
-    link graph derives from THIS pass instead of re-scanning raw html."""
-    return _extract(filter_langs(pages_ds, cfg), emit_links)
+    link graph derives from THIS pass instead of re-scanning raw html. It
+    parses every capture, whatever ``cfg.filter_langs``: the link graph
+    counts links of all languages, so the caller applies
+    :func:`filter_langs` to the docs it derives from the output."""
+    if emit_links:
+        return _extract(pages_ds, emit_links=True)
+    return _extract(filter_langs(pages_ds, cfg))
 
 
 def _extract(pages_ds, emit_links: bool = False):

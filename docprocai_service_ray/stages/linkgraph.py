@@ -10,18 +10,22 @@ directly from the ``html`` binary column of the ``web_pages`` table
 
 Stages (all streaming, no driver-side materialization):
 
-- :func:`extract_links` — per-batch: decode html bytes (UTF-8,
+- :func:`link_partial_arrays` — the one href-resolution kernel, per
+  batch: pull ``href`` values from decoded html (UTF-8,
   ``errors="replace"`` so undecodable crawl bytes degrade instead of
-  failing), pull ``href`` values with a compiled ``findall`` (the regex
-  work runs in C; 4x faster than pandas ``str.extractall``), resolve
-  relative hrefs against the page's own host (``urljoin`` semantics for
-  the absolute/root-relative forms crawl pages use), and emit
-  (src_host, dst_host, href) link rows.
-- :func:`host_link_edges` — cross-host edge aggregation: per-batch
-  partial ``groupby(size)`` so the exchange moves (src_host, dst_host,
-  partial_n) rows, never raw links — hub hosts (the web graph's power-law
-  head) concentrate *counts*, not rows, exactly like
-  stages/graph.entity_degree's skew handling.
+  failing) with a compiled ``findall`` (the regex work runs in C),
+  resolve relative hrefs against the page's own host (``urljoin``
+  semantics for the absolute/root-relative forms crawl pages use), and
+  emit per-row cross-host (dst_host, n) partials. The KG build runs it
+  inside the extraction pass (stages/extract.extract_batch_links), so the
+  corpus is parsed once for docs and links alike.
+- :func:`url_links_from_docs` → :func:`host_edges_from_url_links` —
+  explode the partials to (url, src_host, dst_host, n) rows, then one
+  grouped sum, so the exchange moves (src_host, dst_host, partial_n)
+  rows, never raw links — hub hosts (the web graph's power-law head)
+  concentrate *counts*, not rows, exactly like stages/graph.entity_degree's
+  skew handling. :func:`host_link_edges` is the same chain over raw
+  (url, html) pages.
 - :func:`host_pagerank` — PageRank over the host graph: renames the edge
   table to the (subject_id, object_id) shape and reuses
   stages/graph.pagerank unchanged (size-gated driver kernel under the
@@ -60,69 +64,18 @@ def _decode_html(col) -> list[str]:
     ]
 
 
-def extract_links(pages, *, url_col: str = "url", html_col: str = "html"):
-    """(url, src_host, dst_host, href) rows, one per anchor on every page.
-
-    Relative hrefs (``/about``) resolve to the page's own host; absolute
-    ``http(s)://`` hrefs contribute their own host; other schemes
-    (mailto:, javascript:) are dropped.
-    """
-    per_batch = _links_frame_fn(url_col, html_col)
-    return pages.map_batches(per_batch, batch_format="pandas")
-
-
-def _links_frame_fn(url_col: str, html_col: str):
-    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        decoded = _decode_html(df[html_col])
-        src_host = df[url_col].str.extract(_HOST_RE, expand=False).to_numpy()
-        # compiled findall per page (the regex work runs in C; this beats
-        # pandas str.extractall 4x — extractall pays a MultiIndex build),
-        # then numpy repeat maps matches back to their source rows
-        lists = [[m[1] for m in _HREF_RE.findall(x)] for x in decoded]
-        counts = np.fromiter((len(m) for m in lists), dtype=np.int64,
-                             count=len(lists))
-        total = int(counts.sum())
-        if total == 0:
-            return pd.DataFrame({
-                "url": pd.Series([], dtype="object"),
-                "src_host": pd.Series([], dtype="object"),
-                "dst_host": pd.Series([], dtype="object"),
-                "href": pd.Series([], dtype="object"),
-            })
-        hrefs = pd.Series(
-            np.concatenate([np.asarray(m, dtype=object) for m in lists if m]),
-            dtype="object",
-        )
-        src = np.repeat(src_host, counts)
-        is_abs = hrefs.str.match(_HOST_RE).to_numpy()
-        abs_host = hrefs.str.extract(_HOST_RE, expand=False).to_numpy()
-        is_rel = hrefs.str.startswith("/").to_numpy()
-        dst = np.where(is_abs, abs_host, np.where(is_rel, src, None))
-        # non-http(s) page urls have no src host — excluded (the SQL twin
-        # filters the same rows with regexp_matches on the url)
-        keep = pd.notna(dst) & pd.notna(src)
-        return pd.DataFrame({
-            "url": np.repeat(df[url_col].to_numpy(), counts)[keep],
-            "src_host": src[keep],
-            "dst_host": dst[keep],
-            "href": hrefs.to_numpy()[keep],
-        })
-
-    return per_batch
-
-
 def link_partial_arrays(urls: list, decoded: list[str]):
     """Per-ROW cross-host link partials as Arrow arrays aligned with the
     input rows: ``(src_host: string, link_dst: list<string>, link_n:
     list<int64>)`` — the fused-extraction building block (the href
     findall runs on the SAME decoded html string the text extractor
     already has in hand, so the link graph costs no second corpus scan;
-    VERDICT r3 item 1). Same-host and schemeless-relative resolution
-    semantics are identical to :func:`extract_links`; same-host links are
-    dropped HERE (they never leave the batch), matching
-    :func:`url_host_links`. Rows without an http(s) src host get empty
-    lists. Within a row, dst hosts are emitted in sorted order —
-    deterministic at any batching."""
+    VERDICT r3 item 1). The one href-resolution kernel: relative hrefs
+    (``/about``) resolve to the page's own host, absolute ``http(s)://``
+    hrefs contribute their own host, other schemes (mailto:, javascript:)
+    are dropped, and so are same-host links (they never leave the batch).
+    Rows without an http(s) src host get empty lists. Within a row, dst
+    hosts are emitted in sorted order — deterministic at any batching."""
     import pyarrow as pa
 
     n_rows = len(urls)
@@ -178,12 +131,15 @@ def link_partial_arrays(urls: list, decoded: list[str]):
 
 
 def url_links_from_docs(docs_links_ds):
-    """(url, src_host, dst_host, n) rows from a fused-extraction table
-    carrying the per-row ``src_host`` / ``link_dst`` / ``link_n`` columns
-    (stages/extract.extract_batch_links) — pure vectorized explode, no
-    html anywhere. The output unions with / replaces the legacy
-    :func:`url_host_links` table (same schema; rows may split per capture
-    instead of per url, and every consumer aggregates)."""
+    """Per-capture cross-host link partials (url, src_host, dst_host, n)
+    from a table carrying the per-row ``src_host`` / ``link_dst`` /
+    ``link_n`` columns (stages/extract.extract_batch_links, or
+    :func:`_page_link_partials` over raw pages) — pure vectorized explode,
+    no html anywhere. This is the PATCHABLE intermediate of the link
+    graph: a url's rows depend only on its own html, so the table supports
+    the per-record delete→re-derive cascade (reprocess_urls /
+    ingest_shard) exactly like docs/sentences, and the host-level edge
+    table is a pure aggregation of it."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -203,28 +159,15 @@ def url_links_from_docs(docs_links_ds):
     return docs_links_ds.map_batches(explode, batch_format="pyarrow")
 
 
-def url_host_links(pages, *, url_col: str = "url", html_col: str = "html"):
-    """Per-URL cross-host link partials: (url, src_host, dst_host, n) —
-    the PATCHABLE intermediate of the link graph. Because a url's rows
-    depend only on its own html, this table supports the per-record
-    delete→re-derive cascade (reprocess_urls / ingest_shard) exactly like
-    docs/sentences; the host-level edge table is then a pure aggregation
-    of it (corpus-level cascade, same shape as entity_map). Extraction and
-    the per-url groupby are FUSED in one batch fn so a url's anchor rows
-    can never split across batch boundaries — the table's rows are
-    deterministic at any parallelism."""
-    links_fn = _links_frame_fn(url_col, html_col)
+def _page_link_partials(batch):
+    """(url, html) pages → the per-row link partials of
+    :func:`link_partial_arrays`, for link-graph queries over raw pages."""
+    import pyarrow as pa
 
-    def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        links = links_fn(df)
-        links = links[links["src_host"] != links["dst_host"]]
-        out = links.groupby(["url", "src_host", "dst_host"], as_index=False).agg(
-            n=("href", "size")
-        )
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    return pages.map_batches(per_batch, batch_format="pandas")
+    src_host, link_dst, link_n = link_partial_arrays(
+        batch["url"].to_pylist(), _decode_html(batch["html"].to_pylist()))
+    return pa.table({"url": batch["url"], "src_host": src_host,
+                     "link_dst": link_dst, "link_n": link_n})
 
 
 def host_edges_from_url_links(url_links):
@@ -234,19 +177,19 @@ def host_edges_from_url_links(url_links):
                      {"n_links": ("n", "sum")})
 
 
-def host_link_edges(pages, *, url_col: str = "url", html_col: str = "html"):
-    """Cross-host (src_host, dst_host, n_links) edge table — the host-level
-    web graph. Same-host links (nav/self) are dropped; counts are exact."""
-    return host_edges_from_url_links(
-        url_host_links(pages, url_col=url_col, html_col=html_col),
-    )
+def host_link_edges(pages):
+    """Cross-host (src_host, dst_host, n_links) edge table of (url, html)
+    pages — the host-level web graph. Same-host links (nav/self) are
+    dropped; counts are exact."""
+    return host_edges_from_url_links(url_links_from_docs(
+        pages.map_batches(_page_link_partials, batch_format="pyarrow")))
 
 
-def top_linked_hosts(pages, k: int = 10, **kwargs):
+def top_linked_hosts(pages, k: int = 10):
     """Top-k hosts by distinct-source in-link count (the hub head of the
     graph): per-block partial top-k is unnecessary — the edge table is
     already vocab-sized, so one grouped sum + tiny sort suffices."""
-    edges = host_link_edges(pages, **kwargs)
+    edges = host_link_edges(pages)
     # edges hold one row per (src_host, dst_host): distinct sources = rows
     ranked = group_agg(
         edges, ["dst_host"],
@@ -256,7 +199,7 @@ def top_linked_hosts(pages, k: int = 10, **kwargs):
 
 
 def host_pagerank(pages=None, *, edges=None, iters: int = 20,
-                  weighted: bool = False, **kwargs):
+                  weighted: bool = False):
     """PageRank over the host link graph (reuses stages/graph.pagerank:
     same size-gated tiers, same dense-numpy-verified kernel). Pass
     ``edges`` (a host_link_edges output, e.g. the checkpointed stage) to
@@ -267,7 +210,7 @@ def host_pagerank(pages=None, *, edges=None, iters: int = 20,
     from .graph import pagerank
 
     if edges is None:
-        edges = host_link_edges(pages, **kwargs)
+        edges = host_link_edges(pages)
     if weighted:
         as_triples = edges.map_batches(
             lambda t: t.select(["src_host", "dst_host", "n_links"])
@@ -289,7 +232,7 @@ def host_pagerank(pages=None, *, edges=None, iters: int = 20,
 
 
 def host_hits(pages=None, *, edges=None, iters: int = 20,
-              weighted: bool = True, **kwargs):
+              weighted: bool = True):
     """HITS hubs & authorities over the host link graph (reuses
     stages/graph.hits: same size-gated tiers, same dense-numpy-verified
     kernel). ``weighted=True`` (the default) weights each contribution by
@@ -299,7 +242,7 @@ def host_hits(pages=None, *, edges=None, iters: int = 20,
     from .graph import hits
 
     if edges is None:
-        edges = host_link_edges(pages, **kwargs)
+        edges = host_link_edges(pages)
     as_triples = edges.map_batches(
         lambda t: t.select(["src_host", "dst_host", "n_links"]).rename_columns(
             ["subject_id", "object_id", "n_links"]),

@@ -292,8 +292,10 @@ def build_triples_auto(triples_raw_ds, entity_map_ds, cfg: KGConfig):
         sz = _meta_size_bytes(entity_map_ds)
     if tier_for(sz, cfg.emap_broadcast_max_bytes,
                 what="build_triples_auto") == "driver":
-        emap = _collect_arrow(
-            entity_map_ds.select_columns(EMAP_SCHEMA.names)).cast(EMAP_SCHEMA)
+        # select after collecting: empty blocks pass a projection unchanged
+        emap = _collect_arrow(entity_map_ds)
+        emap = (emap.select(EMAP_SCHEMA.names).cast(EMAP_SCHEMA) if emap.num_rows
+                else EMAP_SCHEMA.empty_table())
         return build_triples(triples_raw_ds, ray.put(emap), cfg)
     mapped = canonicalize_via_join(triples_raw_ds, entity_map_ds)
     return build_triples(mapped, ray.put(EMAP_SCHEMA.empty_table()), cfg)

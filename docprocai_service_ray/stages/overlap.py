@@ -42,9 +42,6 @@ def source_overlap_jaccard(ds, text_col: str, group_col: str, *,
     from ..state.groupby import collect_pandas, partition_reduce
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):  # column-less empty blocks carry no text col
-            return pd.DataFrame({"s": pd.Series([], dtype=object),
-                                 "gh": pd.Series([], dtype="uint64")})
         hs = _gram_hashes(df[text_col], n)
         lens = np.fromiter((len(a) for a in hs), dtype=np.int64,
                            count=len(hs))

@@ -72,12 +72,6 @@ def taxonomy_assign(ds, id_col: str, text_col: str, *, rules=DEFAULT_RULES,
     """→ Dataset(id, *keep_cols, topic, hits): per-doc routing table —
     the input to topic-stratified sampling / mixture design. Pure map."""
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):  # column-less empty blocks carry no text col
-            out = {id_col: pd.Series([], dtype="int64")}
-            out.update({c: pd.Series([], dtype=object) for c in keep_cols})
-            out["topic"] = pd.Series([], dtype=object)
-            out["hits"] = pd.Series([], dtype="int64")
-            return pd.DataFrame(out)
         r = route_topics(df[text_col], rules)
         out = pd.DataFrame({id_col: df[id_col].to_numpy()})
         for c in keep_cols:

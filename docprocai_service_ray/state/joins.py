@@ -278,8 +278,6 @@ def bloom_filter_batches(ds, keys: list[str], bloom_ref: ray.ObjectRef, *,
     """Keep only rows whose key MIGHT be in the bloom (no false negatives)."""
 
     def keep(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
         bm = np.frombuffer(ray.get(bloom_ref), dtype=np.uint8)
         idx, bit = _bloom_positions(key_hash(df, keys), bits, n_hashes)
         return df[((bm[idx] & bit) != 0).all(axis=0)]
@@ -649,10 +647,6 @@ def interval_join(left, right, *, on: str, right_start: str, right_end: str,
         return df
 
     def explode_right(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            out = df.copy()
-            out["__tb"] = pd.Series([], dtype="int64")
-            return out
         a0, a1 = _axis_raw(df[right_start]), _axis_raw(df[right_end])
         b0 = _bucket_floor(a0, width)
         if np.issubdtype(a1.dtype, np.floating) or isinstance(width, float):

@@ -90,12 +90,32 @@ def chain_signature(*parts: str | None) -> str | None:
     return hashlib.sha1("|".join(parts).encode()).hexdigest()
 
 
-def stage_input_sig(out_dir: str, stage: str) -> str | None:
+def _manifest_field(out_dir: str, stage: str, field: str):
     try:
         with open(_manifest_path(out_dir, stage)) as f:
-            return json.load(f).get("input_sig")
+            return json.load(f).get(field)
     except (FileNotFoundError, json.JSONDecodeError, OSError):
         return None
+
+
+def stage_input_sig(out_dir: str, stage: str) -> str | None:
+    return _manifest_field(out_dir, stage, "input_sig")
+
+
+def read_stage(out_dir: str, stage: str, columns: list[str] | None = None):
+    """A stage's Parquet output as a Dataset. The Hive partition columns
+    its manifest row records (``partitioned_by``: integer bucket ids) read
+    back as integers, as the stage produced them, not as the strings of
+    their directory names."""
+    import ray.data as rd
+    from ray.data.datasource.partitioning import Partitioning
+
+    parts = _manifest_field(out_dir, stage, "partitioned_by")
+    kw = {}
+    if parts:
+        kw["partitioning"] = Partitioning(
+            "hive", field_types={c: int for c in parts.split(",")})
+    return rd.read_parquet(stage_output_dir(out_dir, stage), columns=columns, **kw)
 
 
 def stage_output_dir(out_dir: str, stage: str) -> str:
@@ -124,6 +144,26 @@ def read_manifest(out_dir: str) -> list[dict]:
     return rows
 
 
+def _write_parquet(ds, path: str, **write_kwargs) -> None:
+    """``ds.write_parquet(path)``, plus one empty file carrying the schema
+    when ``ds`` has no rows (Ray writes no file then, and the stage would
+    not read back); under ``partition_cols`` it sits in a ``<col>=0``
+    directory, as the Hive layout's readers expect."""
+    ds.write_parquet(path, **write_kwargs)
+    if not os.path.isdir(path):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        parts = write_kwargs.get("partition_cols") or []
+        base = getattr(ds.schema(), "base_schema", None)
+        fields = [f for f in base if f.name not in parts] if isinstance(
+            base, pa.Schema) else []
+        sub = os.path.join(path, *(f"{c}=0" for c in parts))
+        os.makedirs(sub)
+        pq.write_table(pa.schema(fields).empty_table(),
+                       os.path.join(sub, "empty.parquet"))
+
+
 def write_stage(
     ds,
     out_dir: str,
@@ -132,12 +172,14 @@ def write_stage(
     write_kwargs: dict | None = None,
 ) -> str:
     """Write a Dataset's parquet output for ``stage`` atomically and record
-    the manifest row. Returns the final output dir."""
+    the manifest row (with ``partitioned_by`` when ``write_kwargs`` names
+    ``partition_cols``, for :func:`read_stage`). Returns the final output
+    dir."""
     final = stage_output_dir(out_dir, stage)
     tmp = f"{final}.tmp-{uuid.uuid4().hex[:8]}"
     os.makedirs(os.path.dirname(final) or ".", exist_ok=True)
     t0 = time.monotonic()
-    ds.write_parquet(tmp, **(write_kwargs or {}))
+    _write_parquet(ds, tmp, **(write_kwargs or {}))
     wall = time.monotonic() - t0
     with dir_lock(out_dir):
         if os.path.isdir(final):
@@ -162,6 +204,8 @@ def write_stage(
         "rows_out": rows_out,
         **(extra or {}),
     }
+    if (write_kwargs or {}).get("partition_cols"):
+        row["partitioned_by"] = ",".join(write_kwargs["partition_cols"])
     os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
     mp = _manifest_path(out_dir, stage)
     with open(mp + ".tmp", "w") as f:
@@ -213,14 +257,12 @@ def checkpointed_partitioned(
     the reference re-ingesting one record end-to-end,
     service/DocProcAiService.py:102-103, at shard granularity).
     """
-    import ray.data as rd
-
     input_files = sorted(input_files)
     stage_sig = chain_signature(files_signature(input_files), salt or "")
     if resume and is_stage_done(out_dir, stage) and (
         stage_input_sig(out_dir, stage) in (None, stage_sig)
     ):
-        return rd.read_parquet(stage_output_dir(out_dir, stage))
+        return read_stage(out_dir, stage)
     shards = [input_files[i::num_partitions] for i in range(num_partitions)]
     shards = [s for s in shards if s]
     stage_dir = stage_output_dir(out_dir, stage)
@@ -234,7 +276,7 @@ def checkpointed_partitioned(
         final = os.path.join(stage_dir, f"part-{pid:05d}")
         tmp = f"{final}.tmp-{uuid.uuid4().hex[:8]}"
         t0 = time.monotonic()
-        part_fn(files).write_parquet(tmp)
+        _write_parquet(part_fn(files), tmp)
         wall = time.monotonic() - t0
         with dir_lock(out_dir):
             if os.path.isdir(final):
@@ -280,7 +322,7 @@ def checkpointed_partitioned(
     with open(mp + ".tmp", "w") as f:
         json.dump(row, f)
     os.replace(mp + ".tmp", mp)
-    return rd.read_parquet(stage_dir)
+    return read_stage(out_dir, stage)
 
 
 def _inflight_path(out_dir: str, op: str) -> str:
@@ -317,27 +359,27 @@ def get_inflight(out_dir: str, op: str) -> dict | None:
 
 
 def checkpointed(ds_fn, out_dir: str | None, stage: str, resume: bool = True,
-                 input_sig: str | None = None):
+                 input_sig: str | None = None,
+                 partition_cols: list[str] | None = None):
     """Run ``ds_fn()`` → Dataset, materialized as a parquet checkpoint when
     ``out_dir`` is set; on resume, reuse a DONE stage's files instead of
     recomputing (resume granularity = stage; shuffle stages cannot resume
-    mid-shuffle, SURVEY.md §7.4).
+    mid-shuffle, SURVEY.md §7.4). With ``out_dir=None`` it is just
+    ``ds_fn()`` (a streaming run of the same stage chain).
 
     ``input_sig`` (optional) is the stage's input lineage fingerprint: a
     DONE stage whose stored sig exists and DIFFERS is stale (an upstream
     input changed since it was written) and is recomputed; a row without a
     stored sig (pre-lineage, or rewritten by a per-record patch) resumes
-    as before."""
-    import ray.data as rd
-
+    as before. ``partition_cols`` (integer columns) hive-partition the
+    checkpoint."""
     if out_dir is None:
         return ds_fn()
     if resume and is_stage_done(out_dir, stage):
         stored = stage_input_sig(out_dir, stage)
         if input_sig is None or stored is None or stored == input_sig:
-            return rd.read_parquet(stage_output_dir(out_dir, stage))
-    final = write_stage(
-        ds_fn(), out_dir, stage,
-        extra={"input_sig": input_sig} if input_sig else None,
-    )
-    return rd.read_parquet(final)
+            return read_stage(out_dir, stage)
+    write_stage(ds_fn(), out_dir, stage,
+                extra={"input_sig": input_sig} if input_sig else None,
+                write_kwargs={"partition_cols": partition_cols} if partition_cols else None)
+    return read_stage(out_dir, stage)

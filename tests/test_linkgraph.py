@@ -15,9 +15,9 @@ import ray.data as rd
 
 from docprocai_service_ray.sources.webgen import WEB_PAGES_SCHEMA, pages_table
 from docprocai_service_ray.stages.linkgraph import (
-    extract_links,
     host_link_edges,
     host_pagerank,
+    link_partial_arrays,
     linkgraph_sql,
     top_linked_hosts,
 )
@@ -42,20 +42,19 @@ def _pages_ds(rows: list[tuple[str, bytes]], blocks: int = 1):
 class TestExtractSemantics:
     def test_absolute_relative_and_dropped_schemes(self):
         html = (
-            b"<a href='https://siteB.example/x'>b</a>"
-            b'<a href="https://siteC.example/y">c</a>'  # double quotes too
-            b"<a href='/about'>rel</a>"
-            b"<a href='mailto:x@y.z'>m</a>"
-            b"<a href='javascript:void(0)'>j</a>"
+            "<a href='https://siteB.example/x'>b</a>"
+            '<a href="https://siteC.example/y">c</a>'  # double quotes too
+            "<a href='/about'>rel</a>"
+            "<a href='mailto:x@y.z'>m</a>"
+            "<a href='javascript:void(0)'>j</a>"
+            "<a href='https://siteB.example/z'>b2</a>"
         )
-        ds = _pages_ds([("https://siteA.example/p/1", html)])
-        got = extract_links(ds).to_pandas().sort_values("href").reset_index(drop=True)
-        # /about resolves to the page's own host; mailto/javascript dropped
-        assert set(zip(got["dst_host"], got["href"])) == {
-            ("siteA.example", "/about"),
-            ("siteB.example", "https://siteB.example/x"),
-            ("siteC.example", "https://siteC.example/y"),
-        }
+        src, dst, n = link_partial_arrays(["https://siteA.example/p/1"], [html])
+        # absolute hrefs count per dst host; /about resolves to the page's
+        # own host and drops as a self link; mailto/javascript dropped
+        assert src.to_pylist() == ["siteA.example"]
+        assert dst.to_pylist() == [["siteB.example", "siteC.example"]]
+        assert n.to_pylist() == [[2, 1]]
 
     def test_invalid_utf8_and_empty_html_survive(self):
         rows = [
@@ -63,8 +62,10 @@ class TestExtractSemantics:
             ("https://a.example/2", b""),
             ("https://a.example/3", None),
         ]
-        got = extract_links(_pages_ds(rows)).to_pandas()
-        assert list(got["dst_host"]) == ["b.example"]
+        got = host_link_edges(_pages_ds(rows)).to_pandas()
+        assert got.to_dict("records") == [
+            {"src_host": "a.example", "dst_host": "b.example", "n_links": 1}
+        ]
 
     def test_cross_host_edges_drop_self_links(self):
         rows = [
