@@ -222,8 +222,6 @@ def release_documents(sf_dir: str | None, *, docs=None,
     # is a husk, not a document; C4-style releases drop it here rather
     # than publish empty rows. Pure map.
     def residual(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
         return df[token_counts(df["text"]) >= residual_min_words]
 
     rewritten = deduped_lines.map_batches(
@@ -236,12 +234,7 @@ def release_documents(sf_dir: str | None, *, docs=None,
         holdout_rate=holdout_rate, seed=seed, cfg=cfg)
 
     def keepers(df: pd.DataFrame) -> pd.DataFrame:
-        k = df[df["keep"]] if len(df) else df
-        cols = ["doc_id", "split"]
-        if not len(k):
-            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                                 "split": pd.Series([], dtype=object)})
-        return k[cols]
+        return df.loc[df["keep"], ["doc_id", "split"]]
 
     kept = _count(hash_join(rewritten,
                             kbs.map_batches(keepers, batch_format="pandas"),
@@ -249,14 +242,6 @@ def release_documents(sf_dir: str | None, *, docs=None,
     scrubbed = pii_scrub(kept, "text")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype="int64"),
-                "lang": pd.Series([], dtype=object),
-                "source": pd.Series([], dtype=object),
-                "text": pd.Series([], dtype=object),
-                "n_tokens": pd.Series([], dtype="int64"),
-                "split": pd.Series([], dtype=object)})
         out = df[["doc_id", "lang", "source", "text", "split"]].copy()
         out["n_tokens"] = token_counts(df["text"])
         return out[["doc_id", "lang", "source", "text", "n_tokens", "split"]]
@@ -276,7 +261,7 @@ def release(sf_dir: str | None, out_dir: str, *, gzip_shards: bool = True,
     manifests = {}
     for split in ("train", "holdout"):
         part = released.map_batches(
-            lambda df, s=split: df[df["split"] == s] if len(df) else df,
+            lambda df, s=split: df[df["split"] == s],
             batch_format="pandas")
         manifests[split] = export_jsonl(
             part, os.path.join(out_dir, split),
@@ -371,20 +356,13 @@ def publish_training_shards(sf_dir: str | None, *, docs=None,
                                  **release_kwargs)
 
     def side(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["split"] == split] if len(df) else df
+        return df[df["split"] == split]
 
     part = released.map_batches(side, batch_format="pandas").materialize()
     shards = shard_shuffle(part, "doc_id", n_shards, seed=seed)
 
     def meta(df: pd.DataFrame) -> pd.DataFrame:
-        cols = ["doc_id", "lang", "source", "n_tokens"]
-        if not len(df):
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype="int64"),
-                "lang": pd.Series([], dtype=object),
-                "source": pd.Series([], dtype=object),
-                "n_tokens": pd.Series([], dtype="int64")})
-        return df[cols]
+        return df[["doc_id", "lang", "source", "n_tokens"]]
 
     tagged = hash_join(part.map_batches(meta, batch_format="pandas"),
                        shards, on="doc_id")
@@ -403,9 +381,8 @@ def publish_training_shards(sf_dir: str | None, *, docs=None,
             o["start_seq"] = start
             o["end_seq"] = end
             out.append(o[nz])  # zero-token docs occupy no sequence
-        return (pd.concat(out, ignore_index=True) if out
-                else grp.assign(start_seq=pd.Series([], dtype="int64"),
-                                end_seq=pd.Series([], dtype="int64")))
+        # a partition holds at least one row, so at least one shard
+        return pd.concat(out, ignore_index=True)
 
     packed = partition_reduce(tagged, ["shard"], pack_shard)
 
@@ -413,16 +390,12 @@ def publish_training_shards(sf_dir: str | None, *, docs=None,
         from ..sources.export import export_jsonl
 
         full = hash_join(packed,
-                         part.map_batches(
-                             lambda d: d[["doc_id", "text"]] if len(d)
-                             else pd.DataFrame({
-                                 "doc_id": pd.Series([], dtype="int64"),
-                                 "text": pd.Series([], dtype=object)}),
-                             batch_format="pandas"),
+                         part.map_batches(lambda d: d[["doc_id", "text"]],
+                                          batch_format="pandas"),
                          on="doc_id").materialize()
         for sh in range(n_shards):
             piece = full.map_batches(
-                lambda df, s=sh: df[df["shard"] == s] if len(df) else df,
+                lambda df, s=sh: df[df["shard"] == s],
                 batch_format="pandas")
             export_jsonl(piece, os.path.join(out_dir, f"shard-{sh:05d}"),
                          columns=["doc_id", "pos", "start_seq", "end_seq",

@@ -53,11 +53,6 @@ def export_jsonl(ds, out_dir: str, *, columns: list[str] | None = None,
     ext = ".jsonl.gz" if gzip_shards else ".jsonl"
 
     def write_shard(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"file": pd.Series([], dtype=object),
-                                 "n_rows": pd.Series([], dtype="int64"),
-                                 "n_bytes": pd.Series([], dtype="int64"),
-                                 "sha256": pd.Series([], dtype=object)})
         if sort_within_shard:
             df = df.sort_values(sort_within_shard, kind="stable")
         raw = _shard_bytes(df, columns)
@@ -80,8 +75,11 @@ def export_jsonl(ds, out_dir: str, *, columns: list[str] | None = None,
                                                   dtype="int64"),
                              "sha256": [sha]})
 
-    raw = (ds.map_batches(write_shard, batch_format="pandas")
-           .to_pandas().sort_values("file").reset_index(drop=True))
+    from ..state.groupby import collect_pandas
+
+    raw = collect_pandas(ds.map_batches(write_shard, batch_format="pandas"),
+                         ["file", "n_rows", "n_bytes", "sha256"]
+                         ).sort_values("file").reset_index(drop=True)
     # Two blocks can serialize to identical bytes (duplicate data) — only
     # ONE file exists on disk then, so the manifest must list it once or
     # directory-scanning consumers and manifest-driven readers disagree on

@@ -159,7 +159,8 @@ def ensure_media_corpus(n: int, seed: int, root: str = "/tmp/raykg_mediagen") ->
     """Write ``n`` real media files (cycling png/bmp/jpg/gif/wav/avi/mp4)
     once; cached by (n, seed). Returns the directory to hand to
     read_media_files. The .done marker lives OUTSIDE the dir so
-    read_binary_files never scans it."""
+    read_binary_files never scans it; concurrent cold callers serialize
+    on an advisory lock, and only the first one writes."""
     # v4: + MJPEG-in-MP4 kind; v6: JPEG DCT no longer rides on BLAS, so
     # caches written by a CPU-dependent kernel are dropped (bump
     # invalidates older caches)
@@ -167,38 +168,42 @@ def ensure_media_corpus(n: int, seed: int, root: str = "/tmp/raykg_mediagen") ->
     done = out + ".done"
     if os.path.exists(done):
         return out
-    os.makedirs(out, exist_ok=True)
     from ..functions.jpegcodec import jpeg_encode
+    from ..state.manifest import dir_lock
 
-    for i in range(n):
-        kind = i % 7
-        if kind == 0:
-            path = os.path.join(out, f"media-{i:05d}.png")
-            payload = mc.png_encode(gen_image(seed, i))
-        elif kind == 1:
-            path = os.path.join(out, f"media-{i:05d}.bmp")
-            payload = mc.bmp_encode(gen_image(seed, i))
-        elif kind == 2:
-            path = os.path.join(out, f"media-{i:05d}.jpg")
-            payload = jpeg_encode(gen_image(seed, i), quality=88)
-        elif kind == 3:
-            path = os.path.join(out, f"media-{i:05d}.gif")
-            img = gen_image(seed, i)
-            idx = (img[:, :, 0] >> 4).astype(np.uint8)  # 16-level luminance
-            pal = np.stack([np.arange(16) * 17] * 3, axis=1).astype(np.uint8)
-            payload = mc.gif_encode(idx, pal)
-        elif kind == 4:
-            path = os.path.join(out, f"media-{i:05d}.wav")
-            samples, rate = gen_audio(seed, i)
-            payload = mc.wav_encode(samples, rate)
-        elif kind == 5:
-            path = os.path.join(out, f"media-{i:05d}.avi")
-            payload = gen_avi(seed, i)
-        else:
-            path = os.path.join(out, f"media-{i:05d}.mp4")
-            payload = gen_mp4(seed, i)
-        with open(path, "wb") as f:
-            f.write(payload)
-    with open(done, "w") as f:
-        f.write("ok")
+    with dir_lock(root, f".lock_v6_n{n}_s{seed}"):
+        if os.path.exists(done):  # another process generated it meanwhile
+            return out
+        os.makedirs(out, exist_ok=True)
+        for i in range(n):
+            kind = i % 7
+            if kind == 0:
+                path = os.path.join(out, f"media-{i:05d}.png")
+                payload = mc.png_encode(gen_image(seed, i))
+            elif kind == 1:
+                path = os.path.join(out, f"media-{i:05d}.bmp")
+                payload = mc.bmp_encode(gen_image(seed, i))
+            elif kind == 2:
+                path = os.path.join(out, f"media-{i:05d}.jpg")
+                payload = jpeg_encode(gen_image(seed, i), quality=88)
+            elif kind == 3:
+                path = os.path.join(out, f"media-{i:05d}.gif")
+                img = gen_image(seed, i)
+                idx = (img[:, :, 0] >> 4).astype(np.uint8)  # 16-level luminance
+                pal = np.stack([np.arange(16) * 17] * 3, axis=1).astype(np.uint8)
+                payload = mc.gif_encode(idx, pal)
+            elif kind == 4:
+                path = os.path.join(out, f"media-{i:05d}.wav")
+                samples, rate = gen_audio(seed, i)
+                payload = mc.wav_encode(samples, rate)
+            elif kind == 5:
+                path = os.path.join(out, f"media-{i:05d}.avi")
+                payload = gen_avi(seed, i)
+            else:
+                path = os.path.join(out, f"media-{i:05d}.mp4")
+                payload = gen_mp4(seed, i)
+            with open(path, "wb") as f:
+                f.write(payload)
+        with open(done, "w") as f:
+            f.write("ok")
     return out

@@ -57,7 +57,7 @@ def read_binary(paths, include_paths: bool = True, **kwargs):
     return rd.read_binary_files(paths, include_paths=include_paths, **kwargs)
 
 
-DOCS_SCHEMA = pa.schema([
+CURATION_DOCS_SCHEMA = pa.schema([
     ("doc_id", pa.int64()),
     ("text", pa.string()),
     ("lang", pa.string()),
@@ -93,8 +93,8 @@ def read_docs_jsonl(paths, *, id_col: str = "id", text_col: str = "text",
             if src not in t.column_names:
                 raise ValueError(
                     f"JSONL missing field {src!r} (have {t.column_names})")
-            cols[dst] = t[src].cast(DOCS_SCHEMA.field(dst).type)
-        return pa.table(cols, schema=DOCS_SCHEMA)
+            cols[dst] = t[src].cast(CURATION_DOCS_SCHEMA.field(dst).type)
+        return pa.table(cols, schema=CURATION_DOCS_SCHEMA)
 
     return ds.map_batches(norm, batch_format="pyarrow")
 

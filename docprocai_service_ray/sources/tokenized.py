@@ -73,8 +73,6 @@ def build_bpe_vocab(ds, text_col: str, merges: pd.DataFrame) -> pd.DataFrame:
     encoded = bpe_apply(ds.select_columns([text_col]), text_col, merges)
 
     def symbols(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"token": pd.Series([], dtype=object)})
         seen: set[str] = set()
         for row in df["bpe_tokens"]:
             seen.update(row)
@@ -114,9 +112,6 @@ def export_token_shards(ds, out_dir: str, id_col: str, text_col: str,
         # ids travel as '<u4' BYTES: binary columns survive the Arrow
         # hash join (list columns are not joinable non-key fields) and
         # shuffle at final wire width
-        if not len(df):
-            return pd.DataFrame({id_col: pd.Series([], dtype="int64"),
-                                 "ids": pd.Series([], dtype=object)})
         return pd.DataFrame({
             id_col: df[id_col].to_numpy(),
             "ids": [np.asarray([tok2id.get(t, unk) for t in row],
@@ -163,13 +158,7 @@ def export_token_shards(ds, out_dir: str, id_col: str, text_col: str,
                          "n_docs": int(len(g)),
                          "n_tokens": int(n_tok.sum()),
                          "n_bytes": int(len(payload)), "sha256": sha})
-        if not rows:
-            return pd.DataFrame({"shard": pd.Series([], dtype="int64"),
-                                 "file": pd.Series([], dtype=object),
-                                 "n_docs": pd.Series([], dtype="int64"),
-                                 "n_tokens": pd.Series([], dtype="int64"),
-                                 "n_bytes": pd.Series([], dtype="int64"),
-                                 "sha256": pd.Series([], dtype=object)})
+        # a partition holds at least one row, so at least one shard
         return pd.DataFrame(rows)
 
     manifest = collect_pandas(
@@ -214,12 +203,8 @@ def read_token_shards(out_dir: str, id_col: str = "doc_id"):
                 "token_ids": [stream[o:o + n] for o, n in
                               zip(idx["offset"], idx["n_tokens"])],
             }))
-        return (pd.concat(out, ignore_index=True) if out
-                else pd.DataFrame({id_col: pd.Series([], dtype="int64"),
-                                   "shard": pd.Series([], dtype="int64"),
-                                   "pos": pd.Series([], dtype="int64"),
-                                   "n_tokens": pd.Series([], dtype="int64"),
-                                   "token_ids": pd.Series([], dtype=object)}))
+        # a batch holds at least one manifest row, so ``out`` is not empty
+        return pd.concat(out, ignore_index=True)
 
     shards = pd.DataFrame(man["shards"])
     return rd.from_pandas(shards).repartition(max(1, len(shards))).map_batches(

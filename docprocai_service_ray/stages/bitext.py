@@ -85,15 +85,6 @@ def bitext_margin_pairs(src, tgt, *, id_col: str = "vec_id",
         """One matmul per target batch → forward rows + backward partials
         (distinguished by ``kind``; stacked so the pass stays single)."""
         ids, smat = ray.get(src_ref)
-        if not len(df):
-            return pd.DataFrame({
-                "kind": pd.Series([], dtype=object),
-                "src_id": pd.Series([], dtype=pd.Series(ids).dtype),
-                "tgt_id": pd.Series([], dtype=df[id_col].dtype
-                                    if id_col in df.columns else "int64"),
-                "ci": pd.Series([], dtype="int64"),
-                "sum_f": pd.Series([], dtype="int64"),
-                "n_f": pd.Series([], dtype="int64")})
         df = df.sort_values(id_col, kind="stable")
         tmat = _unit(_matrix(df, emb_col))
         ci = np.floor((tmat @ smat.T) * _SCALE + 0.5).astype(np.int64)
@@ -127,8 +118,6 @@ def bitext_margin_pairs(src, tgt, *, id_col: str = "vec_id",
 
     def _kind(df: pd.DataFrame, which: str, cols: list) -> pd.DataFrame:
         # vectorized mask — ds.filter(fn) is per-row Python (hot-path ban)
-        if "kind" not in df.columns:
-            return pd.DataFrame({c: pd.Series([], dtype=object) for c in cols})
         return df.loc[df["kind"] == which, cols]
 
     fwd = passes.map_batches(
@@ -152,12 +141,6 @@ def bitext_margin_pairs(src, tgt, *, id_col: str = "vec_id",
     joined = hash_join(fwd, back, on="src_id")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "src_id": pd.Series([], dtype="int64"),
-                "tgt_id": pd.Series([], dtype="int64"),
-                "cos": pd.Series([], dtype="float64"),
-                "margin": pd.Series([], dtype="float64")})
         num = 2.0 * df["ci"] * df["n_f"] * df["n_b"]
         den = (df["sum_f"] * df["n_b"] + df["sum_b"] * df["n_f"]).astype(
             "float64")

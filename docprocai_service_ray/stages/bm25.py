@@ -45,11 +45,7 @@ def bm25_topk(ds, id_col: str, text_col: str, query_terms: list[str], *,
         lens = e.groupby(level=0).size()  # doc row-index → token count
         m = e[e["w"].isin(terms)]
         if not len(m):
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype=df[id_col].dtype),
-                "w": pd.Series([], dtype=object),
-                "tf": pd.Series([], dtype="int64"),
-                "len": pd.Series([], dtype="int64")})
+            return m.assign(tf=0, len=0)
         g = (m.groupby([m.index, "w"]).size().rename("tf").reset_index()
              .rename(columns={"level_0": "__row"}))
         g[id_col] = df[id_col].reindex(g["__row"]).to_numpy()

@@ -43,6 +43,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..state.tier import choose_tier
 
@@ -52,6 +53,10 @@ DRIVER_VOCAB_MAX = 200_000
 
 _EOW = "</w>"  # end-of-word symbol (Sennrich §3.2)
 _TOKEN_RE = r"[a-z]+"  # repo-wide tokenizer (token_doc_frequency contract)
+
+# one merge round's per-batch pair-count partials
+_PAIR_COUNTS = pa.schema([("left", pa.string()), ("right", pa.string()),
+                          ("c", pa.int64())])
 
 
 # ---------------------------------------------------------------- kernels
@@ -176,10 +181,8 @@ def _train_distributed(wc_ds, num_merges: int,
         def partial(df: pd.DataFrame) -> pd.DataFrame:
             c = _pair_counts([tuple(s) for s in df["syms"]],
                              df["n"].to_numpy())
-            if not c:
-                return pd.DataFrame({"left": pd.Series([], dtype="object"),
-                                     "right": pd.Series([], dtype="object"),
-                                     "c": pd.Series([], dtype="int64")})
+            if not c:  # every word of the batch is one symbol
+                return _PAIR_COUNTS.empty_table()
             ks = list(c.keys())
             return pd.DataFrame({"left": [k[0] for k in ks],
                                  "right": [k[1] for k in ks],

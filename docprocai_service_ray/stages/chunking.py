@@ -50,8 +50,7 @@ def chunk_spans(ds, id_col: str, text_col: str, *, chunk_tokens: int = 128,
                 p += stride
                 c += 1
         out = {
-            id_col: pd.Series(ids) if ids
-            else pd.Series([], dtype=df[id_col].dtype),
+            id_col: pd.Series(ids, dtype=df[id_col].dtype),
             "chunk_id": pd.Series(cids, dtype="int64"),
             "tok_start": pd.Series(starts, dtype="int64"),
             "tok_end": pd.Series(ends, dtype="int64"),

@@ -92,8 +92,6 @@ def train_quality_classifier(ds, text_col: str, label_col: str, *,
         w_ref = ray.put(w)
 
         def partial(df: pd.DataFrame, dim=dim) -> pd.DataFrame:
-            if not len(df):
-                return pd.DataFrame({"qg": [], "ql": [], "hits": [], "n": []})
             wv = ray.get(w_ref)
             x = np.vstack([np.frombuffer(b, dtype=np.float64)
                            for b in df["x"]])

@@ -37,8 +37,12 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
-_TOKEN_RE = r"[a-z]+"
+from .postings import _TOKEN_RE, _doc_tokens
+
+_PAIRS_SCHEMA = pa.schema([("w1", pa.string()), ("w2", pa.string())])
 
 
 def _doc_token_lists(texts: pd.Series) -> pd.Series:
@@ -57,22 +61,18 @@ def cooccurrence_pmi(ds, id_col: str, text_col: str, *,
 
     n_total = ds.count()  # metadata-only
 
-    def doc_words(df: pd.DataFrame) -> pd.DataFrame:
-        toks = _doc_token_lists(df[text_col])
-        return (df[[id_col]].assign(w=toks).explode("w").dropna(subset=["w"])
-                .drop_duplicates([id_col, "w"]))
-
     df_table = group_agg(
-        ds.map_batches(doc_words, batch_format="pandas"), ["w"],
-        {"dfc": (id_col, "size")})
+        ds.map_batches(lambda df: _doc_tokens(df, id_col, text_col),
+                       batch_format="pandas"),
+        ["w"], {"dfc": ("doc", "size")})
 
     hot_ref = None
     if max_df is not None:
         if max_df < 1:
             raise ValueError(f"max_df must be >= 1, got {max_df}")
         hot = df_table.map_batches(
-            lambda d: d.loc[d["dfc"] > max_df, ["w"]],
-            batch_format="pandas")
+            lambda t: t.filter(pc.greater(t["dfc"], max_df)).select(["w"]),
+            batch_format="pyarrow")
         hot_arr = np.sort(
             collect_pandas(hot, ["w"])["w"].to_numpy(dtype=str))
         hot_ref = ray.put(hot_arr)
@@ -93,7 +93,7 @@ def cooccurrence_pmi(ds, id_col: str, text_col: str, *,
             w1s.append(arr[i])
             w2s.append(arr[j])
         if not w1s:
-            return pd.DataFrame(columns=["w1", "w2"])
+            return _PAIRS_SCHEMA.empty_table()
         return pd.DataFrame({"w1": np.concatenate(w1s),
                              "w2": np.concatenate(w2s)})
 

@@ -164,12 +164,7 @@ def ngram_decontaminate(docs_ds, bench_ds, id_col: str, text_col: str,
             part.loc[part["is_bench"], "gh"].to_numpy(dtype="uint64"))
         d = part.loc[~part["is_bench"]]
         if not len(d):
-            return pd.DataFrame({
-                "doc": pd.Series(dtype="int64"),
-                "grp": pd.Series(dtype="object"),
-                "ng": pd.Series(dtype="int64"),
-                "nc": pd.Series(dtype="int64"),
-            })
+            return d[["doc", "grp", "ng"]].assign(nc=0)
         hit = np.isin(d["gh"].to_numpy(dtype="uint64"), bench_h,
                       assume_unique=False)
         g = pd.DataFrame({"doc": d["doc"], "grp": d["grp"], "ng": d["ng"],

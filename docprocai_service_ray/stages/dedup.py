@@ -175,9 +175,7 @@ def minhash_lsh_pairs(
     ).materialize()
     n_pairs = pairs.count()  # metadata-only: materialized
     if n_pairs == 0:
-        return pairs.map_batches(
-            lambda df: df.assign(jaccard=pd.Series(dtype=float)), batch_format="pandas"
-        )
+        return pairs
 
     def _verify_frame(batch: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b, out_j = [], [], []
@@ -585,10 +583,6 @@ def probe_dedup_index(new_ds, index_dir: str, id_col: str, text_col: str, *,
         hash_join(pairs, new_sigs, on="new_id"), stored_sigs, on="corpus_id")
 
     def estimate(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"new_id": df.get("new_id", pd.Series(dtype="object")),
-                                 "corpus_id": pd.Series(dtype="object"),
-                                 "est_jaccard": pd.Series(dtype="float64")})
         a = np.frombuffer(b"".join(df["new_sig"]), dtype=np.uint64).reshape(
             len(df), meta["num_perms"])
         b = np.frombuffer(b"".join(df["corpus_sig"]), dtype=np.uint64).reshape(

@@ -174,8 +174,6 @@ def dsir_select(raw_ds, target_ds, id_col: str, text_col: str, *,
                          seed=seed, round_to=round_to)
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df.assign(score=pd.Series(dtype="float64"))
         g = _gumbel_from_key(df[id_col], seed)
         out = df.assign(score=np.round(df["logw"].to_numpy() + g, round_to))
         return out.nlargest(select_k, ["score", id_col])

@@ -49,9 +49,7 @@ def _gram_rows(df: pd.DataFrame, id_col: str, text_col: str,
     h = (pd.util.hash_pandas_object(pd.Series(grams, dtype="object"),
                                     index=False).to_numpy()
          if grams else np.empty(0, dtype="uint64"))
-    id_s = (pd.Series(ids) if ids
-            else pd.Series([], dtype=df[id_col].dtype))
-    return pd.DataFrame({id_col: id_s,
+    return pd.DataFrame({id_col: pd.Series(ids, dtype=df[id_col].dtype),
                          "pos": pd.Series(poss, dtype="int64"), "gh": h})
 
 

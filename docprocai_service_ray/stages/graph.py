@@ -646,9 +646,8 @@ def triangle_counts(triples):
             lo.append(vs[i])
             hi.append(vs[j])
         if not apex:
-            return pd.DataFrame({"apex": pd.Series([], dtype=object),
-                                 "u": pd.Series([], dtype=object),
-                                 "v": pd.Series([], dtype=object)})
+            u, v = part["u"].iloc[:0], part["v"].iloc[:0]
+            return pd.DataFrame({"apex": u, "u": u, "v": v})
         return pd.DataFrame({"apex": np.concatenate(apex),
                              "u": np.concatenate(lo),
                              "v": np.concatenate(hi)})

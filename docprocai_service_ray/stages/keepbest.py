@@ -149,11 +149,6 @@ def leakage_safe_split(ds, id_col: str, text_col: str, *,
     cut = int(holdout_rate * (1 << 32))
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            dt = df[id_col].dtype if id_col in df.columns else object
-            return pd.DataFrame({id_col: pd.Series([], dtype=dt),
-                                 "unit": pd.Series([], dtype=object),
-                                 "split": pd.Series([], dtype=object)})
         unit = df["__unit"].fillna(df["__sid"])
         h = unit.map(lambda u: stable_u64(u, seed) >> 32)  # top 32 bits
         return pd.DataFrame({
@@ -204,15 +199,6 @@ def keep_best_and_split(ds, id_col: str, text_col: str, *,
     cut = int(holdout_rate * (1 << 32))
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            dt = df[id_col].dtype if id_col in df.columns else object
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype=dt),
-                "__sid": pd.Series([], dtype=object),
-                "quality": pd.Series([], dtype="float64"),
-                "clustered": pd.Series([], dtype=bool),
-                "unit": pd.Series([], dtype=object),
-                "split": pd.Series([], dtype=object)})
         clustered = df["__unit"].notna()
         unit = df["__unit"].fillna(df["__sid"])
         h = unit.map(lambda u: stable_u64(u, seed) >> 32)  # top 32 bits
@@ -227,14 +213,11 @@ def keep_best_and_split(ds, id_col: str, text_col: str, *,
 
     # singletons never exchange — keep=True in-batch
     def single(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[~df["clustered"]] if len(df) else df
-        return s.assign(keep=True)[out_cols] if len(s) else pd.DataFrame(
-            {c: pd.Series([], dtype=(s[c].dtype if c in s.columns else object))
-             for c in out_cols})
+        return df[~df["clustered"]].assign(keep=True)[out_cols]
 
     # clustered docs: one unit-keyed exchange picks the survivor
     def clustered_only(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["clustered"]] if len(df) else df
+        return df[df["clustered"]]
 
     def pick(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(["unit", "quality", "__sid"],

@@ -35,15 +35,28 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 _TOKEN_RE = r"[a-z]+"
 
+# per-doc distinct (doc id, token) pairs; doc ids are integers
+DOC_TOKENS_SCHEMA = pa.schema([("doc", pa.int64()), ("w", pa.string())])
 
-def _doc_tokens(df: pd.DataFrame, id_col: str, text_col: str) -> pd.DataFrame:
-    """Per-doc DISTINCT (doc, token) pairs, vectorized."""
+
+def _doc_tokens(df: pd.DataFrame, id_col: str, text_col: str,
+                stop: np.ndarray | None = None):
+    """Per-doc DISTINCT (doc, token) pairs, vectorized, minus the sorted
+    ``stop`` tokens. A batch left with no pair gives
+    ``DOC_TOKENS_SCHEMA.empty_table()``: Ray cannot size a zero-row
+    object column, and exchanges are sized from that estimate."""
     toks = df[text_col].fillna("").str.lower().str.findall(_TOKEN_RE)
     e = (df[[id_col]].assign(w=toks).explode("w").dropna(subset=["w"])
          .drop_duplicates([id_col, "w"]))
+    if stop is not None:
+        e = e.loc[~np.isin(e["w"].to_numpy(dtype=str), stop)]
+    if not len(e):
+        return DOC_TOKENS_SCHEMA.empty_table()
     return e.rename(columns={id_col: "doc"})
 
 
@@ -69,16 +82,15 @@ def build_postings(ds, id_col: str, text_col: str, *, min_df: int = 1,
             ds.map_batches(lambda df: _doc_tokens(df, id_col, text_col),
                            batch_format="pandas"),
             ["w"], {"c": ("doc", "size")},
-            finish=lambda g: g.loc[g["c"] > max_df, ["w"]])
+        ).map_batches(
+            lambda t: t.filter(pc.greater(t["c"], max_df)).select(["w"]),
+            batch_format="pyarrow")
         hot_arr = np.sort(collect_pandas(hot, ["w"])["w"].to_numpy(dtype=object))
         hot_ref = ray.put(hot_arr.astype(str))
 
-    def explode(df: pd.DataFrame) -> pd.DataFrame:
-        e = _doc_tokens(df, id_col, text_col)
-        if hot_ref is not None and len(e):
-            stop = ray.get(hot_ref)
-            e = e.loc[~np.isin(e["w"].to_numpy(dtype=str), stop)]
-        return e
+    def explode(df: pd.DataFrame):
+        stop = ray.get(hot_ref) if hot_ref is not None else None
+        return _doc_tokens(df, id_col, text_col, stop)
 
     def assemble(part: pd.DataFrame) -> pd.DataFrame:
         # token partition ⇒ every (doc, token) pair of a token is here;

@@ -46,9 +46,6 @@ def project_embeddings(ds, *, emb_col: str = "embedding",
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        if not len(df):
-            df[out_col] = pd.Series([], dtype=object)
-            return df
         x = _as_matrix(df[emb_col])
         p = projection_matrix(x.shape[1], dim_out, seed)
         # round to 9dp: BLAS gemm blocking makes x @ p differ in the last
@@ -74,10 +71,6 @@ def projected_topk(ds, query: np.ndarray, k: int, *, id_col: str = "vec_id",
     qnorm = float(np.linalg.norm(qv))
 
     def prefilter(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            dt = df[id_col].dtype if id_col in df.columns else "int64"
-            return pd.DataFrame({id_col: pd.Series([], dtype=dt),
-                                 "s": pd.Series([], dtype="float64")})
         x = _as_matrix(df[emb_col])
         p = projection_matrix(x.shape[1], dim_out, seed)
         xp = x @ p
@@ -99,9 +92,7 @@ def projected_topk(ds, query: np.ndarray, k: int, *, id_col: str = "vec_id",
     def rerank(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[df[id_col].isin(ray.get(ids_ref))]
         if not len(keep):
-            dt = df[id_col].dtype if id_col in df.columns else "int64"
-            return pd.DataFrame({id_col: pd.Series([], dtype=dt),
-                                 "score": pd.Series([], dtype="float64")})
+            return keep[[id_col]].assign(score=0.0)
         x = _as_matrix(keep[emb_col])
         denom = np.linalg.norm(x, axis=1) * qnorm
         s = np.divide(x @ qv, denom, out=np.zeros(len(keep)),

@@ -37,12 +37,6 @@ def quantize_embeddings(ds, id_col: str, emb_col: str):
     table (norms kept so cosine needs no second pass). Pure map."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            dt = df[id_col].dtype if id_col in df.columns else "int64"
-            return pd.DataFrame({id_col: pd.Series([], dtype=dt),
-                                 "codes": pd.Series([], dtype=object),
-                                 "scale": pd.Series([], dtype="float64"),
-                                 "norm": pd.Series([], dtype="float64")})
         x = _as_matrix(df[emb_col])
         amax = np.abs(x).max(axis=1)
         scale = np.where(amax > 0, amax / 127.0, 1.0)
@@ -72,12 +66,6 @@ def quantized_topk(ds, query: np.ndarray, k: int, *, id_col: str = "vec_id",
     quant = quantize_embeddings(ds, id_col, emb_col)
 
     def prefilter(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            # id dtype from the incoming column — string ids must not
-            # yield an int64 empty frame (Arrow schema-union failure)
-            dt = df[id_col].dtype if id_col in df.columns else "int64"
-            return pd.DataFrame({id_col: pd.Series([], dtype=dt),
-                                 "s": pd.Series([], dtype="float64")})
         codes = np.vstack([np.frombuffer(b, dtype=np.int8) for b in df["codes"]])
         dots = codes.astype(np.int32) @ qq.astype(np.int32)
         approx = dots * df["scale"].to_numpy() * qs
@@ -97,9 +85,7 @@ def quantized_topk(ds, query: np.ndarray, k: int, *, id_col: str = "vec_id",
     def rerank(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[df[id_col].isin(ray.get(ids_ref))]
         if not len(keep):
-            dt = df[id_col].dtype if id_col in df.columns else "int64"
-            return pd.DataFrame({id_col: pd.Series([], dtype=dt),
-                                 "score": pd.Series([], dtype="float64")})
+            return keep[[id_col]].assign(score=0.0)
         x = _as_matrix(keep[emb_col])
         denom = np.linalg.norm(x, axis=1) * qnorm
         s = np.divide(x @ qv, denom, out=np.zeros(len(keep)),

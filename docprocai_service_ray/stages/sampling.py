@@ -153,7 +153,7 @@ def weighted_sample(ds, key_col: str, weight_col: str, k: int, *,
     def score(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df[weight_col] > 0]
         if not len(df):
-            return df.assign(exp_key=pd.Series(dtype="float64"))
+            return df.assign(exp_key=0.0)
         import numpy as np
 
         tag = f"w{seed}\x1f"

@@ -258,7 +258,6 @@ def embedding_near_dup_pairs(ds, *, dim: int, threshold: float = 0.95,
     )
 
     def pairs_partition(part: pd.DataFrame) -> pd.DataFrame:
-        id_dtype = part[id_col].dtype  # keep empty-output schema consistent
         # drop singleton buckets vectorized before any per-bucket work
         part = part[part.groupby("bucket")["bucket"].transform("size") > 1]
         frames = []
@@ -282,9 +281,9 @@ def embedding_near_dup_pairs(ds, *, dim: int, threshold: float = 0.95,
                     "cosine": np.round(sims[iu[keep], ju[keep]], 6),
                 }))
         if not frames:
-            return pd.DataFrame({"id_a": pd.Series([], dtype=id_dtype),
-                                 "id_b": pd.Series([], dtype=id_dtype),
-                                 "cosine": pd.Series([], dtype=np.float64)})
+            ids = part[id_col].iloc[:0]  # the input's id type, no rows
+            return pd.DataFrame({"id_a": ids, "id_b": ids,
+                                 "cosine": np.empty(0)})
         return pd.concat(frames, ignore_index=True)
 
     return partition_reduce(bucketed, ["bucket"], pairs_partition)
@@ -387,10 +386,6 @@ def label_centroids(ds, label_col: str, vec_col: str, dim: int, *,
     from ..state.groupby import partition_reduce
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({label_col: pd.Series(dtype="object"),
-                                 "n": pd.Series(dtype="int64"),
-                                 "s": pd.Series(dtype="object")})
         vecs = np.vstack(df[vec_col].to_numpy()).astype(np.float64)
         labels, inv = np.unique(df[label_col].to_numpy(), return_inverse=True)
         sums = np.zeros((len(labels), dim))
@@ -583,10 +578,6 @@ def kmeans(ds, id_col: str, vec_col: str, dim: int, k: int, *,
 
     def make_assign(cent_ref):
         def assign_partial(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return pd.DataFrame({"cluster": pd.Series(dtype="int64"),
-                                     "n": pd.Series(dtype="int64"),
-                                     "qsum": pd.Series(dtype="object")})
             cent = ray.get(cent_ref)
             x = np.vstack(df[vec_col].to_numpy()).astype(np.float64)
             # argmin ||x-c||^2 == argmax (x·c - |c|^2/2); ties → lowest id
@@ -641,9 +632,6 @@ def _make_label_fn(centroids: np.ndarray, id_col: str, vec_col: str):
 
     def assign_fn(data):
         def label(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return pd.DataFrame({id_col: pd.Series(dtype="object"),
-                                     "cluster": pd.Series(dtype="int64")})
             cent = ray.get(final_ref)
             x = np.vstack(df[vec_col].to_numpy()).astype(np.float64)
             scores = x @ cent.T - 0.5 * (cent * cent).sum(axis=1)
@@ -733,10 +721,6 @@ def semantic_dedup(ds, id_col: str, vec_col: str, dim: int, k: int, *,
     cent_ref = ray.put(centroids)
 
     def label(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({id_col: pd.Series(dtype="int64"),
-                                 "cluster": pd.Series(dtype="int64"),
-                                 vec_col: pd.Series(dtype="object")})
         cent = ray.get(cent_ref)
         x = np.vstack(df[vec_col].to_numpy()).astype(np.float64)
         scores = x @ cent.T - 0.5 * (cent * cent).sum(axis=1)

@@ -68,11 +68,6 @@ def soft_dedup_weights(ds, id_col: str, text_col: str, *, beta: float = 1.0,
     sizes = exact_dup_cluster_sizes(ds, text_col)
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            out = {id_col: pd.Series([], dtype="int64"),
-                   "h": pd.Series([], dtype="uint64")}
-            out.update({c: pd.Series([], dtype=object) for c in keep_cols})
-            return pd.DataFrame(out)
         out = pd.DataFrame({id_col: df[id_col].to_numpy(),
                             "h": _text_hash(df[text_col])})
         for c in keep_cols:
@@ -83,13 +78,6 @@ def soft_dedup_weights(ds, id_col: str, text_col: str, *, beta: float = 1.0,
                        sizes, on="h")
 
     def weigh(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            dt = df[id_col].dtype if id_col in df.columns else "int64"
-            out = {id_col: pd.Series([], dtype=dt)}
-            out.update({c: pd.Series([], dtype=object) for c in keep_cols})
-            out["dup_count"] = pd.Series([], dtype="int64")
-            out["weight"] = pd.Series([], dtype="float64")
-            return pd.DataFrame(out)
         n = df["n"].to_numpy(dtype="int64")
         out = pd.DataFrame({id_col: df[id_col].to_numpy()})
         for c in keep_cols:
@@ -113,10 +101,6 @@ def soft_dedup_stats(ds, group_col: str, text_col: str, *, beta: float = 1.0,
     from ..state.groupby import group_agg, partition_reduce
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"h": pd.Series([], dtype="uint64"),
-                                 group_col: pd.Series([], dtype=object),
-                                 "cnt": pd.Series([], dtype="int64")})
         out = pd.DataFrame({"h": _text_hash(df[text_col]),
                             group_col: df[group_col].to_numpy()})
         out = out.groupby(["h", group_col], as_index=False).size()

@@ -129,13 +129,6 @@ def dup_gram_stats(docs_ds, id_col: str, text_col: str, group_col: str, *,
     exploded = docs_ds.map_batches(explode, batch_format="pandas")
 
     def mark(part: pd.DataFrame) -> pd.DataFrame:
-        if not len(part):
-            return pd.DataFrame({
-                "doc": pd.Series(dtype="int64"),
-                "grp": pd.Series(dtype="object"),
-                "ng": pd.Series(dtype="int64"),
-                "nc": pd.Series(dtype="int64"),
-            })
         # rows are distinct (gh, doc) pairs, so per-gh row count IS the
         # distinct-doc count; every row of a gh lands in this partition.
         # (doc-sentinel rows from ceiling mode are per-doc unique, so

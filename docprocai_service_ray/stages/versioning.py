@@ -33,9 +33,6 @@ def corpus_diff(old_ds, new_ds, id_col: str, text_col: str):
     joined = hash_join(old_fp, new_fp, on=id_col, how="outer")
 
     def status(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({id_col: pd.Series([], dtype="int64"),
-                                 "status": pd.Series([], dtype=object)})
         o, n = df["fp_old"], df["fp_new"]
         st = np.where(o.isna(), "added",
                       np.where(n.isna(), "removed",

@@ -86,9 +86,6 @@ def winnow_fingerprints(ds, id_col: str = "doc_id", text_col: str = "text",
     share at least one fp value. Pure map — no exchange."""
 
     def per_batch(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({id_col: pd.Series([], dtype="int64"),
-                                 "fp": pd.Series([], dtype=object)})
         fps = df[text_col].map(lambda t: _winnow_one(t, k, w))
         out = df[[id_col]].copy()
         out["fp"] = fps

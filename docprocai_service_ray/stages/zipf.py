@@ -48,10 +48,6 @@ def zipf_law_stats(ds, text_col: str, *, top_k: int = 1000,
     wc = _word_counts(ds, text_col).materialize()
 
     def scalars(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"types": [np.int64(0)],
-                                 "tokens": [np.int64(0)],
-                                 "hapax": [np.int64(0)]})
         return pd.DataFrame({
             "types": [np.int64(len(df))],
             "tokens": [df["c"].sum()],
@@ -64,8 +60,6 @@ def zipf_law_stats(ds, text_col: str, *, top_k: int = 1000,
                                   int(sc["hapax"]))
 
     def local_top(df: pd.DataFrame, k=top_k) -> pd.DataFrame:
-        if not len(df):
-            return _empty()
         return df.sort_values(["c", "w"], ascending=[False, True]).head(k)
 
     top = (collect_pandas(

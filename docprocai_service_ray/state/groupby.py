@@ -26,6 +26,17 @@ pattern. :func:`group_agg` does phase 0 and the final combine from one
 spec; :func:`partition_reduce` is for per-partition work that is not a
 regroup over its own partition key (dedup, top-k, ``nunique``, joins of
 partials, grouping by a finer key than the partition key).
+
+Empty input: Ray Data never calls a ``map_batches`` UDF, a
+``map_groups`` fn or a :func:`partition_reduce` reduce on zero rows; an
+empty block, typed or column-less, passes through uncalled
+(``tests/test_udf_empty_batches.py`` pins this for Ray 2.49.2). So no
+UDF tests its own argument for emptiness
+(``tests/test_no_empty_batch_guard.py``). A frame a UDF derives itself
+(a filter's or a loop's result) can be empty: it returns the empty
+slice when its output is a projection of the input, else a declared
+``pa.Schema``'s ``empty_table()``, which Ray can size (it cannot sample
+a zero-row object column).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pandas as pd
 import pytest
 import ray
 
@@ -17,6 +18,23 @@ def ray_session():
     )
     yield
     ray.shutdown()
+
+
+def _with_empty_blocks(frame: pd.DataFrame):
+    """``frame``'s rows behind a leading empty typed block, a filter's
+    empty output and a column-less empty block."""
+    import ray.data as rd
+
+    ds = rd.from_pandas([frame.iloc[:0], frame])
+    column_less = ds.map_batches(lambda df: df.iloc[:0][[]], batch_format="pandas")
+    return ds.union(ds.filter(lambda r: False), column_less)
+
+
+@pytest.fixture(scope="session")
+def with_empty_blocks():
+    """Builds a Dataset of a frame's rows plus the three kinds of empty
+    block Ray Data hands around (see ``_with_empty_blocks``)."""
+    return _with_empty_blocks
 
 
 @pytest.fixture(scope="session")

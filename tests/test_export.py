@@ -106,3 +106,16 @@ def test_duplicate_blocks_collapse_in_manifest(tmp_path):
     assert j["n_input_rows"] == 2 * len(docs)
     assert j["n_dedup_rows"] == len(docs)
     assert verify_export(out)["ok"]
+
+
+def test_empty_dataset_exports_empty_manifest(tmp_path):
+    """A filter that keeps no row (a release split with no document)
+    exports no shard and an empty manifest, instead of failing on the
+    missing ``file`` column."""
+    out = str(tmp_path / "empty")
+    man = export_jsonl(rd.from_pandas(_docs(5)).filter(lambda r: False), out)
+    assert len(man) == 0
+    with open(os.path.join(out, "manifest.json")) as f:
+        j = json.load(f)
+    assert (j["n_rows"], j["n_input_rows"], j["n_shards"]) == (0, 0, 0)
+    assert verify_export(out)["ok"]

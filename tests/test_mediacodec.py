@@ -3,7 +3,11 @@ multimodal path (StdlibDecoder, render_thumbnails)."""
 
 from __future__ import annotations
 
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -156,6 +160,32 @@ class TestStdlibDecoder:
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
             StdlibDecoder(8).decode(b"<html>not media</html>", "image")
+
+
+def _files(d: str) -> dict[str, bytes]:
+    return {name: pathlib.Path(d, name).read_bytes()
+            for name in sorted(os.listdir(d))}
+
+
+def test_concurrent_cold_start_writes_each_file_once(tmp_path):
+    """Two processes cold-start the same (n, seed) corpus at once: the
+    directory lock lets one write while the other waits, and both see
+    the bytes a single process writes."""
+    code = ("import sys\n"
+            "from docprocai_service_ray.sources.mediagen import "
+            "ensure_media_corpus\n"
+            "print(ensure_media_corpus(14, 9, root=sys.argv[1]))\n")
+    shared = str(tmp_path / "shared")
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    procs = [subprocess.Popen([sys.executable, "-c", code, shared], cwd=repo,
+                              stdout=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    dirs = {p.communicate(timeout=300)[0].strip() for p in procs}
+    assert [p.returncode for p in procs] == [0, 0]
+    single = ensure_media_corpus(14, 9, root=str(tmp_path / "single"))
+    (d,) = dirs
+    assert len(_files(d)) == 14
+    assert _files(d) == _files(single)
 
 
 class TestRealMediaPipeline:

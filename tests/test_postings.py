@@ -5,13 +5,16 @@ parallelism invariance. The sf0.01 parity of the registered
 
 from __future__ import annotations
 
+import logging
+
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 import ray.data as rd
 
-from docprocai_service_ray.stages.postings import build_postings, postings_sql
+from docprocai_service_ray.stages.postings import (_doc_tokens, build_postings,
+                                                   postings_sql)
 from docprocai_service_ray.state.groupby import collect_pandas, pin_partitions
 
 pytestmark = pytest.mark.usefixtures("ray_session")
@@ -97,3 +100,29 @@ class TestPostings:
         with pytest.raises(ValueError, match="max_df"):
             build_postings(rd.from_pandas(_docs(20)), "doc_id", "text",
                            min_df=5, max_df=3)
+
+
+@pytest.mark.parametrize("text, stop", [
+    (["", None, "123 !"], None),              # no token at all
+    (["the a", "a the"], np.array(["a", "the"])),  # every token stopped
+])
+def test_tokenless_batch_is_sized_without_error(caplog, text, stop):
+    """Ray sizes blocks (and ``auto_buckets`` sizes exchanges from that)
+    by sampling object columns, which fails on zero rows; a tokenless
+    batch must yield a block Ray can size."""
+    from ray.data.block import BlockAccessor
+
+    batch = pd.DataFrame({"doc_id": np.arange(len(text), dtype="int64"),
+                          "text": pd.array(text, dtype=object)})
+    logger = logging.getLogger("ray.data._internal.pandas_block")
+    logger.addHandler(caplog.handler)
+    try:
+        with caplog.at_level(logging.WARNING, logger=logger.name):
+            out = (_doc_tokens(batch, "doc_id", "text") if stop is None
+                   else _doc_tokens(batch, "doc_id", "text", stop))
+            assert BlockAccessor.for_block(out).size_bytes() >= 0
+    finally:
+        logger.removeHandler(caplog.handler)
+    assert len(out) == 0
+    assert [r.getMessage() for r in caplog.records
+            if "Error calculating size" in r.getMessage()] == []

@@ -10,7 +10,7 @@ import pytest
 import ray.data as rd
 
 from docprocai_service_ray.sources.readers import (
-    DOCS_SCHEMA,
+    CURATION_DOCS_SCHEMA,
     read_binary,
     read_csv,
     read_docs_jsonl,
@@ -72,7 +72,7 @@ class TestReaders:
                                         "source": r.source}) + "\n")
 
         ds = read_docs_jsonl(str(tmp_path))
-        validate_schema(ds, DOCS_SCHEMA)
+        validate_schema(ds, CURATION_DOCS_SCHEMA)
         got = ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
         exp = df.sort_values("doc_id").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, exp[got.columns])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pandas as pd
 import pytest
-import ray.data as rd
 
 from docprocai_service_ray.state.groupby import partition_reduce, pin_partitions
 
@@ -26,31 +25,28 @@ def _nonempty(fmt: str):
     return rows
 
 
-def _with_empty_blocks():
-    """Three rows behind an empty typed block, a filter's empty output and
-    a column-less empty block."""
-    frame = pd.DataFrame({"k": [1, 2, 3], "v": [4, 5, 6]})
-    ds = rd.from_pandas([frame.iloc[:0], frame])
-    column_less = ds.map_batches(lambda df: df.iloc[:0][[]], batch_format="pandas")
-    return ds.filter(lambda r: r["k"] > 100).union(ds, column_less)
+@pytest.fixture()
+def three_rows(with_empty_blocks):
+    """Three rows behind the empty blocks of ``with_empty_blocks``."""
+    return with_empty_blocks(pd.DataFrame({"k": [1, 2, 3], "v": [4, 5, 6]}))
 
 
 @pytest.mark.parametrize("fmt", ["pandas", "pyarrow"])
-def test_map_batches_skips_empty_blocks(fmt):
-    rows = _with_empty_blocks().map_batches(_nonempty(fmt), batch_format=fmt)
+def test_map_batches_skips_empty_blocks(fmt, three_rows):
+    rows = three_rows.map_batches(_nonempty(fmt), batch_format=fmt)
     assert rows.count() == 3
 
 
-def test_map_groups_skips_empty_blocks():
-    got = _with_empty_blocks().groupby("k").map_groups(
+def test_map_groups_skips_empty_blocks(three_rows):
+    got = three_rows.groupby("k").map_groups(
         _nonempty("pandas"), batch_format="pandas")
     assert sorted(got.to_pandas()["k"]) == [1, 2, 3]
 
 
-def test_after_partition_reduce_with_empty_partitions():
+def test_after_partition_reduce_with_empty_partitions(three_rows):
     # 3 keys over 16 partitions: at least 13 partitions hold no row, yet
     # neither the reduce nor the map after it sees an empty frame
     with pin_partitions(16):
-        reduced = partition_reduce(_with_empty_blocks(), ["k"], _nonempty("pandas"))
+        reduced = partition_reduce(three_rows, ["k"], _nonempty("pandas"))
     for fmt in ["pandas", "pyarrow"]:
         assert reduced.map_batches(_nonempty(fmt), batch_format=fmt).count() == 3
